@@ -43,9 +43,13 @@ def _parse_points(text: str) -> list[tuple[int, int]]:
 
 def _load_doc(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(sys.stdin)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"document must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _support_from_args(args) -> Support3 | BetaSupport:

@@ -11,6 +11,13 @@ fact: the moment route multiplies out the joint table, the condition
 route evaluates the linear form above.  They are kept independent so one
 can audit the other.
 
+Box enumeration on such supports uses the column law: for fixed j the
+form is u + A_k v with u = x1 + A_j x2 and v = x3 + A_j x4, linear in
+A_k.  Since A is injective, a column is either whole (u = v = 0), empty
+(v = 0 only), or holds the single k with A_k = -u/v, if any.  One exact
+solve per column therefore replaces one exact evaluation per cell, and
+``condition_lhs`` stays as the per-cell oracle.
+
 An uncorrelatedness set inside a finite box is summarized by a
 ``SetDescriptor`` (a shape claim such as "the column j = 2" or "the
 antidiagonal j + k = 7") together with a certificate level: a
@@ -30,6 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence, Union
 
 from . import linalg
@@ -187,25 +195,65 @@ def enumerate_box_offsets(
 ) -> list[Point]:
     """All uncorrelated (j, k) with 1 <= j <= jmax, 1 <= k <= kmax.
 
-    Positive ordered supports go through the condition form, everything
-    else through the deviation bilinear form; both are exact.
+    Positive ordered supports are solved one column at a time: with
+    u = x1 + A_j x2 and v = x3 + A_j x4 the condition reads u + A_k v = 0,
+    so column j is whole when u = v = 0, empty when only v = 0, and
+    otherwise holds at most the one k with A_k = -u/v.  That k is found
+    by a dict lookup among {A_k: k}, which is exact: A is injective
+    (strictly decreasing), -u/v is compared as an exact rational, and an
+    irrational -u/v equals no A_k.  Other supports evaluate the deviation
+    bilinear form per cell from hoisted power tables.  Points come out
+    sorted by j, then k; ``condition_lhs`` and ``offsets_delta`` remain
+    the per-cell oracles.
     """
     _check_box(jmax, kmax)
     s3 = _as_support3(support)
     if s3.kind is SupportKind.POSITIVE_ORDERED:
-        seq = ASequence(support)
-        return [
-            (j, k)
-            for j in range(1, jmax + 1)
-            for k in range(1, kmax + 1)
-            if exact_sign(condition_lhs(x, seq, j, k)) == 0
-        ]
-    return [
-        (j, k)
-        for j in range(1, jmax + 1)
-        for k in range(1, kmax + 1)
-        if exact_sign(offsets_delta(x, s3, s3, j, k)) == 0
-    ]
+        return _solve_columns(x, ASequence(support), jmax, kmax)
+    return _bilinear_cells(x, s3, jmax, kmax)
+
+
+def _solve_columns(
+    x: OffsetVector, seq: ASequence, jmax: int, kmax: int
+) -> list[Point]:
+    x1, x2, x3, x4 = x.x
+    row_of = {seq.value(k): k for k in range(1, kmax + 1)}
+    out: list[Point] = []
+    for j in range(1, jmax + 1):
+        aj = seq.value(j)
+        u = as_exact(x1 + aj * x2)
+        v = as_exact(x3 + aj * x4)
+        if exact_sign(v) == 0:
+            if exact_sign(u) == 0:
+                out.extend((j, k) for k in range(1, kmax + 1))
+            continue
+        t = as_exact(-u / v)
+        if isinstance(t, QuadExt):
+            continue
+        k = row_of.get(t)
+        if k is not None:
+            out.append((j, k))
+    return out
+
+
+def _bilinear_cells(
+    x: OffsetVector, s3: Support3, jmax: int, kmax: int
+) -> list[Point]:
+    # delta(j, k) = sum_r U_r(j) s_r^k with U_r(j) = sum_c dev[r][c] s_c^j
+    dev = x.deviations()
+    pts = s3.points
+    powers = [tuple(p**n for p in pts) for n in range(max(jmax, kmax) + 1)]
+    out: list[Point] = []
+    for j in range(1, jmax + 1):
+        pj = powers[j]
+        u0, u1, u2 = (
+            dev[r][0] * pj[0] + dev[r][1] * pj[1] + dev[r][2] * pj[2] for r in range(3)
+        )
+        for k in range(1, kmax + 1):
+            p0, p1, p2 = powers[k]
+            if exact_sign(u0 * p0 + u1 * p1 + u2 * p2) == 0:
+                out.append((j, k))
+    return out
 
 
 def enumerate_box_table(table: JointTable, jmax: int, kmax: int) -> list[Point]:
@@ -239,13 +287,8 @@ GLOBAL_ANALYTIC = "global-analytic"
 BOX_VERIFIED = "box-verified"
 
 LATTICE_NAMES = ("ee", "eo", "oe", "oo")
-# parity classes keyed by (j odd, k odd); ee is even j, even k
-_LATTICE_OF_PARITY = {
-    (False, False): "ee",
-    (False, True): "eo",
-    (True, False): "oe",
-    (True, True): "oo",
-}
+# first (j, k) of each parity class; ee is even j, even k
+_LATTICE_START = {"ee": (2, 2), "eo": (2, 1), "oe": (1, 2), "oo": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -346,7 +389,7 @@ class SetDescriptor:
         if self.kind == "empty":
             return set()
         if self.kind == "all":
-            return {(j, k) for j in range(1, jmax + 1) for k in range(1, kmax + 1)}
+            return set(product(range(1, jmax + 1), range(1, kmax + 1)))
         if self.kind in ("finite", "slopeline"):
             return {
                 (j, k) for j, k in self.points if j <= jmax and k <= kmax
@@ -372,12 +415,11 @@ class SetDescriptor:
             s = self.diag_sum
             return {(j, s - j) for j in range(max(1, s - kmax), min(jmax, s - 1) + 1)}
         if self.kind == "lattice-union":
-            return {
-                (j, k)
-                for j in range(1, jmax + 1)
-                for k in range(1, kmax + 1)
-                if _LATTICE_OF_PARITY[(j % 2 == 1, k % 2 == 1)] in self.lattices
-            }
+            out = set()
+            for name in self.lattices:
+                j0, k0 = _LATTICE_START[name]
+                out.update(product(range(j0, jmax + 1, 2), range(k0, kmax + 1, 2)))
+            return out
         raise AssertionError(f"unhandled kind {self.kind}")
 
     # -- text and JSON forms -------------------------------------------

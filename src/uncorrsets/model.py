@@ -150,10 +150,6 @@ class BetaSupport:
         return cls(Fraction(obj["alpha"]), Fraction(obj["beta"]))
 
 
-def support_to_json(support) -> dict:
-    return support.to_json()
-
-
 def support_from_json(obj: dict):
     if "alpha" in obj:
         return BetaSupport.from_json(obj)

@@ -76,14 +76,6 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self._b == 0
 
-    def to_fraction(self) -> Fraction:
-        if self._b != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return self._a
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self._a, -self._b, self._d)
-
     # -- coercion -----------------------------------------------------
 
     def _lift(self, other) -> "QuadExt":

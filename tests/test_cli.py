@@ -3,6 +3,8 @@ import json
 import sys
 from fractions import Fraction
 
+import pytest
+
 from uncorrsets.cli import main
 from uncorrsets.model import (
     OffsetVector,
@@ -192,6 +194,23 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         capsys, "indep-cert", "--points", "1,2;2,4;3,6;4,9", "--beta", "2"
     )
     assert code == 2 and "not on k" in err
+
+
+@pytest.mark.parametrize("text", ["[1,2]", '"x"', "null"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--witness", "-", "--box", "3x3"),
+        ("enumerate", "--witness", "-", "--box", "3x3"),
+        ("classify", "--table", "-"),
+    ],
+)
+def test_non_object_documents_exit_two(capsys, monkeypatch, argv, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be a JSON object" in err
 
 
 def test_selftest_fast(capsys):
