@@ -12,11 +12,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import constructions, determinants, engine, model, selftest
 from .constructions import AlgebraicSlopeLine, SlopeLineParams
-from .engine import SetDescriptor
-from .model import BetaSupport, OffsetVector, Support3
+from .engine import SetDescriptor, SupportLike
+from .model import BetaSupport, JointTable, OffsetVector, Support3
 from .numeric import format_rational
 
 
@@ -59,19 +60,41 @@ def _support_from_args(args) -> Support3 | BetaSupport:
     return Support3.from_values(a, b, c)
 
 
-def _load_witness(path: str):
-    """Returns (x, support, descriptor, algebraic-or-None)."""
+class OffsetWitness(NamedTuple):
+    x: OffsetVector
+    support: SupportLike
+    descriptor: SetDescriptor
+
+
+class AlgebraicWitness(NamedTuple):
+    line: AlgebraicSlopeLine
+    descriptor: SetDescriptor
+
+
+def _read_document(path: str, accepts: tuple[type, ...]):
+    """The document at path as an OffsetWitness, a certified AlgebraicWitness
+    or a JointTable.  A form not in ``accepts`` and a wrong type anywhere in
+    the document are unusable input."""
     doc = _load_doc(path)
-    if doc.get("schema") != engine.WITNESS_SCHEMA:
-        raise ValueError("input is not a witness document")
-    if "algebraic" in doc:
+    schema = doc.get("schema")
+    if schema == engine.WITNESS_SCHEMA:
+        form = AlgebraicWitness if "algebraic" in doc else OffsetWitness
+    elif schema == model.TABLE_SCHEMA:
+        form = JointTable
+    else:
+        raise ValueError("input is neither a witness nor a table document")
+    if form not in accepts:
+        raise ValueError(f"this command cannot use a {form.__name__} document")
+    try:
+        if form is JointTable:
+            return JointTable.from_json(doc)
+        if form is OffsetWitness:
+            return OffsetWitness(*engine.witness_from_json(doc))
         line = AlgebraicSlopeLine.from_json(doc["algebraic"])
-        desc = SetDescriptor.from_json(doc["descriptor"])
-        return None, None, desc, line
-    x = OffsetVector.from_json(doc["x"])
-    support = model.support_from_json(doc["support"])
-    desc = SetDescriptor.from_json(doc["descriptor"])
-    return x, support, desc, None
+        line.certify()
+        return AlgebraicWitness(line, SetDescriptor.from_json(doc["descriptor"]))
+    except (TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"malformed document: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +170,13 @@ def _require(value, flag):
 
 def _cmd_enumerate(args) -> int:
     jmax, kmax = _parse_box(args.box)
-    doc = _load_doc(args.witness)
-    if doc.get("schema") == engine.WITNESS_SCHEMA:
-        if "algebraic" in doc:
-            line = AlgebraicSlopeLine.from_json(doc["algebraic"])
-            points = line.enumerate_box(jmax, kmax)
-        else:
-            x = OffsetVector.from_json(doc["x"])
-            support = model.support_from_json(doc["support"])
-            points = engine.enumerate_box_offsets(x, support, jmax, kmax)
-    elif doc.get("schema") == model.TABLE_SCHEMA:
-        table = model.JointTable.from_json(doc)
-        points = engine.enumerate_box_table(table, jmax, kmax)
+    doc = _read_document(args.witness, (OffsetWitness, AlgebraicWitness, JointTable))
+    if isinstance(doc, JointTable):
+        points = engine.enumerate_box_table(doc, jmax, kmax)
+    elif isinstance(doc, AlgebraicWitness):
+        points = doc.line.enumerate_box(jmax, kmax)
     else:
-        raise ValueError("input is neither a witness nor a table document")
+        points = engine.enumerate_box_offsets(doc.x, doc.support, jmax, kmax)
     if args.format == "csv":
         print("j,k")
         for j, k in points:
@@ -172,38 +188,27 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     jmax, kmax = _parse_box(args.box)
-    x, support, desc, line = _load_witness(args.witness)
-    if args.descriptor:
-        desc = SetDescriptor.parse(args.descriptor)
-    if line is not None:
-        found = line.enumerate_box(jmax, kmax)
-        predicted = desc.points_in_box(jmax, kmax)
-        missing = tuple(sorted(predicted - set(found)))
-        extra = tuple(sorted(set(found) - predicted))
-        verdict = engine.MATCH if not missing and not extra else engine.MISMATCH
-        report = engine.UncorrReport(
-            verdict, desc, (jmax, kmax), tuple(found), missing, extra, None
-        )
+    doc = _read_document(args.witness, (OffsetWitness, AlgebraicWitness))
+    desc = SetDescriptor.parse(args.descriptor) if args.descriptor else doc.descriptor
+    if isinstance(doc, AlgebraicWitness):
+        # nothing proves the whole set of a line at an algebraic ratio, so
+        # a global-analytic claim on it fails its analytic check
+        analytic = None if desc.certificate == engine.BOX_VERIFIED else False
+        found = doc.line.enumerate_box(jmax, kmax)
+        report = engine.compare_claim(desc, jmax, kmax, found, analytic)
     else:
-        report = engine.verify_claim(x, support, desc, jmax, kmax)
+        report = engine.verify_claim(doc.x, doc.support, desc, jmax, kmax)
     _emit(report.to_json())
     return 0 if report.verdict == engine.MATCH else 1
 
 
 def _cmd_classify(args) -> int:
-    doc = _load_doc(args.table)
-    if doc.get("schema") == engine.WITNESS_SCHEMA:
-        x = OffsetVector.from_json(doc["x"])
-        support = model.support_from_json(doc["support"])
-        s3 = support.to_support3() if isinstance(support, BetaSupport) else support
-        if not x.is_zero:
-            x = model.rescale(x)
-        table = model.table_from_offsets(x, s3, s3)
-    elif doc.get("schema") == model.TABLE_SCHEMA:
-        table = model.JointTable.from_json(doc)
-    else:
-        raise ValueError("input is neither a witness nor a table document")
-    desc = engine.classify_symmetric(table)
+    doc = _read_document(args.table, (OffsetWitness, JointTable))
+    if isinstance(doc, OffsetWitness):
+        s3 = doc.support.to_support3()
+        x = doc.x if doc.x.is_zero else model.rescale(doc.x)
+        doc = model.table_from_offsets(x, s3, s3)
+    desc = engine.classify_symmetric(doc)
     _emit({"descriptor": desc.to_json()})
     return 0
 

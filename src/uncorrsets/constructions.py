@@ -24,7 +24,9 @@ beta_star is irrational, so the fourth-point construction cannot hand
 out a rational support; instead ``AlgebraicSlopeLine`` keeps P together
 with a certified isolating interval and decides membership of (j, k)
 exactly, through the gcd of P with the corresponding difference
-polynomial D(j, k).
+polynomial D(j, k); ``certify`` re-derives a line read from a document.
+These polynomials live in ``slopeline``.  ``Construction.to_json`` is the
+one writer of witness documents.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .engine import (
     Point,
     SetDescriptor,
     SupportLike,
+    WITNESS_SCHEMA,
     _check_box,
 )
 from . import linalg
@@ -51,6 +54,7 @@ from .model import (
 )
 from .numeric import QuadExt, format_rational, parse_rational
 from .polynomials import IntPoly, isolate_root, sturm_root_count
+from .slopeline import beta0_poly, beta_star_poly, slopeline_d_poly, slopeline_y_polys
 
 
 class DegenerateSystem(RuntimeError):
@@ -84,7 +88,7 @@ class Construction:
 
     def to_json(self) -> dict:
         out: dict = {
-            "schema": "uncorrsets/witness",
+            "schema": WITNESS_SCHEMA,
             "name": self.name,
             "descriptor": self.descriptor.to_json(),
         }
@@ -187,31 +191,9 @@ def antidiagonal_witness(support: BetaSupport, m: int) -> YVector:
 # threshold and near-line roots
 
 
-def beta0_poly(m: int) -> IntPoly:
-    """B^(m+1) - B^2 - B - 1, strictly increasing on [1, oo) for m >= 2."""
-    if m < 2:
-        raise ValueError("slope must be an integer >= 2")
-    p = IntPoly.monomial(m + 1)
-    return p + IntPoly([-1, -1, -1])
-
-
 def beta0(m: int, width=Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
     """Isolating interval for the threshold root beta0(m) in (1, 2)."""
     return isolate_root(beta0_poly(m), 1, 2, width)
-
-
-def beta_star_poly(m: int, k: int) -> IntPoly:
-    """P(B) whose root in (1, beta0) realizes the fourth point (4, k)."""
-    if m < 2:
-        raise ValueError("slope must be an integer >= 2")
-    if k <= 4 * m:
-        raise ValueError(
-            f"fourth-point column must exceed 4m = {4 * m}; P only dips "
-            "below zero when its slope at 1 is negative"
-        )
-    growth = IntPoly.monomial(m + 2) + IntPoly.monomial(m + 1) + IntPoly.monomial(m)
-    growth = growth + IntPoly([0, -1])
-    return beta0_poly(m) * IntPoly.monomial(k) + growth * IntPoly.monomial(2 * m)
 
 
 def beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
@@ -255,38 +237,6 @@ def beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
         else:
             hi = mid
     return lo, hi
-
-
-def slopeline_y_polys(m: int) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
-    """Power-sum coordinates of the slope-line witness, as polynomials in B.
-
-    y1 = (B^m - B) B^(2m+2),  y2 = (1 - B^(m+1)) B^(2m),
-    y3 = (B^(m+1) - 1) B^2,   y4 = B - B^m.
-    """
-    if m < 2:
-        raise ValueError("slope must be an integer >= 2")
-    y1 = IntPoly.monomial(3 * m + 2) - IntPoly.monomial(2 * m + 3)
-    y2 = IntPoly.monomial(2 * m) - IntPoly.monomial(3 * m + 1)
-    y3 = IntPoly.monomial(m + 3) - IntPoly.monomial(2)
-    y4 = IntPoly.monomial(1) - IntPoly.monomial(m)
-    return y1, y2, y3, y4
-
-
-def slopeline_d_poly(m: int, j: int, k: int) -> IntPoly:
-    """D(j, k) in B: the power sum of the slope-line witness at (j, k).
-
-    D(j,k) = (B^m - B)(B^(2m+2) - B^(j+k)) + (B^(m+1) - 1)(B^(k+2) - B^(j+2m)).
-    Vanishing of D at the support ratio is exactly membership of (j, k).
-    """
-    if m < 2:
-        raise ValueError("slope must be an integer >= 2")
-    if j < 1 or k < 1:
-        raise ValueError("orders must be >= 1")
-    t1 = IntPoly.monomial(m) - IntPoly.monomial(1)
-    t2 = IntPoly.monomial(2 * m + 2) - IntPoly.monomial(j + k)
-    t3 = IntPoly.monomial(m + 1) - IntPoly([1])
-    t4 = IntPoly.monomial(k + 2) - IntPoly.monomial(j + 2 * m)
-    return t1 * t2 + t3 * t4
 
 
 @dataclass(frozen=True)
@@ -358,28 +308,37 @@ class AlgebraicSlopeLine:
             self.m, extra=((4, self.k),), certificate=BOX_VERIFIED
         )
 
-    def y_polys(self) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
-        return slopeline_y_polys(self.m)
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
             "k": self.k,
             "poly": self.poly.to_json(),
             "interval": [format_rational(q) for q in self.interval],
-            "y_polys": [p.to_json() for p in self.y_polys()],
+            "y_polys": [p.to_json() for p in slopeline_y_polys(self.m)],
         }
+
+    def certify(self) -> None:
+        """Raise ValueError unless ``poly`` is P(m, k) and ``interval`` lies
+        in (1, beta0(m)) holding one root of P, which ``contains`` assumes."""
+        m, k = self.m, self.k
+        lo, hi = self.interval
+        # P has degree m + 1 + k; checked first, so a forged k cannot
+        # make the re-derivation build a huge polynomial
+        if self.poly.degree != m + 1 + k or self.poly != beta_star_poly(m, k):
+            raise ValueError(f"poly is not P for m = {m}, k = {k}")
+        if not (1 < lo < hi and beta0_poly(m)(hi) < 0):
+            raise ValueError(f"interval ({lo}, {hi}) is not inside (1, beta0({m}))")
+        if sturm_root_count(self.poly, lo, hi) != 1:
+            raise ValueError(f"interval ({lo}, {hi}) must hold exactly one root of P")
 
     @classmethod
     def from_json(cls, obj: dict) -> "AlgebraicSlopeLine":
+        lo, hi = obj["interval"]
         return cls(
             m=obj["m"],
             k=obj["k"],
             poly=IntPoly.from_json(obj["poly"]),
-            interval=(
-                parse_rational(obj["interval"][0]),
-                parse_rational(obj["interval"][1]),
-            ),
+            interval=(parse_rational(lo), parse_rational(hi)),
         )
 
 

@@ -58,11 +58,6 @@ def sigma(k: int, arity: int = 2, i: int = 0, j: int = 1) -> MultiPoly:
     return MultiPoly(arity, terms)
 
 
-def power_diff(k: int, arity: int, i: int, j: int) -> MultiPoly:
-    """v_i^k - v_j^k, the telescoping partner of sigma_(k-1)."""
-    return MultiPoly.variable(arity, i) ** k - MultiPoly.variable(arity, j) ** k
-
-
 def sigma_diff_identity(k: int) -> bool:
     """sigma_k(x,y) - sigma_k(x,z) == (y - z) * sum_j x^(k-1-j) sigma_j(y,z)."""
     if k < 1:

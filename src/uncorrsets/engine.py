@@ -25,6 +25,10 @@ box-verified claim was checked by enumeration only, a global-analytic
 claim additionally matches a witness pattern whose full zero set is
 known.  ``verify_claim`` re-derives both sides and reports missing and
 extra points instead of trusting the claim.
+``compare_claim`` is the one verdict rule, also for sets enumerated
+elsewhere (the algebraic slope line).  ``witness_from_json`` reads the
+offset witness documents that ``constructions.Construction.to_json``
+writes.  The slope-line polynomials come from ``slopeline``.
 
 Symmetric supports (-v, 0, v) get their own classification: there A_j
 degenerates to 0 for even j and 2 for odd j, the box collapses onto the
@@ -51,6 +55,7 @@ from .model import (
     to_y,
 )
 from .numeric import QuadExt, Scalar, as_exact, exact_sign
+from .slopeline import beta0_poly, slopeline_y_polys
 
 Point = tuple[int, int]
 SupportLike = Union[Support3, BetaSupport]
@@ -186,10 +191,6 @@ def offsets_delta(
     return as_exact(acc)
 
 
-def _as_support3(support: SupportLike) -> Support3:
-    return support.to_support3() if isinstance(support, BetaSupport) else support
-
-
 def enumerate_box_offsets(
     x: OffsetVector, support: SupportLike, jmax: int, kmax: int
 ) -> list[Point]:
@@ -207,7 +208,7 @@ def enumerate_box_offsets(
     the per-cell oracles.
     """
     _check_box(jmax, kmax)
-    s3 = _as_support3(support)
+    s3 = support.to_support3()
     if s3.kind is SupportKind.POSITIVE_ORDERED:
         return _solve_columns(x, ASequence(support), jmax, kmax)
     return _bilinear_cells(x, s3, jmax, kmax)
@@ -286,6 +287,10 @@ KINDS = (
 GLOBAL_ANALYTIC = "global-analytic"
 BOX_VERIFIED = "box-verified"
 
+# the fields each kind needs, all positive integers
+_KIND_FIELDS = {"vline": ("line_j",), "hline": ("line_k",), "cross": ("line_j", "line_k"),
+                "antidiagonal": ("diag_sum",), "slopeline": ("slope",)}
+
 LATTICE_NAMES = ("ee", "eo", "oe", "oo")
 # first (j, k) of each parity class; ee is even j, even k
 _LATTICE_START = {"ee": (2, 2), "eo": (2, 1), "oe": (1, 2), "oo": (1, 1)}
@@ -309,6 +314,10 @@ class SetDescriptor:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
         if self.certificate not in (GLOBAL_ANALYTIC, BOX_VERIFIED):
             raise ValueError(f"unknown certificate {self.certificate!r}")
+        for name in _KIND_FIELDS.get(self.kind, ()):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{self.kind} needs a positive integer {name}: {value!r}")
         pts = tuple(sorted((int(j), int(k)) for j, k in self.points))
         if any(j < 1 or k < 1 for j, k in pts):
             raise ValueError("points must have positive coordinates")
@@ -633,16 +642,9 @@ def _analytic_all(x: OffsetVector) -> bool:
 def _analytic_lattice_union(
     x: OffsetVector, support: SupportLike, names: Sequence[str]
 ) -> bool:
-    s3 = _as_support3(support)
-    if s3.kind is not SupportKind.SYMMETRIC_ZERO:
+    if support.to_support3().kind is not SupportKind.SYMMETRIC_ZERO:
         raise IncompatibleDescriptor("parity lattices need a symmetric support")
     return set(names) == set(_symmetric_lattices(x))
-
-
-def _slopeline_polys(m: int):
-    from .constructions import slopeline_y_polys
-
-    return slopeline_y_polys(m)
 
 
 def _analytic_slopeline(x: OffsetVector, support: SupportLike, desc) -> bool:
@@ -654,13 +656,10 @@ def _analytic_slopeline(x: OffsetVector, support: SupportLike, desc) -> bool:
         # extra points (the near-line fourth point) are never global claims
         return False
     beta = support.beta
-    from .constructions import beta0_poly
-
     if beta0_poly(m)(beta) < 0:
         return False
     ys = to_y(x).y
-    polys = _slopeline_polys(m)
-    want = [Fraction(p(beta)) for p in polys]
+    want = [Fraction(p(beta)) for p in slopeline_y_polys(m)]
     have = [as_exact(v) for v in ys]
     for i in range(4):
         for n in range(4):
@@ -694,8 +693,7 @@ def check_analytic(
         return _analytic_slopeline(x, support, desc)
     # the remaining shapes rely on A_j being injective, which only the
     # strictly decreasing sequence of a positive ordered support gives
-    s3 = _as_support3(support)
-    if s3.kind is not SupportKind.POSITIVE_ORDERED:
+    if support.to_support3().kind is not SupportKind.POSITIVE_ORDERED:
         raise IncompatibleDescriptor(
             f"a global {kind} claim needs a positive ordered support"
         )
@@ -748,6 +746,19 @@ class UncorrReport:
         }
 
 
+def compare_claim(
+    desc: SetDescriptor, jmax: int, kmax: int, found: Sequence[Point], analytic: bool | None
+) -> UncorrReport:
+    """Match when the box holds exactly the claimed points and the
+    analytic check (None for a box-verified claim) did not fail."""
+    predicted = desc.points_in_box(jmax, kmax)
+    found_set = set(found)
+    missing = tuple(sorted(predicted - found_set))
+    extra = tuple(sorted(found_set - predicted))
+    verdict = MATCH if not missing and not extra and analytic is not False else MISMATCH
+    return UncorrReport(verdict, desc, (jmax, kmax), tuple(found), missing, extra, analytic)
+
+
 def verify_claim(
     x: OffsetVector,
     support: SupportLike,
@@ -757,21 +768,7 @@ def verify_claim(
 ) -> UncorrReport:
     """Enumerate the true set in the box and compare with the claim."""
     found = enumerate_box_offsets(x, support, jmax, kmax)
-    predicted = desc.points_in_box(jmax, kmax)
-    found_set = set(found)
-    missing = tuple(sorted(predicted - found_set))
-    extra = tuple(sorted(found_set - predicted))
-    analytic = check_analytic(x, support, desc)
-    verdict = MATCH if not missing and not extra and analytic is not False else MISMATCH
-    return UncorrReport(
-        verdict=verdict,
-        claimed=desc,
-        box=(jmax, kmax),
-        found=tuple(found),
-        missing=missing,
-        extra=extra,
-        analytic_ok=analytic,
-    )
+    return compare_claim(desc, jmax, kmax, found, check_analytic(x, support, desc))
 
 
 # ---------------------------------------------------------------------------
@@ -891,26 +888,6 @@ def cross_maximality_violations(
 # witness documents
 
 WITNESS_SCHEMA = "uncorrsets/witness"
-
-
-def witness_to_json(
-    x: OffsetVector,
-    support: SupportLike,
-    desc: SetDescriptor,
-    name: str | None = None,
-    y=None,
-) -> dict:
-    out = {
-        "schema": WITNESS_SCHEMA,
-        "support": support.to_json(),
-        "x": x.to_json(),
-        "descriptor": desc.to_json(),
-    }
-    if name:
-        out["name"] = name
-    if y is not None:
-        out["y"] = y.to_json()
-    return out
 
 
 def witness_from_json(obj: dict) -> tuple[OffsetVector, SupportLike, SetDescriptor]:

@@ -100,6 +100,10 @@ class Support3:
             raise ValueError("symmetric support needs alpha > 0")
         return cls((-alpha, Fraction(0), alpha), SupportKind.SYMMETRIC_ZERO)
 
+    def to_support3(self) -> "Support3":
+        """Itself; lets code take a Support3 or a BetaSupport alike."""
+        return self
+
     def to_json(self) -> dict:
         return {
             "points": [format_rational(p) for p in self.points],

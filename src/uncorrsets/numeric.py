@@ -224,10 +224,6 @@ class QuadExt:
         return f"{self._a} {op} {abs(self._b)}*sqrt({self._d})"
 
 
-def sqrt2() -> QuadExt:
-    return QuadExt(0, 1, 2)
-
-
 def exact_sign(v: Scalar) -> int:
     """Sign of an exact scalar as -1, 0 or 1, decided without floats."""
     if isinstance(v, QuadExt):

@@ -349,11 +349,6 @@ class MultiPoly:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return iter(self._terms.items())
 

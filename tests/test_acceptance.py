@@ -292,11 +292,7 @@ def test_criterion_7_structural_invariants(capsys):
     problems = []
     rescaled = 0
     for built in witnesses:
-        s3 = (
-            built.support.to_support3()
-            if isinstance(built.support, BetaSupport)
-            else built.support
-        )
+        s3 = built.support.to_support3()
         table = table_from_offsets(rescale(built.x), s3, s3)
         rescaled += 1
         for row in table.entries:

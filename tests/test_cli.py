@@ -1,9 +1,13 @@
+import copy
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncorrsets.cli import main
 from uncorrsets.model import (
@@ -211,6 +215,163 @@ def test_non_object_documents_exit_two(capsys, monkeypatch, argv, text):
     assert code == 2
     assert out == ""
     assert "must be a JSON object" in err
+
+
+def _near_line_doc(capsys):
+    code, doc = _run_json(capsys, "construct", "slopeline", "--m", "2", "--k", "9")
+    assert code == 0
+    return doc
+
+
+def test_verify_algebraic_claim_shares_the_verdict_rule(capsys, tmp_path):
+    path = _write(tmp_path, "near.json", _near_line_doc(capsys))
+    # the document's own claim is box-verified and holds in the box
+    code, report = _run_json(capsys, "verify", "--witness", path, "--box", "6x9")
+    assert code == 0
+    assert report["verdict"] == "match" and report["analytic"] is None
+    # the same points claimed globally: nothing proves that at beta*
+    code, report = _run_json(
+        capsys, "verify", "--witness", path, "--box", "6x9",
+        "--descriptor", "slopeline:2;4,9",
+    )
+    assert code == 1
+    assert report["verdict"] == "mismatch" and report["analytic"] is False
+    assert report["missing"] == [] and report["extra"] == []
+
+
+def _three_point_claim(doc):
+    doc["descriptor"] = {
+        "kind": "slopeline", "certificate": "box-verified", "slope": 2,
+        "points": [[1, 2], [2, 4], [3, 6]],
+    }
+    return doc
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        # an interval that holds no root of P: (4, 9) drops out of the set
+        lambda d: _three_point_claim(d)["algebraic"].update(interval=["11/10", "6/5"]),
+        lambda d: d["algebraic"].update(poly=[1, -1]),
+        # reaches above beta0(2) = 1.839...
+        lambda d: d["algebraic"].update(interval=[d["algebraic"]["interval"][0], "2"]),
+        lambda d: d["algebraic"].update(interval=["1", "2"]),
+        lambda d: d["algebraic"].update(m=3),
+        lambda d: d["algebraic"].update(k=10),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_forged_algebraic_documents_exit_two(capsys, tmp_path, forge, command):
+    doc = _near_line_doc(capsys)
+    forge(doc)
+    path = _write(tmp_path, "forged.json", doc)
+    code, out, err = _run(capsys, command, "--witness", path, "--box", "6x9")
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+_EMPTY_WITNESS = {
+    "schema": "uncorrsets/witness",
+    "x": ["1", "0", "0", "0"],
+    "support": {"points": ["1", "2", "3"], "kind": "positive-ordered"},
+    "descriptor": {"kind": "empty"},
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("x", 5),
+        ("descriptor", 7),
+        ("descriptor", {"kind": "vline"}),
+        ("descriptor", {"kind": "antidiagonal"}),
+        ("descriptor", {"kind": "cross", "j": "2", "k": 3}),
+        ("descriptor", {"kind": "hline", "k": 0}),
+        ("descriptor", {"kind": "slopeline", "slope": None}),
+        ("support", [1]),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_malformed_documents_exit_two(capsys, monkeypatch, field, value, command):
+    doc = dict(_EMPTY_WITNESS, **{field: value})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = _run(capsys, command, "--witness", "-", "--box", "3x3")
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+def _documents():
+    sym = Support3.symmetric(1)
+    table = table_from_offsets(rescale(OffsetVector.of(0, 1, 1, 0)), sym, sym)
+    constructs = [
+        ("singleton", "--point", "2,3"),
+        ("cross", "--j", "2", "--k", "3"),
+        ("antidiagonal", "--m", "5", "--beta", "2"),
+        ("slopeline", "--m", "2", "--beta", "2"),
+        ("slopeline", "--m", "2", "--k", "9"),
+        ("lattice-union", "--lattices", "ee,oo"),
+    ]
+    docs = [table.to_json()]
+    for argv in constructs:
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["construct", *argv]) == 0
+        docs.append(json.loads(out.getvalue()))
+    return docs
+
+
+_DOCS = _documents()
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in items:
+        yield from _leaf_paths(child, path + (key,))
+
+
+_LEAVES = [(i, path) for i, doc in enumerate(_DOCS) for path in _leaf_paths(doc)]
+
+_JUNK = st.one_of(
+    st.integers(-3, 70),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    leaf=st.sampled_from(_LEAVES),
+    junk=_JUNK,
+    argv=st.sampled_from(
+        [
+            ["verify", "--witness", "-", "--box", "4x9"],
+            ["enumerate", "--witness", "-", "--box", "4x9"],
+            ["classify", "--table", "-"],
+        ]
+    ),
+)
+def test_one_bad_leaf_never_escapes_main(leaf, junk, argv):
+    index, path = leaf
+    doc = copy.deepcopy(_DOCS[index])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = junk
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    assert code in (0, 1, 2)
 
 
 def test_selftest_fast(capsys):

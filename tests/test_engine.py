@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from uncorrsets.constructions import make_diagonal
 from uncorrsets.engine import (
     ASequence,
     BOX_VERIFIED,
@@ -27,7 +28,6 @@ from uncorrsets.engine import (
     offsets_delta,
     verify_claim,
     witness_from_json,
-    witness_to_json,
 )
 from uncorrsets.model import (
     BetaSupport,
@@ -365,9 +365,9 @@ def test_enumerated_sets_respect_invariants():
 
 def test_witness_documents():
     x = OffsetVector.of(0, 1, -1, 0)
-    doc = witness_to_json(x, S123, SetDescriptor.diagonal(), name="diag")
+    doc = make_diagonal(S123).to_json()
     x2, s2, d2 = witness_from_json(doc)
     assert x2 == x and s2 == S123 and d2 == SetDescriptor.diagonal()
-    assert doc["name"] == "diag"
+    assert doc["name"] == "diagonal"
     with pytest.raises(ValueError):
         witness_from_json({"schema": "something/else"})

