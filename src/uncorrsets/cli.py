@@ -42,6 +42,14 @@ def _parse_points(text: str) -> list[tuple[int, int]]:
     return [_parse_point(chunk) for chunk in text.split(";") if chunk]
 
 
+def _rational(text: str) -> Fraction:
+    """A rational flag value; a zero denominator is unusable input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def _load_doc(path: str) -> dict:
     if path == "-":
         doc = json.load(sys.stdin)
@@ -55,8 +63,8 @@ def _load_doc(path: str) -> dict:
 
 def _support_from_args(args) -> Support3 | BetaSupport:
     if getattr(args, "beta", None) is not None:
-        return BetaSupport(Fraction(args.alpha), Fraction(args.beta))
-    a, b, c = (Fraction(v) for v in args.support.split(","))
+        return BetaSupport(_rational(args.alpha), _rational(args.beta))
+    a, b, c = (_rational(v) for v in args.support.split(","))
     return Support3.from_values(a, b, c)
 
 
@@ -144,18 +152,18 @@ def _cmd_construct(args) -> int:
                 m=m,
                 mode=constructions.MODE_BETA_STAR,
                 k=args.k,
-                width=Fraction(args.width),
+                width=_rational(args.width),
             )
         else:
             params = SlopeLineParams(
                 m=m,
                 mode=constructions.MODE_AT_OR_ABOVE,
-                beta=Fraction(_require(args.beta, "--beta")),
+                beta=_rational(_require(args.beta, "--beta")),
             )
         built = constructions.make_slopeline(params)
     elif family == "lattice-union":
         names = [n for n in (args.lattices or "").split(",") if n]
-        built = constructions.make_lattice_union(Fraction(args.alpha), names)
+        built = constructions.make_lattice_union(_rational(args.alpha), names)
     else:
         raise ValueError(f"unknown family {family!r}")
     _emit(built.to_json())
@@ -214,7 +222,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_beta0(args) -> int:
-    lo, hi = constructions.beta0(args.m, Fraction(args.width))
+    lo, hi = constructions.beta0(args.m, _rational(args.width))
     _emit(
         {
             "m": args.m,
@@ -228,7 +236,7 @@ def _cmd_beta0(args) -> int:
 
 
 def _cmd_betastar(args) -> int:
-    lo, hi = constructions.beta_star(args.m, args.k, Fraction(args.width))
+    lo, hi = constructions.beta_star(args.m, args.k, _rational(args.width))
     _emit(
         {
             "m": args.m,
@@ -255,7 +263,7 @@ def _cmd_det(args) -> int:
 
 def _cmd_indep_cert(args) -> int:
     pts = _parse_points(args.points)
-    support = BetaSupport(Fraction(args.alpha), Fraction(args.beta))
+    support = BetaSupport(_rational(args.alpha), _rational(args.beta))
     cert = determinants.independence_certificate(pts, support)
     _emit(cert.to_json())
     return 0 if cert.independent else 1
@@ -294,7 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
             "lattice-union",
         ],
     )
-    p.add_argument("--support", default="1,2,3", help="a,b,c rational points")
+    p.add_argument(
+        "--support",
+        default="1,2,3",
+        help="a,b,c rational points; join a value that starts with '-' to "
+        "the flag, as --support=-1,0,1",
+    )
     p.add_argument("--alpha", default="1", help="scale of a geometric or symmetric support")
     p.add_argument("--beta", default=None, help="ratio of a geometric support")
     p.add_argument("--point", default=None, help="j,k")

@@ -52,7 +52,7 @@ from .model import (
     YVector,
     from_y,
 )
-from .numeric import QuadExt, format_rational, parse_rational
+from .numeric import QuadExt, format_rational
 from .polynomials import IntPoly, isolate_root, sturm_root_count
 from .slopeline import beta0_poly, beta_star_poly, slopeline_d_poly, slopeline_y_polys
 
@@ -203,8 +203,12 @@ def beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
     found by walking 1 + 2^-i until P goes negative; the interval is
     then bisected until it is narrow enough and its upper end provably
     sits below beta0 (checked through the sign of the threshold
-    polynomial, no root comparison needed).
+    polynomial, no root comparison needed).  A width that is not positive
+    raises ValueError.
     """
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
     p = beta_star_poly(m, k)
     threshold = beta0_poly(m)
     _, hi0 = beta0(m, Fraction(1, 2**20))
@@ -223,7 +227,6 @@ def beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
     hi = hi0
     if p(hi) <= 0:
         raise BracketNotFound(f"P({hi}) <= 0; no sign change before beta0")
-    width = Fraction(width)
     while hi - lo > width or threshold(hi) >= 0:
         mid = (lo + hi) / 2
         v = p(mid)
@@ -338,7 +341,7 @@ class AlgebraicSlopeLine:
             m=obj["m"],
             k=obj["k"],
             poly=IntPoly.from_json(obj["poly"]),
-            interval=(parse_rational(lo), parse_rational(hi)),
+            interval=(Fraction(lo), Fraction(hi)),
         )
 
 

@@ -137,12 +137,6 @@ class BetaSupport:
             (a, a * self.beta, a * self.beta**2), SupportKind.POSITIVE_ORDERED
         )
 
-    def a_value(self, j: int) -> Fraction:
-        """A_j collapses to 1 + beta^(-j) on geometric supports."""
-        if j < 1:
-            raise ValueError("moment order must be >= 1")
-        return 1 + self.beta ** (-j)
-
     def to_json(self) -> dict:
         return {
             "alpha": format_rational(self.alpha),
@@ -290,12 +284,6 @@ class JointTable:
     def independent(cls, support_x: Support3, support_y: Support3) -> "JointTable":
         row = (NINTH, NINTH, NINTH)
         return cls((row, row, row), support_x, support_y)
-
-    def transpose(self) -> "JointTable":
-        flipped = tuple(
-            tuple(self.entries[c][r] for c in range(3)) for r in range(3)
-        )
-        return JointTable(flipped, self.support_y, self.support_x)
 
     def to_json(self) -> dict:
         return {

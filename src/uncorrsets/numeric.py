@@ -209,9 +209,6 @@ class QuadExt:
     def __abs__(self) -> "QuadExt":
         return -self if self.sign() < 0 else self
 
-    def __float__(self) -> float:
-        return float(self._a) + float(self._b) * self._d ** 0.5
-
     def __repr__(self) -> str:
         return f"QuadExt({self._a}, {self._b}, {self._d})"
 
@@ -253,10 +250,6 @@ def as_exact(v) -> Scalar:
 def format_rational(q) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def scalar_to_json(v: Scalar):

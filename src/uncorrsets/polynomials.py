@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .numeric import Scalar
 
@@ -256,9 +256,12 @@ def isolate_root(
     Returns (lo, hi) with hi - lo <= width and p(lo)*p(hi) < 0, unless a
     bisection midpoint is an exact root, in which case the degenerate
     interval (root, root) is returned.  Raises NoSignChange when the
-    initial bracket has no sign change.
+    initial bracket has no sign change, and ValueError when the width is
+    not positive (bisection would never reach it).
     """
     lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
     if lo >= hi:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
     slo, shi = _sign(p(lo)), _sign(p(hi))
@@ -333,10 +336,6 @@ class MultiPoly:
         exps[index] = 1
         return cls(arity, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, exps: Sequence[int], coef: int = 1) -> "MultiPoly":
-        return cls(len(exps), {tuple(exps): coef})
-
     @property
     def arity(self) -> int:
         return self._arity
@@ -348,9 +347,6 @@ class MultiPoly:
     @property
     def term_count(self) -> int:
         return len(self._terms)
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(self._terms.items())
 
     def _check(self, other: "MultiPoly") -> None:
         if self._arity != other._arity:

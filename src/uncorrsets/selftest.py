@@ -1,17 +1,22 @@
-"""Seeded end-to-end audit of the package invariants.
+"""Seeded audit of the package's guarantees, one section function each.
 
-Runs the same cross-checks the test suite freezes, but as a quick
-PASS/FAIL console report: moment route against condition route on
-random offsets, witness constructions against their claimed sets,
-determinant expansions against closed forms, and the structural
-invariants of enumerated sets.  Everything is exact; a single FAIL
-means broken arithmetic, not bad luck.
+A section takes its inputs and returns a ``Section``: the two membership
+routes agree, every golden construction reproduces its expected set, the
+F and G determinant identities hold, the slope line behaves at and near
+its threshold, four collinear orders are independent, parity unions on
+symmetric supports classify back to themselves, and every enumerated set
+obeys transposition, line closure and cross maximality.  ``run`` calls
+the sections on seeded inputs at self-test scale; the acceptance tests
+call the same sections on their own, larger inputs.  Everything is
+exact; a single FAIL means broken arithmetic, not bad luck.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import constructions, determinants, engine, model
 from .engine import ASequence, SetDescriptor
@@ -19,27 +24,238 @@ from .model import BetaSupport, OffsetVector, Support3
 from .numeric import QuadExt
 
 
-class _Reporter:
-    def __init__(self, out):
-        self.out = out
-        self.failures = 0
+@dataclass(frozen=True)
+class Section:
+    """One audited guarantee: what was checked, on how many inputs, and
+    a line per failed check."""
 
-    def check(self, ok: bool, label: str) -> None:
-        if ok:
-            self.out(f"ok   {label}")
-        else:
-            self.failures += 1
-            self.out(f"FAIL {label}")
+    label: str
+    checked: int
+    problems: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+
+def route_agreement(pairs: list, box: int) -> Section:
+    """Moment route against condition route on every cell of the box, for
+    each (support, offsets) pair, with the offsets rescaled into a table."""
+    problems = []
+    for support, x in pairs:
+        x, s3 = model.rescale(x), support.to_support3()
+        table = model.table_from_offsets(x, s3, s3)
+        seq = ASequence(support)
+        for j, k in product(range(1, box + 1), repeat=2):
+            by_moments = engine.is_uncorrelated(table, j, k)
+            by_condition = engine.condition_lhs(x, seq, j, k) == 0
+            if by_moments != by_condition:
+                problems.append(f"{s3.points} {x.x} at ({j}, {k})")
+    supports = len({support for support, _ in pairs})
+    return Section(
+        f"moment route matched the condition route for {len(pairs)} offset "
+        f"vectors on {supports} supports over the {box}x{box} box",
+        len(pairs),
+        tuple(problems),
+    )
+
+
+def golden_witnesses(cases: list, box: int) -> Section:
+    """Each (construction, expected point set) pair, verified in the box:
+    the claim matches with a pattern proof and the points found are
+    exactly the expected ones."""
+    problems = []
+    for built, expected in cases:
+        report = engine.verify_claim(
+            built.x, built.support, built.descriptor, box, box
+        )
+        if (
+            report.verdict != engine.MATCH
+            or set(report.found) != expected
+            or report.analytic_ok is not True
+        ):
+            problems.append(f"{built.name}: {report.to_json()}")
+    return Section(
+        f"{len(cases)} golden constructions reproduced exactly in the "
+        f"{box}x{box} box",
+        len(cases),
+        tuple(problems),
+    )
+
+
+def determinant_identities(f_pairs: list, g_pairs: list, samples: list) -> Section:
+    """F and G expansions against their closed forms, symbolically on the
+    order pairs, plus the degenerate and Vandermonde base cases, and
+    both families evaluated at each ((m, n), point) sample."""
+    d = determinants
+    problems = [f"F{mn}" for mn in f_pairs if not d.f_check(*mn).equal]
+    problems += [f"G{mn}" for mn in g_pairs if not d.g_check(*mn).equal]
+    if not (d.f_direct(1, 6).is_zero and d.f_closed(1, 6).is_zero):
+        problems.append("F(1, 6) is not zero")
+    base = d.vandermonde_factor()
+    if d.f_closed(2, 3) != base or d.g_closed(1, 2) != base:
+        problems.append("F(2, 3) or G(1, 2) is not the Vandermonde factor")
+    forms: dict = {}
+    for (m, n), pt in samples:
+        if (m, n) not in forms:
+            forms[m, n] = [
+                (d.f_direct(m, n), d.f_closed(m, n)),
+                (d.g_direct(m, n), d.g_closed(m, n)),
+            ]
+        if any(a.evaluate(pt) != b.evaluate(pt) for a, b in forms[m, n]):
+            problems.append(f"orders ({m}, {n}) at {tuple(pt)}")
+    return Section(
+        f"{len(f_pairs)} + {len(g_pairs)} symbolic identities, degenerate "
+        f"cases, and {len(samples)}-point agreement at orders "
+        f"{', '.join(map(str, sorted(forms)))}",
+        len(f_pairs) + len(g_pairs) + 2 + len(samples),
+        tuple(problems),
+    )
+
+
+def power_sum_identities(det2_pairs, sigma_orders) -> Section:
+    """The 2x2 determinant identity and the power-sum difference identity,
+    symbolically."""
+    d = determinants
+    problems = [f"det2{jm}" for jm in det2_pairs if not d.det2_check(*jm).equal]
+    problems += [f"sigma {k}" for k in sigma_orders if not d.sigma_diff_identity(k)]
+    return Section(
+        f"{len(det2_pairs)} 2x2 determinant and {len(sigma_orders)} power-sum "
+        "identities hold symbolically",
+        len(det2_pairs) + len(sigma_orders),
+        tuple(problems),
+    )
+
+
+def slope_line_threshold(box: int, width: Fraction) -> Section:
+    """The slope-2 line of the paper: the threshold beta0(2) isolated to
+    the width, the exact three-point set at beta = 2, negative fourth-row
+    differences, and the four-point set at the near-line ratio beta*(2, 9)."""
+    problems = []
+    lo, hi = constructions.beta0(2, width)
+    p = constructions.beta0_poly(2)
+    if not (1 < lo < hi < 2 and hi - lo <= width):
+        problems.append(f"interval ({lo}, {hi}) malformed")
+    if not (p(lo) < 0 < p(hi)):
+        problems.append("interval does not bracket the threshold root")
+    if not (lo < Fraction("1.8392867553") and hi > Fraction("1.8392867552")):
+        problems.append("interval misses 1.8392867552...")
+
+    c = constructions.make_slopeline(
+        constructions.SlopeLineParams(
+            m=2, mode=constructions.MODE_AT_OR_ABOVE, beta=Fraction(2)
+        )
+    )
+    found = set(engine.enumerate_box_offsets(c.x, c.support, box, box))
+    if found != {(1, 2), (2, 4), (3, 6)}:
+        problems.append(f"beta=2 box gave {sorted(found)}")
+    d_poly = constructions.slopeline_d_poly
+    if not all(d_poly(2, 4, k)(Fraction(2)) < 0 for k in range(1, box + 1)):
+        problems.append("a fourth-row difference failed to stay negative")
+
+    line = constructions.slopeline_beta_star(2, 9)
+    pts = set(line.enumerate_box(box, box))
+    if not {(1, 2), (2, 4), (3, 6), (4, 9)} <= pts:
+        problems.append(f"near-line box lost a required point: {sorted(pts)}")
+    if len(pts) == box * box:
+        problems.append("near-line set degenerated to the full box")
+    if not (1 < line.interval[0] and p(line.interval[1]) < 0):
+        problems.append("near-line ratio is not inside (1, beta0)")
+    return Section(
+        f"threshold interval of width {width}, exact three-point set at "
+        f"beta=2, negative fourth-row differences for k <= {box}, and the "
+        "near-line four-point set at the algebraic ratio",
+        3,
+        tuple(problems),
+    )
+
+
+def independence(orders, support: BetaSupport) -> Section:
+    """The collinear-order certificate: nonzero determinant, trivial
+    nullspace, and the two routes to it agree."""
+    cert = determinants.independence_certificate(orders, support)
+    problems = []
+    if cert.det_value == 0:
+        problems.append("determinant is zero")
+    if cert.nullspace_dim != 0:
+        problems.append(f"nullspace dimension {cert.nullspace_dim}")
+    if not cert.cross_checked:
+        problems.append("determinant and nullspace routes disagree")
+    if not cert.independent:
+        problems.append("certificate does not claim independence")
+    return Section(
+        f"orders {','.join(f'({j},{k})' for j, k in orders)} at ratio "
+        f"{support.beta} give determinant {cert.det_value} with nullspace "
+        f"dimension {cert.nullspace_dim}",
+        len(orders),
+        tuple(problems),
+    )
+
+
+def parity_classes(subsets: list) -> Section:
+    """On (-1, 0, 1): the independence table is the full grid, offsets
+    (1, 0, 0, 0) give the empty set, and each named union of parity
+    classes classifies back to itself."""
+    sym = Support3.symmetric(1)
+    problems = []
+    full = model.JointTable.independent(sym, sym)
+    if engine.classify_symmetric(full).kind != "all":
+        problems.append("independence table did not classify as the full grid")
+    x = model.rescale(OffsetVector.of(1, 0, 0, 0))
+    if engine.classify_symmetric(model.table_from_offsets(x, sym, sym)).kind != "empty":
+        problems.append("offsets (1,0,0,0) did not classify as empty")
+    for subset in subsets:
+        built = constructions.make_lattice_union(1, subset)
+        x = built.x if built.x.is_zero else model.rescale(built.x)
+        got = engine.classify_symmetric(
+            model.table_from_offsets(x, built.support, built.support)
+        )
+        want = SetDescriptor.lattice_union(subset, engine.GLOBAL_ANALYTIC)
+        if not got == built.descriptor == want:
+            problems.append(f"{subset} classified as {got.format_spec()}")
+    return Section(
+        f"independence and empty tables plus {len(subsets)} lattice unions "
+        "classified correctly",
+        len(subsets) + 2,
+        tuple(problems),
+    )
+
+
+def structural_invariants(pairs: list, box: int) -> Section:
+    """For each (support, offsets) pair: the rescaled table has every
+    entry in [1/18, 1/6], transposing the offsets transposes the set, and
+    the set has no partial line and no non-maximal cross in the box."""
+    problems = []
+    lo, hi = Fraction(1, 18), Fraction(1, 6)
+    for support, x in pairs:
+        s3 = support.to_support3()
+        table = model.table_from_offsets(model.rescale(x), s3, s3)
+        if not all(lo <= v <= hi for row in table.entries for v in row):
+            problems.append(f"{x.x}: a rescaled entry left [1/18, 1/6]")
+        pts = engine.enumerate_box_offsets(x, support, box, box)
+        flipped = engine.enumerate_box_offsets(x.transpose(), support, box, box)
+        if sorted(flipped) != sorted((k, j) for j, k in pts):
+            problems.append(f"{x.x}: transposition symmetry broke")
+        if engine.column_closure_violations(pts, box, box):
+            problems.append(f"{x.x}: a partial line appeared")
+        if engine.cross_maximality_violations(pts, box, box):
+            problems.append(f"{x.x}: a non-maximal cross appeared")
+    return Section(
+        f"{len(pairs)} offset vectors rescaled to valid tables; transposition, "
+        f"line closure and cross maximality held on every {box}x{box} run",
+        len(pairs),
+        tuple(problems),
+    )
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs at self-test scale
 
 
 def _random_support(rng: random.Random) -> Support3:
-    while True:
-        pts = sorted(rng.sample(range(1, 40), 3))
-        if pts[0] >= 1:
-            den = rng.choice((1, 1, 2, 3))
-            return Support3.from_values(
-                Fraction(pts[0], den), Fraction(pts[1], den), Fraction(pts[2], den)
-            )
+    pts = sorted(rng.sample(range(1, 40), 3))
+    den = rng.choice((1, 1, 2, 3))
+    return Support3.from_values(*(Fraction(p, den) for p in pts))
 
 
 def _random_offsets(rng: random.Random) -> OffsetVector:
@@ -58,142 +274,77 @@ def _random_offsets(rng: random.Random) -> OffsetVector:
             return x
 
 
+def _golden_cases(box: int):
+    s = Support3.from_values(1, 2, 3)
+    line = range(1, box + 1)
+    slope = constructions.SlopeLineParams(
+        m=2, mode=constructions.MODE_AT_OR_ABOVE, beta=Fraction(2)
+    )
+    return [
+        (constructions.make_empty(s), set()),
+        (constructions.make_diagonal(s), {(i, i) for i in line}),
+        (constructions.make_singleton(s, 2, 3), {(2, 3)}),
+        (constructions.make_two_point(s, (1, 2), (2, 1)), {(1, 2), (2, 1)}),
+        (constructions.make_vline(s, 2), {(2, k) for k in line}),
+        (constructions.make_hline(s, 3), {(j, 3) for j in line}),
+        (
+            constructions.make_cross(s, 2, 3),
+            {(2, k) for k in line} | {(j, 3) for j in line},
+        ),
+        (
+            constructions.make_antidiagonal(BetaSupport(1, 2), 4),
+            {(1, 3), (2, 2), (3, 1)},
+        ),
+        (constructions.make_slopeline(slope), {(1, 2), (2, 4), (3, 6)}),
+    ]
+
+
 def run(seed: int = 20250817, fast: bool = False, out=print) -> int:
+    """Run every section on seeded inputs; print one ok/FAIL line each and
+    return the number of failed sections."""
     rng = random.Random(seed)
-    rep = _Reporter(out)
     rounds = 6 if fast else 20
     box = 6 if fast else 8
-
-    # moment route vs condition route on random data
-    agree = True
-    for _ in range(rounds):
-        support = _random_support(rng)
-        x = model.rescale(_random_offsets(rng))
-        table = model.table_from_offsets(x, support, support)
-        seq = ASequence(support)
-        for j in range(1, box + 1):
-            for k in range(1, box + 1):
-                via_moments = engine.is_uncorrelated(table, j, k)
-                via_condition = (
-                    engine.condition_lhs(x, seq, j, k) == 0
-                )
-                if via_moments != via_condition:
-                    agree = False
-    rep.check(agree, "moment route agrees with condition route")
-
-    # rescaled tables are valid and bounded away from zero
-    bounded = True
-    for _ in range(rounds):
-        support = _random_support(rng)
-        x = model.rescale(_random_offsets(rng))
-        table = model.table_from_offsets(x, support, support)
-        lo, hi = Fraction(1, 18), Fraction(1, 6)
-        for row in table.entries:
-            for v in row:
-                if not (lo <= v <= hi):
-                    bounded = False
-    rep.check(bounded, "rescaled entries stay within [1/18, 1/6]")
-
-    # swapping the two variables transposes the set
-    sym = True
-    for _ in range(rounds):
-        support = _random_support(rng)
-        x = _random_offsets(rng)
-        here = engine.enumerate_box_offsets(x, support, box, box)
-        there = engine.enumerate_box_offsets(x.transpose(), support, box, box)
-        if sorted((k, j) for j, k in here) != sorted(there):
-            sym = False
-    rep.check(sym, "transposing offsets transposes the set")
-
-    # golden witnesses enumerate to their claimed sets
-    support = Support3.from_values(1, 2, 3)
-    seq = ASequence(support)
-    bs = BetaSupport(1, 2)
-    cases = [
-        (constructions.make_empty(support), support),
-        (constructions.make_diagonal(support), support),
-        (constructions.make_singleton(support, 2, 3), support),
-        (constructions.make_two_point(support, (1, 2), (2, 1)), support),
-        (constructions.make_vline(support, 2), support),
-        (constructions.make_hline(support, 3), support),
-        (constructions.make_cross(support, 2, 3), support),
-        (constructions.make_antidiagonal(bs, 4), bs),
-        (
-            constructions.make_slopeline(
-                constructions.SlopeLineParams(
-                    m=2, mode=constructions.MODE_AT_OR_ABOVE, beta=Fraction(2)
-                )
-            ),
-            bs,
-        ),
-    ]
-    for built, sup in cases:
-        report = engine.verify_claim(built.x, sup, built.descriptor, box, box)
-        rep.check(
-            report.verdict == engine.MATCH and report.analytic_ok is True,
-            f"witness {built.name!r} matches its claim with a pattern proof",
-        )
-
-    # enumerated sets respect line closure and cross maximality
-    structural = True
-    for built, sup in cases:
-        pts = engine.enumerate_box_offsets(built.x, sup, box, box)
-        if engine.column_closure_violations(pts, box, box):
-            structural = False
-        if engine.cross_maximality_violations(pts, box, box):
-            structural = False
-    rep.check(structural, "enumerated sets respect closure and maximality")
-
-    # all sixteen parity-class unions are classified back exactly
-    lattice_ok = True
-    names = engine.LATTICE_NAMES
-    for mask in range(16):
-        chosen = tuple(n for i, n in enumerate(names) if mask & (1 << i))
-        built = constructions.make_lattice_union(1, chosen)
-        x = built.x if built.x.is_zero else model.rescale(built.x)
-        table = model.table_from_offsets(x, built.support, built.support)
-        desc = engine.classify_symmetric(table)
-        want = SetDescriptor.lattice_union(chosen, engine.GLOBAL_ANALYTIC)
-        if desc != want:
-            lattice_ok = False
-    rep.check(lattice_ok, "sixteen parity unions classify back to themselves")
-
-    # determinant identities, symbolically and at random points
     orders = [(2, 3), (2, 4), (3, 5)] if fast else [(2, 3), (2, 4), (3, 5), (4, 6)]
-    det_ok = all(determinants.f_check(m, n).equal for m, n in orders)
-    det_ok = det_ok and all(
-        determinants.g_check(m, n).equal for m, n in [(1, 2), (2, 3), (3, 4)]
+    random_pairs = [
+        (_random_support(rng), _random_offsets(rng)) for _ in range(rounds)
+    ]
+    samples = [
+        (
+            rng.choice(orders),
+            [Fraction(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(4)],
+        )
+        for _ in range(rounds)
+    ]
+    golden = _golden_cases(box)
+    # the golden witnesses give both routes members to agree on; random
+    # offsets almost never vanish on a cell
+    pairs = random_pairs + [(built.support, built.x) for built, _ in golden]
+    names = engine.LATTICE_NAMES
+    subsets = [
+        tuple(n for i, n in enumerate(names) if mask & (1 << i)) for mask in range(16)
+    ]
+    sections = (
+        lambda: route_agreement(pairs, box),
+        lambda: golden_witnesses(golden, box),
+        lambda: determinant_identities(orders, [(1, 2), (2, 3), (3, 4)], samples),
+        lambda: power_sum_identities(
+            [(j, m) for j in range(0, 4) for m in range(j, 5)], range(1, 9)
+        ),
+        lambda: slope_line_threshold(12, Fraction(1, 10**9)),
+        lambda: independence([(1, 2), (2, 4), (3, 6), (4, 8)], BetaSupport(1, 2)),
+        lambda: parity_classes(subsets),
+        lambda: structural_invariants(pairs, box),
     )
-    det_ok = det_ok and all(
-        determinants.det2_check(j, m).equal for j in range(0, 4) for m in range(j, 5)
-    )
-    det_ok = det_ok and all(
-        determinants.sigma_diff_identity(k) for k in range(1, 9)
-    )
-    rep.check(det_ok, "determinant and power-sum identities hold symbolically")
-
-    sample_ok = True
-    for _ in range(rounds):
-        pt = [Fraction(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(4)]
-        m, n = rng.choice(orders)
-        if determinants.f_direct(m, n).evaluate(pt) != determinants.f_closed(
-            m, n
-        ).evaluate(pt):
-            sample_ok = False
-    rep.check(sample_ok, "random-point evaluations of both routes agree")
-
-    # four collinear order pairs certify independence
-    cert = determinants.independence_certificate(
-        [(1, 2), (2, 4), (3, 6), (4, 8)], BetaSupport(1, 2)
-    )
-    rep.check(
-        cert.independent and cert.cross_checked and cert.nullspace_dim == 0,
-        "collinear four-point system certified independent",
-    )
-
-    out(
-        f"{rep.failures} failure(s)"
-        if rep.failures
-        else "all self-test sections passed"
-    )
-    return rep.failures
+    failures = 0
+    for section in sections:
+        result = section()
+        if result.ok:
+            out(f"ok   {result.label}")
+        else:
+            failures += 1
+            out(f"FAIL {result.label}")
+            for problem in result.problems[:5]:
+                out(f"       {problem}")
+    out(f"{failures} failure(s)" if failures else "all self-test sections passed")
+    return failures

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uncorrsets import engine, selftest
 from uncorrsets.cli import main
 from uncorrsets.model import (
     OffsetVector,
@@ -200,6 +201,30 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "not on k" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["beta0", "--m", "2", "--width", "0"], "width must be positive"),
+        (["betastar", "--m", "2", "--k", "9", "--width", "-1"], "width must be"),
+        (["construct", "slopeline", "--m", "2", "--k", "9", "--width", "0"], "width"),
+        (["indep-cert", "--points", "1,2;2,4;3,6;4,8", "--beta", "0/0"], "zero"),
+        (["construct", "empty", "--support", "1,2,0/0"], "zero denominator"),
+        (["construct", "lattice-union", "--alpha", "0/0"], "zero denominator"),
+        (["construct", "slopeline", "--m", "2", "--k", "9", "--width", "0/0"], "zero"),
+    ],
+)
+def test_bad_rational_flags_exit_two(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_negative_support_joined_to_its_flag(capsys):
+    code, doc = _run_json(capsys, "construct", "empty", "--support=-1,0,1")
+    assert code == 0
+    assert doc["support"]["kind"] == "symmetric-zero"
+
+
 @pytest.mark.parametrize("text", ["[1,2]", '"x"', "null"])
 @pytest.mark.parametrize(
     "argv",
@@ -378,3 +403,13 @@ def test_selftest_fast(capsys):
     code, out, err = _run(capsys, "selftest", "--fast")
     assert code == 0
     assert "all self-test sections passed" in out
+
+
+def test_selftest_reports_a_planted_fault(monkeypatch):
+    real = engine.condition_lhs
+    monkeypatch.setattr(
+        engine, "condition_lhs", lambda x, seq, j, k: real(x, seq, j, k) + 1
+    )
+    lines = []
+    assert selftest.run(fast=True, out=lines.append) > 0
+    assert any(line.startswith("FAIL moment route") for line in lines)

@@ -152,6 +152,14 @@ def test_near_line_root_m2_k9():
     assert beta0_poly(2)(hi) < 0
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_root_isolation_rejects_nonpositive_width(width):
+    with pytest.raises(ValueError, match="width must be positive"):
+        beta0(2, width)
+    with pytest.raises(ValueError, match="width must be positive"):
+        beta_star(2, 9, width)
+
+
 def test_difference_polynomial_factorizations():
     b2_minus_1 = IntPoly([-1, 0, 1])
     b_minus_1 = IntPoly([-1, 1])

@@ -46,14 +46,10 @@ def test_support_kinds_and_validation():
 def test_beta_support():
     bs = BetaSupport(1, 2)
     assert bs.to_support3().points == (1, 2, 4)
-    assert bs.a_value(1) == Fraction(3, 2)
-    assert bs.a_value(3) == Fraction(9, 8)
     with pytest.raises(ValueError):
         BetaSupport(1, 1)
     with pytest.raises(ValueError):
         BetaSupport(0, 2)
-    with pytest.raises(ValueError):
-        bs.a_value(0)
 
 
 def test_support_json_round_trip():
@@ -142,14 +138,10 @@ def test_table_validation():
         JointTable(tuple(tuple(r) for r in bad), s, s)
 
 
-def test_table_transpose_and_json():
+def test_table_json_round_trip():
     s = Support3.from_values(1, 2, 3)
     x = rescale(OffsetVector.of(0, 1, -1, 0))
     t = table_from_offsets(x, s, s)
-    tt = t.transpose()
-    for r in range(3):
-        for c in range(3):
-            assert tt.entries[r][c] == t.entries[c][r]
     assert JointTable.from_json(t.to_json()) == t
     # quadratic irrationals survive the round trip too
     xq = rescale(OffsetVector.of(QuadExt(1, 1, 2), -1, QuadExt(0, -1, 2), 0))

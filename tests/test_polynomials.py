@@ -83,6 +83,12 @@ def test_isolate_root_requires_sign_change():
         isolate_root(p, 3, 3)
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_isolate_root_rejects_nonpositive_width(width):
+    with pytest.raises(ValueError, match="width must be positive"):
+        isolate_root(IntPoly([-2, 0, 1]), 1, 2, width)
+
+
 def test_isolate_root_hits_exact_root():
     p = IntPoly([-9, 0, 1])  # roots at 3 and -3
     lo, hi = isolate_root(p, 1, 5)
