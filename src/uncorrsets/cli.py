@@ -3,7 +3,9 @@
 Every subcommand prints deterministic JSON (sorted keys) except
 ``enumerate --format csv``, which emits bare point rows.  Exit status
 is 0 for a positive verdict (match, identities equal, independent),
-1 for a negative verdict, 2 for unusable input.
+1 for a negative verdict, 2 for unusable input and 3 for an internal
+error (an exception that is no fault of the input, such as
+``LatticeInconsistent``), so a crash never reads as a negative verdict.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -141,10 +144,9 @@ def _cmd_construct(args) -> int:
             _support_from_args(args), _require(args.j, "--j"), _require(args.k, "--k")
         )
     elif family == "antidiagonal":
-        support = _support_from_args(args)
-        if not isinstance(support, BetaSupport):
-            raise ValueError("antidiagonal needs a geometric support (--beta)")
-        built = constructions.make_antidiagonal(support, _require(args.m, "--m"))
+        built = constructions.make_antidiagonal(
+            _support_from_args(args), _require(args.m, "--m")
+        )
     elif family == "slopeline":
         m = _require(args.m, "--m")
         if args.k is not None:
@@ -375,6 +377,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

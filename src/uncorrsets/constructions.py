@@ -1,19 +1,20 @@
 """Witnesses realizing each achievable uncorrelatedness-set shape.
 
 Every constructor returns offsets whose zero set is known in closed
-form, so the engine's pattern checks can certify the claim globally:
+form, so the engine's checks can certify the claim globally.  The empty
+and full sets, the diagonal, columns, rows, crosses, antidiagonals and
+the three-point slope line take the one pattern ``engine.shape_offsets``
+gives their descriptor (the table is in the ``engine`` docstring), so
+builder and checker cannot drift apart.  The families built here are:
 
-* empty set, full set, main diagonal, columns, rows, crosses;
 * one prescribed point, via an offset in Q(sqrt(2)) whose zero line has
   irrational slope and therefore meets the rational condition lattice
   in exactly one point;
 * two prescribed points in general position, via a sqrt(2)-combination
   of a rational nullspace basis of the two membership conditions;
-* antidiagonals j + k = m on geometric supports;
-* three collinear points (1, m), (2, 2m), (3, 3m) on geometric supports
-  with ratio at or above a threshold root beta0(m), plus a near-line
-  variant that picks up a fourth point (4, k) at an algebraic ratio
-  beta_star(m, k).
+* unions of parity classes on a symmetric support (-alpha, 0, alpha);
+* the near-line slope line, which adds a fourth point (4, k) at an
+  algebraic ratio beta_star(m, k).
 
 beta0(m) is the unique root in (1, 2) of B^(m+1) - B^2 - B - 1, and
 beta_star(m, k) the root in (1, beta0) of
@@ -26,7 +27,8 @@ with a certified isolating interval and decides membership of (j, k)
 exactly, through the gcd of P with the corresponding difference
 polynomial D(j, k); ``certify`` re-derives a line read from a document.
 These polynomials live in ``slopeline``.  ``Construction.to_json`` is the
-one writer of witness documents.
+one writer of witness documents.  A slope m or fourth-point column k
+above the exponent cap is refused, like a box.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .engine import (
     SupportLike,
     WITNESS_SCHEMA,
     _check_box,
+    check_order,
+    shape_offsets,
 )
 from . import linalg
 from .model import (
@@ -50,7 +54,7 @@ from .model import (
     OffsetVector,
     Support3,
     YVector,
-    from_y,
+    to_y,
 )
 from .numeric import QuadExt, format_rational
 from .polynomials import IntPoly, isolate_root, sturm_root_count
@@ -104,38 +108,7 @@ class Construction:
 
 
 # ---------------------------------------------------------------------------
-# elementary witnesses
-
-
-def empty_witness() -> OffsetVector:
-    """lhs = x1 never vanishes, so nothing is uncorrelated."""
-    return OffsetVector.of(1, 0, 0, 0)
-
-
-def full_witness() -> OffsetVector:
-    """Zero offsets mean independence: everything is uncorrelated."""
-    return OffsetVector.of(0, 0, 0, 0)
-
-
-def diagonal_witness() -> OffsetVector:
-    """lhs = A_j - A_k vanishes exactly on j = k by strict monotonicity."""
-    return OffsetVector.of(0, 1, -1, 0)
-
-
-def vline_witness(seq: ASequence, j: int) -> OffsetVector:
-    """lhs = A_k (A_j' - A_j) at order (j', k): the column j' = j."""
-    return OffsetVector.of(0, 0, -seq.value(j), 1)
-
-
-def hline_witness(seq: ASequence, k: int) -> OffsetVector:
-    """lhs = A_j (A_k' - A_k): the row k' = k."""
-    return OffsetVector.of(0, -seq.value(k), 0, 1)
-
-
-def cross_witness(seq: ASequence, j: int, k: int) -> OffsetVector:
-    """lhs = (A_j' - A_j)(A_k' - A_k): the union of a column and a row."""
-    aj, ak = seq.value(j), seq.value(k)
-    return OffsetVector.of(aj * ak, -ak, -aj, 1)
+# prescribed-point witnesses
 
 
 def singleton_witness(seq: ASequence, j0: int, k0: int) -> OffsetVector:
@@ -180,19 +153,13 @@ def two_point_witness(seq: ASequence, p1: Point, p2: Point) -> OffsetVector:
     return OffsetVector(tuple(QuadExt(a, b, 2) for a, b in zip(v1, v2)))
 
 
-def antidiagonal_witness(support: BetaSupport, m: int) -> YVector:
-    """y = (beta^m, 0, 0, -1): the power sum is beta^m - beta^(j+k)."""
-    if m < 2:
-        raise ValueError("antidiagonal j + k = m needs m >= 2")
-    return YVector.of(support.beta**m, 0, 0, -1)
-
-
 # ---------------------------------------------------------------------------
 # threshold and near-line roots
 
 
 def beta0(m: int, width=Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
     """Isolating interval for the threshold root beta0(m) in (1, 2)."""
+    check_order(m)
     return isolate_root(beta0_poly(m), 1, 2, width)
 
 
@@ -209,6 +176,7 @@ def beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
     width = Fraction(width)
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
+    check_order(m, k)
     p = beta_star_poly(m, k)
     threshold = beta0_poly(m)
     _, hi0 = beta0(m, Fraction(1, 2**20))
@@ -261,6 +229,7 @@ class SlopeLineParams:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("slope must be an integer >= 2")
+        check_order(self.m)
         if self.mode not in (MODE_AT_OR_ABOVE, MODE_BETA_STAR):
             raise ValueError(f"unknown slope-line mode {self.mode!r}")
         if self.mode == MODE_AT_OR_ABOVE:
@@ -270,6 +239,7 @@ class SlopeLineParams:
         else:
             if self.k is None:
                 raise ValueError("beta-star mode needs the fourth-point column k")
+            check_order(self.k)
         object.__setattr__(self, "width", Fraction(self.width))
 
 
@@ -347,8 +317,8 @@ class AlgebraicSlopeLine:
 
 def slopeline_beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> AlgebraicSlopeLine:
     """Isolate beta_star(m, k) and certify the interval holds one root."""
-    p = beta_star_poly(m, k)
     lo, hi = beta_star(m, k, width)
+    p = beta_star_poly(m, k)
     while sturm_root_count(p, lo, hi) != 1:
         third = (hi - lo) / 4
         lo2, hi2 = beta_star(m, k, third)
@@ -364,53 +334,52 @@ def slopeline_beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> AlgebraicSlopeLi
 # bundled constructions
 
 
+def _closed_form(desc: SetDescriptor, support: SupportLike) -> Construction:
+    """The witness ``shape_offsets`` gives for the claim, named by its kind;
+    the kinds whose pattern is written in power sums also carry y."""
+    x = shape_offsets(desc, support)
+    y = to_y(x) if desc.kind in ("antidiagonal", "slopeline") else None
+    return Construction(desc.kind, desc, support, x, y)
+
+
 def make_empty(support: SupportLike) -> Construction:
-    x = empty_witness()
-    return Construction("empty", SetDescriptor.empty(), support, x)
+    return _closed_form(SetDescriptor.empty(), support)
 
 
 def make_full(support: SupportLike) -> Construction:
-    x = full_witness()
-    return Construction("all", SetDescriptor.all_points(), support, x)
+    return _closed_form(SetDescriptor.all_points(), support)
 
 
 def make_diagonal(support: SupportLike) -> Construction:
-    x = diagonal_witness()
-    return Construction("diagonal", SetDescriptor.diagonal(), support, x)
+    return _closed_form(SetDescriptor.diagonal(), support)
 
 
 def make_vline(support: SupportLike, j: int) -> Construction:
-    x = vline_witness(ASequence(support), j)
-    return Construction("vline", SetDescriptor.vline(j), support, x)
+    return _closed_form(SetDescriptor.vline(j), support)
 
 
 def make_hline(support: SupportLike, k: int) -> Construction:
-    x = hline_witness(ASequence(support), k)
-    return Construction("hline", SetDescriptor.hline(k), support, x)
+    return _closed_form(SetDescriptor.hline(k), support)
 
 
 def make_cross(support: SupportLike, j: int, k: int) -> Construction:
-    x = cross_witness(ASequence(support), j, k)
-    return Construction("cross", SetDescriptor.cross(j, k), support, x)
+    return _closed_form(SetDescriptor.cross(j, k), support)
 
 
 def make_singleton(support: SupportLike, j0: int, k0: int) -> Construction:
-    x = singleton_witness(ASequence(support), j0, k0)
     desc = SetDescriptor.finite([(j0, k0)], GLOBAL_ANALYTIC)
+    x = singleton_witness(ASequence(support), j0, k0)
     return Construction("singleton", desc, support, x)
 
 
 def make_two_point(support: SupportLike, p1: Point, p2: Point) -> Construction:
-    x = two_point_witness(ASequence(support), p1, p2)
     desc = SetDescriptor.finite([p1, p2], GLOBAL_ANALYTIC)
+    x = two_point_witness(ASequence(support), p1, p2)
     return Construction("two-point", desc, support, x)
 
 
 def make_antidiagonal(support: BetaSupport, m: int) -> Construction:
-    y = antidiagonal_witness(support, m)
-    return Construction(
-        "antidiagonal", SetDescriptor.antidiagonal(m), support, from_y(y), y
-    )
+    return _closed_form(SetDescriptor.antidiagonal(m), support)
 
 
 def make_lattice_union(alpha, names) -> Construction:
@@ -439,16 +408,7 @@ def make_slopeline(params: SlopeLineParams) -> Construction:
             raise BetaTooSmall(
                 f"beta = {beta} lies below the threshold root in ({lo}, {hi})"
             )
-        support = BetaSupport(Fraction(1), beta)
-        ys = tuple(Fraction(p(beta)) for p in slopeline_y_polys(params.m))
-        y = YVector(ys)
-        return Construction(
-            "slopeline",
-            SetDescriptor.slopeline(params.m, certificate=GLOBAL_ANALYTIC),
-            support,
-            from_y(y),
-            y,
-        )
+        return _closed_form(SetDescriptor.slopeline(params.m), BetaSupport(1, beta))
     line = slopeline_beta_star(params.m, params.k, params.width)
     return Construction(
         "slopeline", line.descriptor(), support=None, x=None, y=None, algebraic=line

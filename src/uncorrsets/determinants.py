@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .engine import Point
+from .engine import Point, check_order
 from .model import BetaSupport
 from .numeric import format_rational
 from .polynomials import MultiPoly
@@ -294,6 +294,7 @@ def independence_certificate(
         raise ValueError(f"need four distinct order pairs, got {len(pts)}")
     if any(j < 1 or k < 1 for j, k in pts):
         raise ValueError("orders must be >= 1")
+    check_order(*(n for p in pts for n in p))
     slope = Fraction(pts[0][1], pts[0][0])
     for j, k in pts:
         if Fraction(k, j) != slope:

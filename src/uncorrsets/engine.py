@@ -23,12 +23,32 @@ An uncorrelatedness set inside a finite box is summarized by a
 antidiagonal j + k = 7") together with a certificate level: a
 box-verified claim was checked by enumeration only, a global-analytic
 claim additionally matches a witness pattern whose full zero set is
-known.  ``verify_claim`` re-derives both sides and reports missing and
-extra points instead of trusting the claim.
-``compare_claim`` is the one verdict rule, also for sets enumerated
-elsewhere (the algebraic slope line).  ``witness_from_json`` reads the
-offset witness documents that ``constructions.Construction.to_json``
-writes.  The slope-line polynomials come from ``slopeline``.
+known.  ``shape_offsets`` holds the one pattern of each closed-form
+kind; ``constructions`` builds its witnesses from it and
+``check_analytic`` certifies any nonzero multiple of it:
+
+    kind             offsets x, or power sums y = to_y(x)   support
+    empty            x = (1, 0, 0, 0)                       any
+    all              x = (0, 0, 0, 0)                       any
+    diagonal         x = (0, 1, -1, 0)                      positive ordered
+    vline j          x = (0, 0, -A_j, 1)                    positive ordered
+    hline k          x = (0, -A_k, 0, 1)                    positive ordered
+    cross j, k       x = (A_j A_k, -A_k, -A_j, 1)           positive ordered
+    antidiagonal m   y = (beta^m, 0, 0, -1)                 geometric
+    slopeline m      y = slopeline_y_polys(m) at beta       geometric, beta >= beta0(m)
+
+The x patterns make the condition form A_j - A_k, A_k (A_j - A_j0),
+A_j (A_k - A_k0) or (A_j - A_j0)(A_k - A_k0), which vanish exactly on
+the shape because A is injective; the antidiagonal's y makes the power
+sum beta^m - beta^(j+k), and the slope line's ``slopeline_d_poly``.
+Singletons, two points and parity-lattice unions are families of
+witnesses with checks of their own.  ``verify_claim`` re-derives both
+sides and reports missing and extra points instead of trusting the
+claim.  ``compare_claim`` is the one verdict rule, also for sets
+enumerated elsewhere (the algebraic slope line).  ``witness_from_json``
+reads the offset witness documents that
+``constructions.Construction.to_json`` writes.  The slope-line
+polynomials come from ``slopeline``.
 
 Symmetric supports (-v, 0, v) get their own classification: there A_j
 degenerates to 0 for even j and 2 for odd j, the box collapses onto the
@@ -51,8 +71,9 @@ from .model import (
     OffsetVector,
     Support3,
     SupportKind,
+    YVector,
+    from_y,
     support_from_json,
-    to_y,
 )
 from .numeric import QuadExt, Scalar, as_exact, exact_sign
 from .slopeline import beta0_poly, slopeline_y_polys
@@ -65,7 +86,8 @@ ENV_MAX_EXP = "UNCORRSET_MAX_EXP"
 
 
 class ExponentCapExceeded(ValueError):
-    """A box or descriptor asked for moments beyond the exponent cap."""
+    """A box, descriptor or construction asked for moments beyond the
+    exponent cap."""
 
 
 class IncompatibleDescriptor(ValueError):
@@ -84,6 +106,15 @@ def max_exponent() -> int:
     if cap < 1:
         raise ValueError(f"{ENV_MAX_EXP} must be a positive integer")
     return cap
+
+
+def check_order(*orders: int, terms: int = 1) -> None:
+    """Reject an order above the exponent cap; a sum of ``terms`` orders
+    (an antidiagonal j + k) may reach ``terms`` times the cap."""
+    limit = terms * max_exponent()
+    for n in orders:
+        if n > limit:
+            raise ExponentCapExceeded(f"order {n} exceeds the exponent cap {limit}")
 
 
 def _check_box(jmax: int, kmax: int) -> None:
@@ -318,9 +349,12 @@ class SetDescriptor:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{self.kind} needs a positive integer {name}: {value!r}")
+            check_order(value, terms=2 if name == "diag_sum" else 1)
         pts = tuple(sorted((int(j), int(k)) for j, k in self.points))
         if any(j < 1 or k < 1 for j, k in pts):
             raise ValueError("points must have positive coordinates")
+        if self.kind == "finite":
+            check_order(*(n for p in pts for n in p))
         object.__setattr__(self, "points", pts)
         lats = tuple(sorted(set(self.lattices)))
         if any(name not in LATTICE_NAMES for name in lats):
@@ -524,7 +558,65 @@ class SetDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# analytic pattern checks
+# closed-form shape patterns and the analytic check
+
+
+def _positive_sequence(support: SupportLike, kind: str) -> ASequence:
+    # lines, the diagonal and prescribed points rely on A_j being
+    # injective, which only the strictly decreasing sequence of a
+    # positive ordered support gives
+    if support.to_support3().kind is not SupportKind.POSITIVE_ORDERED:
+        raise IncompatibleDescriptor(
+            f"a global {kind} claim needs a positive ordered support"
+        )
+    return ASequence(support)
+
+
+def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | None:
+    """The offsets whose zero set is exactly the claimed shape, from the
+    table in the module docstring; None for the family kinds ``finite``
+    and ``lattice-union``.  Raises IncompatibleDescriptor when the
+    support cannot carry the shape."""
+    kind = desc.kind
+    if kind in ("finite", "lattice-union"):
+        return None
+    if kind == "empty":
+        return OffsetVector.of(1, 0, 0, 0)
+    if kind == "all":
+        return OffsetVector.of(0, 0, 0, 0)
+    if kind in ("antidiagonal", "slopeline"):
+        if not isinstance(support, BetaSupport):
+            raise IncompatibleDescriptor(
+                f"a global {kind} claim needs a geometric support"
+            )
+        beta = support.beta
+        if kind == "antidiagonal":
+            return from_y(YVector.of(beta**desc.diag_sum, 0, 0, -1))
+        return from_y(YVector(tuple(p(beta) for p in slopeline_y_polys(desc.slope))))
+    seq = _positive_sequence(support, kind)
+    if kind == "diagonal":
+        return OffsetVector.of(0, 1, -1, 0)
+    if kind == "vline":
+        return OffsetVector.of(0, 0, -seq.value(desc.line_j), 1)
+    if kind == "hline":
+        return OffsetVector.of(0, -seq.value(desc.line_k), 0, 1)
+    if kind == "cross":
+        aj, ak = seq.value(desc.line_j), seq.value(desc.line_k)
+        return OffsetVector.of(aj * ak, -ak, -aj, 1)
+    raise AssertionError(f"unhandled kind {kind}")
+
+
+def _nonzero_multiple(x: OffsetVector, pattern: OffsetVector) -> bool:
+    """x = c * pattern for some c != 0; for the zero pattern, x = 0."""
+    if pattern.is_zero:
+        return x.is_zero
+    # pattern entries are rational; cross products avoid dividing by them
+    i = next(n for n, v in enumerate(pattern.x) if exact_sign(v) != 0)
+    xi, pi = x.x[i], pattern.x[i]
+    return exact_sign(xi) != 0 and all(
+        exact_sign(as_exact(v * pi - xi * p)) == 0 for v, p in zip(x.x, pattern.x)
+    )
+
 
 def _split_sqrt(values: Sequence[Scalar]) -> tuple[list[Fraction], list[Fraction]]:
     """Write each scalar as p + q*sqrt(d) and collect the p and q parts."""
@@ -537,55 +629,6 @@ def _split_sqrt(values: Sequence[Scalar]) -> tuple[list[Fraction], list[Fraction
             rat.append(Fraction(v))
             irr.append(Fraction(0))
     return rat, irr
-
-
-def _analytic_empty(x: OffsetVector) -> bool:
-    x1, x2, x3, x4 = x.x
-    return (
-        exact_sign(x1) != 0
-        and all(exact_sign(v) == 0 for v in (x2, x3, x4))
-    )
-
-
-def _analytic_diagonal(x: OffsetVector) -> bool:
-    x1, x2, x3, x4 = x.x
-    return (
-        exact_sign(x1) == 0
-        and exact_sign(x4) == 0
-        and exact_sign(x2) != 0
-        and as_exact(x2 + x3) == 0
-    )
-
-
-def _analytic_vline(x: OffsetVector, seq: ASequence, j0: int) -> bool:
-    x1, x2, x3, x4 = x.x
-    return (
-        exact_sign(x1) == 0
-        and exact_sign(x2) == 0
-        and exact_sign(x4) != 0
-        and as_exact(x3 + seq.value(j0) * x4) == 0
-    )
-
-
-def _analytic_hline(x: OffsetVector, seq: ASequence, k0: int) -> bool:
-    x1, x2, x3, x4 = x.x
-    return (
-        exact_sign(x1) == 0
-        and exact_sign(x3) == 0
-        and exact_sign(x4) != 0
-        and as_exact(x2 + seq.value(k0) * x4) == 0
-    )
-
-
-def _analytic_cross(x: OffsetVector, seq: ASequence, j0: int, k0: int) -> bool:
-    x1, x2, x3, x4 = x.x
-    aj, ak = seq.value(j0), seq.value(k0)
-    return (
-        exact_sign(x4) != 0
-        and as_exact(x2 + ak * x4) == 0
-        and as_exact(x3 + aj * x4) == 0
-        and as_exact(x1 - aj * ak * x4) == 0
-    )
 
 
 def _analytic_singleton(x: OffsetVector, seq: ASequence, p: Point) -> bool:
@@ -621,52 +664,12 @@ def _analytic_two_point(x: OffsetVector, seq: ASequence, pts: Sequence[Point]) -
     return True
 
 
-def _analytic_antidiagonal(x: OffsetVector, support: SupportLike, m: int) -> bool:
-    if not isinstance(support, BetaSupport):
-        raise IncompatibleDescriptor(
-            "a global antidiagonal claim needs a geometric support"
-        )
-    y1, y2, y3, y4 = to_y(x).y
-    return (
-        exact_sign(y2) == 0
-        and exact_sign(y3) == 0
-        and exact_sign(y4) != 0
-        and as_exact(y1 + support.beta**m * y4) == 0
-    )
-
-
-def _analytic_all(x: OffsetVector) -> bool:
-    return x.is_zero
-
-
 def _analytic_lattice_union(
     x: OffsetVector, support: SupportLike, names: Sequence[str]
 ) -> bool:
     if support.to_support3().kind is not SupportKind.SYMMETRIC_ZERO:
         raise IncompatibleDescriptor("parity lattices need a symmetric support")
     return set(names) == set(_symmetric_lattices(x))
-
-
-def _analytic_slopeline(x: OffsetVector, support: SupportLike, desc) -> bool:
-    if not isinstance(support, BetaSupport):
-        raise IncompatibleDescriptor("a global slope-line claim needs a geometric support")
-    m = desc.slope
-    expected = set(desc.points)
-    if expected != {(1, m), (2, 2 * m), (3, 3 * m)}:
-        # extra points (the near-line fourth point) are never global claims
-        return False
-    beta = support.beta
-    if beta0_poly(m)(beta) < 0:
-        return False
-    ys = to_y(x).y
-    want = [Fraction(p(beta)) for p in slopeline_y_polys(m)]
-    have = [as_exact(v) for v in ys]
-    for i in range(4):
-        for n in range(4):
-            # proportional with a nonzero factor: cross products all agree
-            if as_exact(have[i] * want[n]) != as_exact(have[n] * want[i]):
-                return False
-    return any(exact_sign(v) != 0 for v in have)
 
 
 def check_analytic(
@@ -676,43 +679,31 @@ def check_analytic(
 
     Returns None when the descriptor only claims box verification, True
     when the global-analytic pattern holds, False when it was claimed
-    but does not hold.
+    but does not hold.  A closed-form kind holds when x is a nonzero
+    multiple of ``shape_offsets`` (x = 0 for ``all``); a slope line
+    also needs exactly its three line points and beta >= beta0(m).
     """
     if desc.certificate != GLOBAL_ANALYTIC:
         return None
     kind = desc.kind
-    if kind == "empty":
-        return _analytic_empty(x)
-    if kind == "all":
-        return _analytic_all(x)
-    if kind == "antidiagonal":
-        return _analytic_antidiagonal(x, support, desc.diag_sum)
     if kind == "lattice-union":
         return _analytic_lattice_union(x, support, desc.lattices)
-    if kind == "slopeline":
-        return _analytic_slopeline(x, support, desc)
-    # the remaining shapes rely on A_j being injective, which only the
-    # strictly decreasing sequence of a positive ordered support gives
-    if support.to_support3().kind is not SupportKind.POSITIVE_ORDERED:
-        raise IncompatibleDescriptor(
-            f"a global {kind} claim needs a positive ordered support"
-        )
-    seq = ASequence(support)
-    if kind == "diagonal":
-        return _analytic_diagonal(x)
-    if kind == "vline":
-        return _analytic_vline(x, seq, desc.line_j)
-    if kind == "hline":
-        return _analytic_hline(x, seq, desc.line_k)
-    if kind == "cross":
-        return _analytic_cross(x, seq, desc.line_j, desc.line_k)
     if kind == "finite":
+        seq = _positive_sequence(support, kind)
         if len(desc.points) == 1:
             return _analytic_singleton(x, seq, desc.points[0])
         if len(desc.points) == 2:
             return _analytic_two_point(x, seq, desc.points)
         return False
-    raise AssertionError(f"unhandled kind {kind}")
+    pattern = shape_offsets(desc, support)
+    if kind == "slopeline":
+        m = desc.slope
+        # extra points (the near-line fourth point) are never global claims
+        if set(desc.points) != {(1, m), (2, 2 * m), (3, 3 * m)}:
+            return False
+        if beta0_poly(m)(support.beta) < 0:
+            return False
+    return _nonzero_multiple(x, pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uncorrsets
 from uncorrsets import engine, selftest
 from uncorrsets.cli import main
 from uncorrsets.model import (
@@ -225,6 +228,14 @@ def test_negative_support_joined_to_its_flag(capsys):
     assert doc["support"]["kind"] == "symmetric-zero"
 
 
+@pytest.mark.parametrize("support", ["--support=-1,0,1", "--support=-1,1,2"])
+def test_diagonal_claim_needs_a_positive_support(capsys, support):
+    # on these supports (0, 1, -1, 0) vanishes on more than the diagonal
+    code, out, err = _run(capsys, "construct", "diagonal", support)
+    assert code == 2 and out == ""
+    assert "needs a positive ordered support" in err
+
+
 @pytest.mark.parametrize("text", ["[1,2]", '"x"', "null"])
 @pytest.mark.parametrize(
     "argv",
@@ -301,6 +312,39 @@ _EMPTY_WITNESS = {
     "support": {"points": ["1", "2", "3"], "kind": "positive-ordered"},
     "descriptor": {"kind": "empty"},
 }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--witness", "-", "--descriptor", "vline:5000000"],
+        ["verify", "--witness", "-", "--descriptor", "cross:2,5000000"],
+        ["construct", "vline", "--j", "3000000"],
+        ["construct", "singleton", "--point", "2,3000000"],
+        ["construct", "slopeline", "--m", "2", "--k", "5000000"],
+        ["beta0", "--m", "2000000"],
+        ["betastar", "--m", "2", "--k", "5000000"],
+        ["indep-cert", "--points", "1,2000000;2,4000000;3,6000000;4,8000000",
+         "--beta", "2"],
+    ],
+)
+def test_orders_above_the_cap_exit_two(argv):
+    # a child process with a timeout, so an uncapped order fails the test
+    # instead of hanging it; the column witness (0, 0, -A_2, 1) makes a
+    # line check compute A_j at the claimed order
+    src = os.path.dirname(os.path.dirname(uncorrsets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(engine.ENV_MAX_EXP, None)
+    done = subprocess.run(
+        [sys.executable, "-m", "uncorrsets.cli", *argv],
+        input=json.dumps(dict(_EMPTY_WITNESS, x=["0", "0", "-8/5", "1"])),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and "exceeds the exponent cap" in done.stderr
 
 
 @pytest.mark.parametrize(
@@ -413,3 +457,14 @@ def test_selftest_reports_a_planted_fault(monkeypatch):
     lines = []
     assert selftest.run(fast=True, out=lines.append) > 0
     assert any(line.startswith("FAIL moment route") for line in lines)
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch, tmp_path):
+    _, doc = _run_json(capsys, "construct", "lattice-union", "--lattices", "ee")
+    path = _write(tmp_path, "union.json", doc)
+    # a planted fault: the moment route answers yes at (2, 2) only, so the
+    # parity samples disagree and classification raises LatticeInconsistent
+    monkeypatch.setattr(engine, "is_uncorrelated", lambda table, j, k: (j, k) == (2, 2))
+    code, out, err = _run(capsys, "classify", "--table", path)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: LatticeInconsistent")

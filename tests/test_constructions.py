@@ -9,7 +9,6 @@ from uncorrsets.constructions import (
     MODE_AT_OR_ABOVE,
     MODE_BETA_STAR,
     SlopeLineParams,
-    antidiagonal_witness,
     beta0,
     beta0_poly,
     beta_star,
@@ -97,14 +96,12 @@ def test_antidiagonal_golden_sets():
     bumpy = BetaSupport(Fraction(1, 3), Fraction(5, 2))
     _assert_certified(make_antidiagonal(bumpy, 3), 12, 12)
     with pytest.raises(ValueError):
-        antidiagonal_witness(GEO, 1)
+        make_antidiagonal(GEO, 1)
 
 
 def test_antidiagonal_y_shape():
-    y = antidiagonal_witness(GEO, 5)
-    assert y.y == (32, 0, 0, -1)
     c = make_antidiagonal(GEO, 5)
-    assert c.y == y
+    assert c.y.y == (32, 0, 0, -1)
     doc = c.to_json()
     assert doc["y"] == ["32", "0", "0", "-1"]
 

@@ -26,6 +26,7 @@ from uncorrsets.engine import (
     max_exponent,
     moment,
     offsets_delta,
+    shape_offsets,
     verify_claim,
     witness_from_json,
 )
@@ -33,6 +34,8 @@ from uncorrsets.model import (
     BetaSupport,
     OffsetVector,
     Support3,
+    YVector,
+    from_y,
     rescale,
     table_from_offsets,
 )
@@ -149,6 +152,14 @@ def test_box_guards(monkeypatch):
     assert len(enumerate_box_offsets(x, S123, 8, 8)) == 8
     with pytest.raises(ExponentCapExceeded):
         enumerate_box_offsets(x, S123, 9, 8)
+    with pytest.raises(ExponentCapExceeded):
+        SetDescriptor.vline(9)
+    with pytest.raises(ExponentCapExceeded):
+        SetDescriptor.finite([(2, 9)])
+    # an antidiagonal sum of two orders may reach twice the cap
+    assert SetDescriptor.antidiagonal(16).diag_sum == 16
+    with pytest.raises(ExponentCapExceeded):
+        SetDescriptor.antidiagonal(17)
     monkeypatch.setenv("UNCORRSET_MAX_EXP", "0")
     with pytest.raises(ValueError):
         max_exponent()
@@ -285,6 +296,55 @@ def test_check_analytic_patterns():
     assert check_analytic(
         rational, S123, SetDescriptor.finite([(2, 2)], GLOBAL_ANALYTIC)
     ) is False
+
+
+_A = ASequence(S123).value
+_GEO2 = BetaSupport(1, 2)
+# the closed-form pattern of each kind, written out by hand; at beta = 2 the
+# slope-2 power sums (B^2 - B) B^6, (1 - B^3) B^4, (B^3 - 1) B^2 and B - B^2
+# are 128, -112, 28 and -2
+_PATTERNS = [
+    (SetDescriptor.empty(), S123, (1, 0, 0, 0)),
+    (SetDescriptor.all_points(), S123, (0, 0, 0, 0)),
+    (SetDescriptor.diagonal(), S123, (0, 1, -1, 0)),
+    (SetDescriptor.vline(2), S123, (0, 0, -_A(2), 1)),
+    (SetDescriptor.hline(3), S123, (0, -_A(3), 0, 1)),
+    (SetDescriptor.cross(2, 3), S123, (_A(2) * _A(3), -_A(3), -_A(2), 1)),
+    (SetDescriptor.antidiagonal(5), _GEO2, from_y(YVector.of(32, 0, 0, -1)).x),
+    (SetDescriptor.slopeline(2), _GEO2, from_y(YVector.of(128, -112, 28, -2)).x),
+]
+
+
+@pytest.mark.parametrize(
+    "desc, support, pattern", _PATTERNS, ids=[d.kind for d, _, _ in _PATTERNS]
+)
+def test_check_analytic_certifies_exactly_the_nonzero_multiples(desc, support, pattern):
+    x = OffsetVector(pattern)
+    for factor in (Fraction(-3, 7), QuadExt(1, 1, 2)):
+        assert check_analytic(x.scaled(factor), support, desc) is True
+    for i in range(4):
+        if desc.kind == "empty" and i == 0:
+            continue  # bumping x1 only rescales the empty pattern
+        bumped = list(x.x)
+        bumped[i] += 1
+        assert check_analytic(OffsetVector(tuple(bumped)), support, desc) is False
+    zero = OffsetVector.of(0, 0, 0, 0)
+    assert check_analytic(zero, support, desc) is (desc.kind == "all")
+
+
+def test_shape_offsets_refuses_supports_that_cannot_carry_the_shape():
+    sym, general = Support3.symmetric(1), Support3.from_values(-1, 1, 2)
+    assert shape_offsets(SetDescriptor.finite([(1, 1)], GLOBAL_ANALYTIC), S123) is None
+    assert shape_offsets(SetDescriptor.lattice_union(["ee"]), sym) is None
+    assert shape_offsets(SetDescriptor.empty(), sym) == OffsetVector.of(1, 0, 0, 0)
+    for desc in (SetDescriptor.diagonal(), SetDescriptor.vline(2),
+                 SetDescriptor.hline(2), SetDescriptor.cross(1, 2)):
+        for support in (sym, general):
+            with pytest.raises(IncompatibleDescriptor):
+                shape_offsets(desc, support)
+    for desc in (SetDescriptor.antidiagonal(4), SetDescriptor.slopeline(2)):
+        with pytest.raises(IncompatibleDescriptor):
+            shape_offsets(desc, S123)
 
 
 def test_check_analytic_support_compatibility():
