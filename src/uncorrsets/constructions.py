@@ -167,11 +167,11 @@ def beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
     """Isolating interval for the near-line root, kept inside (1, beta0).
 
     P vanishes at 1 and tends positive before beta0, so a bracket is
-    found by walking 1 + 2^-i until P goes negative; the interval is
-    then bisected until it is narrow enough and its upper end provably
-    sits below beta0 (checked through the sign of the threshold
-    polynomial, no root comparison needed).  A width that is not positive
-    raises ValueError.
+    found by walking 1 + 2^-i until P goes negative; ``isolate_root``
+    then narrows it to the width, and it is halved further until its
+    upper end provably sits below beta0 (checked through the sign of the
+    threshold polynomial, no root comparison needed).  A width that is
+    not positive raises ValueError.
     """
     width = Fraction(width)
     if width <= 0:
@@ -180,33 +180,21 @@ def beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
     p = beta_star_poly(m, k)
     threshold = beta0_poly(m)
     _, hi0 = beta0(m, Fraction(1, 2**20))
-    lo = None
     step = Fraction(1, 2)
     for _ in range(64):
-        candidate = 1 + step
-        if candidate < hi0 and p(candidate) < 0:
-            lo = candidate
+        lo = 1 + step
+        if lo < hi0 and p(lo) < 0:
             break
         step /= 2
-    if lo is None:
+    else:
         raise BracketNotFound(
             f"P stayed nonnegative on 1 + 2^-i for i <= 64 with m={m}, k={k}"
         )
-    hi = hi0
-    if p(hi) <= 0:
-        raise BracketNotFound(f"P({hi}) <= 0; no sign change before beta0")
-    while hi - lo > width or threshold(hi) >= 0:
-        mid = (lo + hi) / 2
-        v = p(mid)
-        if v == 0:
-            # integer polynomials only have integer rational roots, and
-            # there are none in (1, 2); guard anyway
-            lo = hi = mid
-            break
-        if v < 0:
-            lo = mid
-        else:
-            hi = mid
+    if p(hi0) <= 0:
+        raise BracketNotFound(f"P({hi0}) <= 0; no sign change before beta0")
+    lo, hi = isolate_root(p, lo, hi0, width)
+    while lo < hi and threshold(hi) >= 0:
+        lo, hi = isolate_root(p, lo, hi, (hi - lo) / 2)
     return lo, hi
 
 
@@ -320,13 +308,7 @@ def slopeline_beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> AlgebraicSlopeLi
     lo, hi = beta_star(m, k, width)
     p = beta_star_poly(m, k)
     while sturm_root_count(p, lo, hi) != 1:
-        third = (hi - lo) / 4
-        lo2, hi2 = beta_star(m, k, third)
-        if (lo2, hi2) == (lo, hi):
-            raise BracketNotFound(
-                f"could not certify a single root of P in ({lo}, {hi})"
-            )
-        lo, hi = lo2, hi2
+        lo, hi = isolate_root(p, lo, hi, (hi - lo) / 4)
     return AlgebraicSlopeLine(m=m, k=k, poly=p, interval=(lo, hi))
 
 

@@ -16,9 +16,11 @@ the membership matrix of such points is exactly a G(a, b) matrix at
 rational powers of the support ratio.
 
 Every identity is checked two independent ways: ``*_direct`` expands the
-determinant by cofactors, ``*_closed`` expands the product formula, and
-the results are compared coefficient by coefficient (and again at random
-points in the tests).  The two routes share only the polynomial ring.
+determinant by cofactors, ``*_closed`` writes each term of the multisum,
+a monomial times one sigma, into one coefficient dict (``_sigma_sum``)
+and multiplies once by its prefactor.  The two routes share only the
+polynomial ring and sigma; their results are compared coefficient by
+coefficient.  Orders with m + n above ``MAX_ORDER_SUM`` are refused.
 """
 
 from __future__ import annotations
@@ -28,13 +30,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .engine import Point, check_order
+from .engine import ExponentCapExceeded, Point, check_order
 from .model import BetaSupport
 from .numeric import format_rational
 from .polynomials import MultiPoly
 
 # variable order throughout: x, y, z, t
 X, Y, Z, T = range(4)
+
+# largest m + n of a determinant identity; admits every G(a, b) that an
+# independence certificate needs at the default exponent cap (a + b <= 31)
+MAX_ORDER_SUM = 32
 
 
 class NotOnLine(ValueError):
@@ -45,17 +51,25 @@ class SlopeOne(ValueError):
     """Slope 1 makes the middle columns coincide; the system degenerates."""
 
 
+def _sigma_sum(arity: int, i: int, j: int, terms) -> MultiPoly:
+    """Sum of v^exps * sigma_e(v_i, v_j) over the (exps, e) pairs in terms,
+    each term written straight into one coefficient dict."""
+    out: dict[tuple[int, ...], int] = {}
+    for exps, e in terms:
+        mono = list(exps)
+        ei, ej = mono[i], mono[j]
+        for r in range(e + 1):
+            mono[i], mono[j] = ei + e - r, ej + r
+            key = tuple(mono)
+            out[key] = out.get(key, 0) + 1
+    return MultiPoly(arity, out)
+
+
 def sigma(k: int, arity: int = 2, i: int = 0, j: int = 1) -> MultiPoly:
     """sigma_k in variables i and j of an arity-wide ring."""
     if k < 0:
         raise ValueError("sigma needs k >= 0")
-    terms = {}
-    for r in range(k + 1):
-        exps = [0] * arity
-        exps[i] = k - r
-        exps[j] = r
-        terms[tuple(exps)] = 1
-    return MultiPoly(arity, terms)
+    return _sigma_sum(arity, i, j, [((0,) * arity, k)])
 
 
 def sigma_diff_identity(k: int) -> bool:
@@ -63,10 +77,7 @@ def sigma_diff_identity(k: int) -> bool:
     if k < 1:
         raise ValueError("the difference identity needs k >= 1")
     lhs = sigma(k, 3, X, Y) - sigma(k, 3, X, Z)
-    x = MultiPoly.variable(3, X)
-    acc = MultiPoly.zero(3)
-    for j in range(k):
-        acc = acc + x ** (k - 1 - j) * sigma(j, 3, Y, Z)
+    acc = _sigma_sum(3, Y, Z, (((k - 1 - j, 0, 0), j) for j in range(k)))
     rhs = (MultiPoly.variable(3, Y) - MultiPoly.variable(3, Z)) * acc
     return lhs == rhs
 
@@ -118,8 +129,7 @@ class DetResult:
 
 def det2_direct(j: int, m: int) -> MultiPoly:
     """sigma_j(x,y) sigma_m(x,z) - sigma_j(x,z) sigma_m(x,y)."""
-    if j < 0 or m < 0:
-        raise ValueError("orders must be >= 0")
+    _check_orders(min(j, m), max(j, m), lowest=0)
     return sigma(j, 3, X, Y) * sigma(m, 3, X, Z) - sigma(j, 3, X, Z) * sigma(
         m, 3, X, Y
     )
@@ -127,18 +137,15 @@ def det2_direct(j: int, m: int) -> MultiPoly:
 
 def det2_closed(j: int, m: int) -> MultiPoly:
     """(z - y) times a double sum with nonnegative coefficients, j <= m."""
-    if j < 0 or m < 0:
-        raise ValueError("orders must be >= 0")
+    _check_orders(min(j, m), max(j, m), lowest=0)
     if j > m:
         return -det2_closed(m, j)
-    x = MultiPoly.variable(3, X)
-    y = MultiPoly.variable(3, Y)
-    z = MultiPoly.variable(3, Z)
-    acc = MultiPoly.zero(3)
-    for r in range(j + 1):
-        for s in range(j + 1, m + 1):
-            acc = acc + x ** (j + m - r - s) * y**r * z**r * sigma(s - r - 1, 3, Y, Z)
-    return (z - y) * acc
+    acc = _sigma_sum(3, Y, Z, (
+        ((j + m - r - s, r, r), s - r - 1)
+        for r in range(j + 1)
+        for s in range(j + 1, m + 1)
+    ))
+    return (MultiPoly.variable(3, Z) - MultiPoly.variable(3, Y)) * acc
 
 
 def det2_check(j: int, m: int) -> DetResult:
@@ -158,8 +165,11 @@ def vandermonde_factor() -> MultiPoly:
 
 
 def _power_matrix(exponents: Sequence[int]) -> list[list[MultiPoly]]:
-    vs = [MultiPoly.variable(4, i) for i in range(4)]
-    return [[v**e for e in exponents] for v in vs]
+    """Rows (v^e for e in exponents) at v = x, y, z, t, each a monomial."""
+    return [
+        [MultiPoly(4, {tuple(e * (c == v) for c in range(4)): 1}) for e in exponents]
+        for v in range(4)
+    ]
 
 
 def f_direct(m: int, n: int) -> MultiPoly:
@@ -175,22 +185,13 @@ def f_closed(m: int, n: int) -> MultiPoly:
     step with the repeated-column determinant on the direct route.
     """
     _check_orders(m, n, lowest=1)
-    x = MultiPoly.variable(4, X)
-    y = MultiPoly.variable(4, Y)
-    z = MultiPoly.variable(4, Z)
-    t = MultiPoly.variable(4, T)
-    acc = MultiPoly.zero(4)
-    for j in range(m - 1):
-        for k in range(n - m):
-            for r in range(j + 1):
-                for s in range(j + 1, m + k):
-                    acc = acc + (
-                        x ** (n - 3 - j - k)
-                        * y ** (m + j + k - r - s - 1)
-                        * z**r
-                        * t**r
-                        * sigma(s - r - 1, 4, Z, T)
-                    )
+    acc = _sigma_sum(4, Z, T, (
+        ((n - 3 - j - k, m + j + k - r - s - 1, r, r), s - r - 1)
+        for j in range(m - 1)
+        for k in range(n - m)
+        for r in range(j + 1)
+        for s in range(j + 1, m + k)
+    ))
     return vandermonde_factor() * acc
 
 
@@ -203,29 +204,27 @@ def g_direct(m: int, n: int) -> MultiPoly:
 def g_closed(m: int, n: int) -> MultiPoly:
     """Vandermonde product times the quintuple-sum cofactor of G(m, n)."""
     _check_orders(m, n, lowest=1)
-    x = MultiPoly.variable(4, X)
-    y = MultiPoly.variable(4, Y)
-    z = MultiPoly.variable(4, Z)
-    t = MultiPoly.variable(4, T)
-    acc = MultiPoly.zero(4)
-    for k in range(m, n):
-        for j in range(m):
-            for p in range(m):
-                for s in range(k - p, n):
-                    for r in range(k - j):
-                        acc = acc + (
-                            x ** (2 * m + n - 3 - k - p - j)
-                            * y ** (n + k - 2 - r - s)
-                            * z ** (j + r)
-                            * t ** (j + r)
-                            * sigma(p + s - j - r - 1, 4, Z, T)
-                        )
+    acc = _sigma_sum(4, Z, T, (
+        (
+            (2 * m + n - 3 - k - p - j, n + k - 2 - r - s, j + r, j + r),
+            p + s - j - r - 1,
+        )
+        for k in range(m, n)
+        for j in range(m)
+        for p in range(m)
+        for s in range(k - p, n)
+        for r in range(k - j)
+    ))
     return vandermonde_factor() * acc
 
 
 def _check_orders(m: int, n: int, lowest: int) -> None:
     if m < lowest or n < m:
         raise ValueError(f"orders must satisfy {lowest} <= m <= n, got {m}, {n}")
+    if m + n > MAX_ORDER_SUM:
+        raise ExponentCapExceeded(
+            f"order sum {m} + {n} exceeds the exponent cap {MAX_ORDER_SUM} of det"
+        )
 
 
 def f_check(m: int, n: int) -> DetResult:
@@ -303,10 +302,7 @@ def independence_certificate(
         raise SlopeOne("slope 1 duplicates the two middle columns")
 
     beta = support.beta
-    rows = []
-    for j, k in pts:
-        bj, bk = beta**j, beta**k
-        rows.append([Fraction(1), bj, bk, bj * bk])
+    rows = [[Fraction(1), beta**j, beta**k, beta ** (j + k)] for j, k in pts]
     det_value = linalg.det(rows)
     null_dim = len(linalg.nullspace(rows))
 
@@ -315,13 +311,9 @@ def independence_certificate(
         if j % a != 0:
             raise NotOnLine(f"j = {j} is not a multiple of {a}")
     u = [beta ** (j // a) for j, _ in pts]
-    if b > a:
-        closed = g_closed(a, b)
-        sign = 1
-    else:
-        # columns (1, u^a, u^b, u^(a+b)) swap the middle pair of G(b, a)
-        closed = g_closed(b, a)
-        sign = -1
+    # for b < a the columns (1, u^a, u^b, u^(a+b)) swap the middle pair of G(b, a)
+    closed = g_closed(min(a, b), max(a, b))
+    sign = 1 if b > a else -1
     closed_value = Fraction(closed.evaluate(u))
     cross_checked = det_value == sign * closed_value
     independent = det_value != 0 and null_dim == 0 and closed_value > 0

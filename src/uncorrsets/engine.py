@@ -28,7 +28,7 @@ kind; ``constructions`` builds its witnesses from it and
 ``check_analytic`` certifies any nonzero multiple of it:
 
     kind             offsets x, or power sums y = to_y(x)   support
-    empty            x = (1, 0, 0, 0)                       any
+    empty            x = (1, 0, 0, 0)                       any with b != -c
     all              x = (0, 0, 0, 0)                       any
     diagonal         x = (0, 1, -1, 0)                      positive ordered
     vline j          x = (0, 0, -A_j, 1)                    positive ordered
@@ -581,6 +581,10 @@ def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | N
     if kind in ("finite", "lattice-union"):
         return None
     if kind == "empty":
+        _, b, c = support.to_support3().points
+        if b == -c:
+            # the condition (b^j - c^j)(b^k - c^k) vanishes at even orders
+            raise IncompatibleDescriptor("an empty claim needs b != -c")
         return OffsetVector.of(1, 0, 0, 0)
     if kind == "all":
         return OffsetVector.of(0, 0, 0, 0)

@@ -214,6 +214,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         (["construct", "empty", "--support", "1,2,0/0"], "zero denominator"),
         (["construct", "lattice-union", "--alpha", "0/0"], "zero denominator"),
         (["construct", "slopeline", "--m", "2", "--k", "9", "--width", "0/0"], "zero"),
+        # the empty pattern vanishes at every even order when b = -c
+        (["construct", "empty", "--support=-2,-1,1"], "needs b != -c"),
     ],
 )
 def test_bad_rational_flags_exit_two(capsys, argv, message):
@@ -326,6 +328,9 @@ _EMPTY_WITNESS = {
         ["betastar", "--m", "2", "--k", "5000000"],
         ["indep-cert", "--points", "1,2000000;2,4000000;3,6000000;4,8000000",
          "--beta", "2"],
+        ["det", "f", "3", "70"],
+        ["det", "g", "2", "5000"],
+        ["det", "det2", "1", "5000"],
     ],
 )
 def test_orders_above_the_cap_exit_two(argv):

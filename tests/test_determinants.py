@@ -1,9 +1,13 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from uncorrsets import determinants
 from uncorrsets.determinants import (
+    MAX_ORDER_SUM,
     IndependenceCertificate,
     NotOnLine,
     SlopeOne,
@@ -22,6 +26,7 @@ from uncorrsets.determinants import (
     sigma_diff_identity,
     vandermonde_factor,
 )
+from uncorrsets.engine import ExponentCapExceeded
 from uncorrsets.model import BetaSupport
 from uncorrsets.polynomials import MultiPoly
 
@@ -83,8 +88,16 @@ def test_low_order_determinants_are_vandermonde():
     assert f_closed(2, 3) == g_closed(1, 2)
 
 
+def _pairs(lowest, max_sum):
+    """Every (m, n) with lowest <= m < n and m + n <= max_sum."""
+    return [
+        (m, n) for m in range(lowest, max_sum) for n in range(m + 1, max_sum - m + 1)
+    ]
+
+
 def test_first_family_identities():
-    for m, n in ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6)):
+    # every order pair the benchmark checks (m + n <= 16)
+    for m, n in _pairs(2, 16):
         res = f_check(m, n)
         assert res.equal, (m, n)
         js = res.to_json(summary=True)
@@ -105,7 +118,8 @@ def test_first_family_degenerate_orders():
 
 
 def test_second_family_identities():
-    for m, n in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)):
+    # every order pair the benchmark checks (m + n <= 13)
+    for m, n in _pairs(1, 13):
         res = g_check(m, n)
         assert res.equal, (m, n)
 
@@ -139,6 +153,48 @@ def test_closed_forms_positive_at_increasing_points():
         pt = vals[:4]
         assert g_closed(2, 5).evaluate(pt) > 0
         assert f_closed(3, 5).evaluate(pt) > 0
+
+
+def test_orders_above_the_bound_are_refused_before_either_route():
+    for route in (f_direct, f_closed, g_direct, g_closed, det2_direct, det2_closed):
+        with pytest.raises(ExponentCapExceeded, match="exceeds the exponent cap"):
+            route(3, MAX_ORDER_SUM - 2)
+    # the bound admits every G(a, b) of an independence certificate at the
+    # default exponent cap 64: a, b <= 16 and coprime
+    assert MAX_ORDER_SUM >= 16 + 15
+    assert g_check(1, MAX_ORDER_SUM - 1).equal
+    assert det2_check(MAX_ORDER_SUM, 0).equal
+
+
+def _references(func: ast.FunctionDef) -> set[str]:
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def _reachable(tree: ast.Module, start: str) -> set[str]:
+    """Names reached from a function, through the functions of the module."""
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        for name in _references(funcs[todo.pop()]) - seen:
+            seen.add(name)
+            if name in funcs:
+                todo.append(name)
+    return seen
+
+
+def test_closed_and_direct_routes_stay_independent():
+    tree = ast.parse(Path(determinants.__file__).read_text(encoding="utf-8"))
+    for closed in ("f_closed", "g_closed", "det2_closed"):
+        assert not {"mp_det", "_power_matrix"} & _reachable(tree, closed), closed
+    for direct in ("f_direct", "g_direct"):
+        assert "_sigma_sum" not in _reachable(tree, direct), direct
+    # the guard sees a reference through a helper
+    planted = ast.parse("def f_closed():\n    return h()\ndef h():\n    return mp_det\n")
+    assert "mp_det" in _reachable(planted, "f_closed")
 
 
 def test_independence_certificate_slope_two():

@@ -345,6 +345,13 @@ def test_shape_offsets_refuses_supports_that_cannot_carry_the_shape():
     for desc in (SetDescriptor.antidiagonal(4), SetDescriptor.slopeline(2)):
         with pytest.raises(IncompatibleDescriptor):
             shape_offsets(desc, S123)
+    # with b = -c the empty pattern's condition (b^j - c^j)(b^k - c^k)
+    # vanishes at every even order; a = -c leaves it nonzero
+    for pts in ((-2, -1, 1), (Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 3))):
+        with pytest.raises(IncompatibleDescriptor):
+            shape_offsets(SetDescriptor.empty(), Support3.from_values(*pts))
+    empty_on = Support3.from_values(-2, 1, 2)
+    assert shape_offsets(SetDescriptor.empty(), empty_on) == OffsetVector.of(1, 0, 0, 0)
 
 
 def test_check_analytic_support_compatibility():
@@ -358,6 +365,11 @@ def test_check_analytic_support_compatibility():
     with pytest.raises(IncompatibleDescriptor):
         check_analytic(
             OffsetVector.of(0, 1, -1, 0), S123, SetDescriptor.lattice_union(["oo"])
+        )
+    with pytest.raises(IncompatibleDescriptor):
+        check_analytic(
+            OffsetVector.of(1, 0, 0, 0), Support3.from_values(-2, -1, 1),
+            SetDescriptor.empty(),
         )
 
 

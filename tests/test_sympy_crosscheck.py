@@ -1,9 +1,11 @@
 """Second opinions from sympy, an implementation that shares no code with
 this package: integer polynomial gcd, square-free part and real-root
-counts, and the F and G determinants at rational points."""
+counts, the F and G determinants at rational points, and a third route to
+their closed forms through Schur polynomials."""
 
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations_with_replacement
 from operator import mul
 
 import pytest
@@ -77,3 +79,34 @@ def test_f_and_g_match_sympy_determinants(mn, point):
         want = Fraction(int(want.p), int(want.q))
         assert direct(m, n).evaluate(point) == want
         assert closed(m, n).evaluate(point) == want
+
+
+V = sp.symbols("x y z t")
+
+
+def _complete(k):
+    """h_k(x, y, z, t): every monomial of degree k once; 0 below degree 0."""
+    if k < 0:
+        return sp.Integer(0)
+    return sp.Add(*(sp.Mul(*c) for c in combinations_with_replacement(V, k)))
+
+
+def _schur(parts):
+    """s_lambda(x, y, z, t) by Jacobi-Trudi: det(h_(lambda_i - i + j))."""
+    n = len(parts)
+    return sp.Matrix(n, n, lambda i, j: _complete(parts[i] - i + j)).det()
+
+
+@pytest.mark.parametrize(
+    "closed, m, n",
+    [(f_closed, m, n) for m, n in ((2, 3), (2, 5), (3, 4), (3, 6), (4, 7))]
+    + [(g_closed, m, n) for m, n in ((1, 2), (1, 4), (2, 3), (2, 5), (3, 4))],
+)
+def test_closed_forms_are_vandermonde_times_schur(closed, m, n):
+    # the cofactors are Schur polynomials (Macdonald, Symmetric Functions
+    # and Hall Polynomials, I.3): the columns (v^n, v^m, v, 1) of F(m, n)
+    # and (v^(m+n), v^n, v^m, 1) of G(m, n) are lambda + (3, 2, 1, 0)
+    parts = (n - 3, m - 2) if closed is f_closed else (m + n - 3, n - 2, m - 1)
+    vandermonde = sp.Mul(*(V[b] - V[a] for a in range(4) for b in range(a + 1, 4)))
+    want = sp.Poly(vandermonde * _schur(parts), *V).as_dict()
+    assert dict(closed(m, n).sorted_terms()) == {e: int(c) for e, c in want.items()}
