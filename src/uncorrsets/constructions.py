@@ -25,14 +25,19 @@ beta_star is irrational, so the fourth-point construction cannot hand
 out a rational support; instead ``AlgebraicSlopeLine`` keeps P together
 with a certified isolating interval and decides membership of (j, k)
 exactly, through the gcd of P with the corresponding difference
-polynomial D(j, k); ``certify`` re-derives a line read from a document.
-These polynomials live in ``slopeline``.  ``Construction.to_json`` is the
-one writer of witness documents.  A slope m or fourth-point column k
-above the exponent cap is refused, like a box.
+polynomial D(j, k) and a Sturm count; ``certify`` re-derives a line read
+from a document.  Its ``enumerate_box`` puts a cheap filter in front of
+that exact test: with D = c0 + B^k c1, monotone interval enclosures of c0
+and c1 on (lo, hi) admit, per column j, only the k whose [lo^k, hi^k] can
+hold -c0/c1, and only those cells reach the gcd.  These polynomials live
+in ``slopeline``.  ``Construction.to_json`` is the one writer of witness
+documents.  A slope m or fourth-point column k above the exponent cap is
+refused, like a box.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +63,13 @@ from .model import (
 )
 from .numeric import QuadExt, format_rational
 from .polynomials import IntPoly, isolate_root, sturm_root_count
-from .slopeline import beta0_poly, beta_star_poly, slopeline_d_poly, slopeline_y_polys
+from .slopeline import (
+    beta0_poly,
+    beta_star_poly,
+    slopeline_d_parts,
+    slopeline_d_poly,
+    slopeline_y_polys,
+)
 
 
 class DegenerateSystem(RuntimeError):
@@ -256,13 +267,38 @@ class AlgebraicSlopeLine:
         return sturm_root_count(g, self.interval[0], self.interval[1]) >= 1
 
     def enumerate_box(self, jmax: int, kmax: int) -> list[Point]:
+        """The members in the box, in row-by-row order.
+
+        An interval filter runs in front of the exact test.  Write
+        D(j, kk) = c0 + B^kk c1 and enclose c0 and c1 over ``interval``.
+        A root r there of gcd(D, P) has r^kk = -c0(r)/c1(r), so if the
+        enclosure of c1 excludes 0, only a kk whose [lo^kk, hi^kk] meets
+        the hull of the quotients -c0/c1 goes to ``contains``; otherwise
+        the whole column does.  The filter drops no cell ``contains``
+        accepts, and every point returned is decided by ``contains``.
+        Raises ValueError unless 1 < lo < hi, which the enclosures need.
+        """
         _check_box(jmax, kmax)
-        return [
-            (j, kk)
-            for j in range(1, jmax + 1)
-            for kk in range(1, kmax + 1)
-            if self.contains(j, kk)
-        ]
+        lo, hi = self.interval
+        if not 1 < lo < hi:
+            raise ValueError(f"interval ({lo}, {hi}) must satisfy 1 < lo < hi")
+        # both increase with kk, since lo > 1
+        lo_powers = [lo**kk for kk in range(1, kmax + 1)]
+        hi_powers = [hi**kk for kk in range(1, kmax + 1)]
+        out = []
+        for j in range(1, jmax + 1):
+            c0, c1 = slopeline_d_parts(self.m, j)
+            a1, b1 = _enclosure(c1, lo, hi)
+            if a1 <= 0 <= b1:
+                candidates = range(1, kmax + 1)
+            else:
+                a0, b0 = _enclosure(c0, lo, hi)
+                quotients = [-c / d for c in (a0, b0) for d in (a1, b1)]
+                first = bisect_left(hi_powers, min(quotients)) + 1
+                last = bisect_right(lo_powers, max(quotients))
+                candidates = range(first, last + 1)
+            out.extend((j, kk) for kk in candidates if self.contains(j, kk))
+        return out
 
     def descriptor(self) -> SetDescriptor:
         return SetDescriptor.slopeline(
@@ -301,6 +337,14 @@ class AlgebraicSlopeLine:
             poly=IntPoly.from_json(obj["poly"]),
             interval=(Fraction(lo), Fraction(hi)),
         )
+
+
+def _enclosure(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Bounds on p over [lo, hi] for 0 < lo: the parts of p with positive
+    and with negative coefficients both increase there."""
+    pos = IntPoly([max(c, 0) for c in p.coeffs])
+    neg = IntPoly([max(-c, 0) for c in p.coeffs])
+    return pos(lo) - neg(hi), pos(hi) - neg(lo)
 
 
 def slopeline_beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> AlgebraicSlopeLine:

@@ -71,11 +71,20 @@ class IntPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self._coeffs[-1]
 
-    def __call__(self, x):
-        acc = 0
+    def __call__(self, x: int | Fraction) -> int | Fraction:
+        """Exact value at an int or a Fraction n/d.
+
+        Horner's rule runs in integers on sum c_i n^i d^(deg-i), and one
+        Fraction is built at the end; an int argument gives an int.
+        """
+        n, d = x.numerator, x.denominator
+        acc, scale = 0, 1
         for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * n + c * scale
+            scale *= d
+        if isinstance(x, int) or not self._coeffs:
+            return acc
+        return Fraction(acc, scale // d)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self._coeffs, other._coeffs
@@ -157,12 +166,7 @@ class IntPoly:
         b = [Fraction(c) for c in g._coeffs]
         while b:
             a, b = b, _frac_mod(a, b)
-        if not a:
-            return IntPoly()
-        den = 1
-        for q in a:
-            den = den * q.denominator // int_gcd(den, q.denominator)
-        return IntPoly([int(q * den) for q in a]).primitive()
+        return _cleared(a).primitive()
 
     def squarefree_part(self) -> "IntPoly":
         if self.is_zero:
@@ -194,8 +198,18 @@ def _frac_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
+def _cleared(cs: list[Fraction]) -> IntPoly:
+    """The primitive integer polynomial that is a positive multiple of cs."""
+    den = 1
+    for q in cs:
+        den = den * q.denominator // int_gcd(den, q.denominator)
+    p = IntPoly([q.numerator * (den // q.denominator) for q in cs])
+    g = p.content()
+    return IntPoly([c // g for c in p.coeffs]) if g > 1 else p
+
+
 def _frac_div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Exact quotient f/g; f must be divisible by g."""
+    """Exact quotient f/g up to a positive factor; g must divide f."""
     a = [Fraction(c) for c in f.coeffs]
     b = [Fraction(c) for c in g.coeffs]
     out = [Fraction(0)] * (len(a) - len(b) + 1)
@@ -209,10 +223,7 @@ def _frac_div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
             a.pop()
     if a:
         raise ValueError("inexact polynomial division")
-    den = 1
-    for q in out:
-        den = den * q.denominator // int_gcd(den, q.denominator)
-    return IntPoly([int(q * den) for q in out])
+    return _cleared(out)
 
 
 def sturm_root_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
@@ -225,24 +236,15 @@ def sturm_root_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     sf = p.squarefree_part()
     if sf(lo) == 0 or sf(hi) == 0:
         raise ValueError("endpoint is a root; shrink the interval first")
-    chain: list[list[Fraction]] = [
-        [Fraction(c) for c in sf.coeffs],
-        [Fraction(c) for c in sf.derivative().coeffs],
-    ]
-    while chain[-1]:
-        rem = _frac_mod(chain[-2], chain[-1])
-        chain.append([-c for c in rem])
+    # each member scaled by a positive factor, which keeps its signs
+    chain = [sf, sf.derivative()]
+    while not chain[-1].is_zero:
+        a, b = ([Fraction(c) for c in q.coeffs] for q in chain[-2:])
+        chain.append(-_cleared(_frac_mod(a, b)))
     chain.pop()
 
     def variations(x: Fraction) -> int:
-        signs = []
-        for cs in chain:
-            acc = Fraction(0)
-            for c in reversed(cs):
-                acc = acc * x + c
-            s = _sign(acc)
-            if s:
-                signs.append(s)
+        signs = [s for s in (_sign(q(x)) for q in chain) if s]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return variations(lo) - variations(hi)

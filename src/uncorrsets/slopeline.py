@@ -1,10 +1,10 @@
 """The slope-line polynomials in the support ratio B, defined once.
 
 The threshold polynomial of beta0(m), the near-line polynomial P of
-beta_star(m, k), the witness power sums y(B) and D(j, k) live here.  The
-module imports only ``polynomials``, so ``engine`` (the global slope-line
-check) and ``constructions`` (the witnesses) both use it without
-importing each other.
+beta_star(m, k), the witness power sums y(B) and D(j, k), with its split
+D = c0 + B^k c1, live here.  The module imports only ``polynomials``, so
+``engine`` (the global slope-line check) and ``constructions`` (the
+witnesses) both use it without importing each other.
 """
 
 from __future__ import annotations
@@ -49,18 +49,30 @@ def slopeline_y_polys(m: int) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
     return y1, y2, y3, y4
 
 
+def slopeline_d_parts(m: int, j: int) -> tuple[IntPoly, IntPoly]:
+    """c0 and c1 in B with D(j, k) = c0 + B^k c1, for every k.
+
+    c0 = (B^m - B) B^(2m+2) - (B^(m+1) - 1) B^(j+2m),
+    c1 = (B^(m+1) - 1) B^2 - (B^m - B) B^j.
+    """
+    if m < 2:
+        raise ValueError("slope must be an integer >= 2")
+    if j < 1:
+        raise ValueError("orders must be >= 1")
+    t1 = IntPoly.monomial(m) - IntPoly.monomial(1)
+    t3 = IntPoly.monomial(m + 1) - IntPoly([1])
+    c0 = t1 * IntPoly.monomial(2 * m + 2) - t3 * IntPoly.monomial(j + 2 * m)
+    c1 = t3 * IntPoly.monomial(2) - t1 * IntPoly.monomial(j)
+    return c0, c1
+
+
 def slopeline_d_poly(m: int, j: int, k: int) -> IntPoly:
     """D(j, k) in B: the power sum of the slope-line witness at (j, k).
 
     D(j,k) = (B^m - B)(B^(2m+2) - B^(j+k)) + (B^(m+1) - 1)(B^(k+2) - B^(j+2m)).
     Vanishing of D at the support ratio is exactly membership of (j, k).
     """
-    if m < 2:
-        raise ValueError("slope must be an integer >= 2")
-    if j < 1 or k < 1:
+    if k < 1:
         raise ValueError("orders must be >= 1")
-    t1 = IntPoly.monomial(m) - IntPoly.monomial(1)
-    t2 = IntPoly.monomial(2 * m + 2) - IntPoly.monomial(j + k)
-    t3 = IntPoly.monomial(m + 1) - IntPoly([1])
-    t4 = IntPoly.monomial(k + 2) - IntPoly.monomial(j + 2 * m)
-    return t1 * t2 + t3 * t4
+    c0, c1 = slopeline_d_parts(m, j)
+    return c0 + c1 * IntPoly.monomial(k)

@@ -296,6 +296,8 @@ def _three_point_claim(doc):
         lambda d: d["algebraic"].update(interval=["1", "2"]),
         lambda d: d["algebraic"].update(m=3),
         lambda d: d["algebraic"].update(k=10),
+        # below 1, where the enumeration's interval enclosures do not hold
+        lambda d: d["algebraic"].update(interval=["1/2", "2"]),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "enumerate"])

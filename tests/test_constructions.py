@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -243,6 +244,66 @@ def test_algebraic_slopeline_other_orders():
     line = slopeline_beta_star(3, 14)
     pts = line.enumerate_box(14, 14)
     assert pts == [(1, 3), (2, 6), (3, 9), (4, 14)]
+
+
+def _per_cell(line, jmax, kmax):
+    return [
+        (j, kk)
+        for j in range(1, jmax + 1)
+        for kk in range(1, kmax + 1)
+        if line.contains(j, kk)
+    ]
+
+
+def _count_exact_tests(monkeypatch):
+    counts = Counter()
+    contains, gcd = AlgebraicSlopeLine.contains, IntPoly.gcd
+
+    def counted_contains(self, j, kk):
+        counts["contains"] += 1
+        return contains(self, j, kk)
+
+    def counted_gcd(f, g):
+        counts["gcd"] += 1
+        return gcd(f, g)
+
+    monkeypatch.setattr(AlgebraicSlopeLine, "contains", counted_contains)
+    monkeypatch.setattr(IntPoly, "gcd", staticmethod(counted_gcd))
+    return counts
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_algebraic_enumeration_matches_the_per_cell_loop(m, monkeypatch):
+    counts = _count_exact_tests(monkeypatch)
+    coarse = Counter()
+    for k in range(4 * m + 1, 4 * m + 13):
+        line = slopeline_beta_star(m, k)
+        want = _per_cell(line, 12, 12)
+        counts.clear()
+        assert line.enumerate_box(12, 12) == want
+        filtered = dict(counts)
+        # the exact work is that of testing the members alone
+        counts.clear()
+        for j, kk in want:
+            assert line.contains(j, kk)
+        assert filtered == dict(counts) and counts["contains"] == len(want)
+        # every certified interval isolates the same root, so the set does
+        # not depend on the width; coarse ones let non-members through the
+        # filter, and at 1/4 some columns go whole to the exact test
+        for width in (Fraction(1, 50), Fraction(1, 4)):
+            counts.clear()
+            assert slopeline_beta_star(m, k, width).enumerate_box(12, 12) == want
+            coarse["contains"] += counts["contains"]
+            coarse["members"] += len(want)
+    assert coarse["contains"] > coarse["members"]
+
+
+def test_algebraic_enumeration_needs_an_interval_above_one():
+    line = AlgebraicSlopeLine(
+        m=2, k=9, poly=beta_star_poly(2, 9), interval=(Fraction(1, 2), Fraction(2))
+    )
+    with pytest.raises(ValueError, match="1 < lo < hi"):
+        line.enumerate_box(4, 4)
 
 
 def test_beta_star_construction_bundles_algebraic_data():

@@ -1,7 +1,8 @@
 """Second opinions from sympy, an implementation that shares no code with
 this package: integer polynomial gcd, square-free part and real-root
-counts, the F and G determinants at rational points, and a third route to
-their closed forms through Schur polynomials."""
+counts, membership on the near-line slope line, the F and G determinants at
+rational points, and a third route to their closed forms through Schur
+polynomials."""
 
 from fractions import Fraction
 from functools import reduce
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 sp = pytest.importorskip("sympy")
 
+from uncorrsets.constructions import slopeline_beta_star  # noqa: E402
 from uncorrsets.determinants import f_closed, f_direct, g_closed, g_direct  # noqa: E402
 from uncorrsets.polynomials import IntPoly, sturm_root_count  # noqa: E402
 
@@ -62,6 +64,28 @@ def test_sturm_count_matches_sympy(p, a, b):
     lo, hi = min(a, b), max(a, b)
     assume(lo < hi and p(lo) != 0 and p(hi) != 0)
     assert sturm_root_count(p, lo, hi) == _sym(p).count_roots(_rat(lo), _rat(hi))
+
+
+@pytest.mark.parametrize("m, k", [(2, 9), (3, 14), (4, 20)])
+def test_near_line_members_match_sympy(m, k):
+    """(j, kk) is a member iff gcd(P, D(j, kk)) has a root in the interval."""
+    line = slopeline_beta_star(m, k)
+    lo, hi = (_rat(q) for q in line.interval)
+    p = sp.Poly(
+        (B ** (m + 1) - B**2 - B - 1) * B**k
+        + (B ** (m + 2) + B ** (m + 1) + B**m - B) * B ** (2 * m),
+        B,
+    )
+    assert p.count_roots(lo, hi) == 1
+
+    def member(j, kk):
+        d = (B**m - B) * (B ** (2 * m + 2) - B ** (j + kk)) + (B ** (m + 1) - 1) * (
+            B ** (kk + 2) - B ** (j + 2 * m)
+        )
+        return p.gcd(sp.Poly(d, B)).count_roots(lo, hi) >= 1
+
+    want = [(j, kk) for j in range(1, 11) for kk in range(1, 11) if member(j, kk)]
+    assert line.enumerate_box(10, 10) == want
 
 
 ORDERS = [(1, 3), (2, 3), (2, 5), (3, 4), (3, 6)]
