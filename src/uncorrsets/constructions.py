@@ -61,7 +61,7 @@ from .model import (
     YVector,
     to_y,
 )
-from .numeric import QuadExt, format_rational
+from .numeric import QuadExt, format_rational, int_from_json, rational_from_json
 from .polynomials import IntPoly, isolate_root, sturm_root_count
 from .slopeline import (
     beta0_poly,
@@ -332,10 +332,10 @@ class AlgebraicSlopeLine:
     def from_json(cls, obj: dict) -> "AlgebraicSlopeLine":
         lo, hi = obj["interval"]
         return cls(
-            m=obj["m"],
-            k=obj["k"],
+            m=int_from_json(obj["m"]),
+            k=int_from_json(obj["k"]),
             poly=IntPoly.from_json(obj["poly"]),
-            interval=(Fraction(lo), Fraction(hi)),
+            interval=(rational_from_json(lo), rational_from_json(hi)),
         )
 
 

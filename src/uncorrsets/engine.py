@@ -7,9 +7,9 @@ E[X^j] E[Y^k] exactly when
 
 where A_j = (c^j - a^j) / (c^j - b^j) is a strictly decreasing sequence
 of rationals larger than 1.  The engine exposes both routes to the same
-fact: the moment route multiplies out the joint table, the condition
-route evaluates the linear form above.  They are kept independent so one
-can audit the other.
+fact: the moment route tests the definition on the joint table itself,
+the condition route evaluates the linear form above.  They are kept
+independent so one can audit the other.
 
 Box enumeration on such supports uses the column law: for fixed j the
 form is u + A_k v with u = x1 + A_j x2 and v = x3 + A_j x4, linear in
@@ -75,7 +75,7 @@ from .model import (
     from_y,
     support_from_json,
 )
-from .numeric import QuadExt, Scalar, as_exact, exact_sign
+from .numeric import QuadExt, Scalar, as_exact, exact_sign, int_from_json
 from .slopeline import beta0_poly, slopeline_y_polys
 
 Point = tuple[int, int]
@@ -171,30 +171,51 @@ class ASequence:
     __getitem__ = value
 
 
+# The moment route in one formula: E[X^j Y^k] = sum_r y_r^k R_r(j), where
+# R_r(j) = sum_c e[r][c] x_c^j is row r of the table weighted by x^j.  It
+# reads only the table and its supports, never offsets or A_j.
+
+
+def _powers(support: Support3, n: int) -> list[Fraction]:
+    return [p**n for p in support.points]
+
+
 def marginal_moment(support: Support3, j: int) -> Fraction:
     """E[X^j] for X uniform on the support."""
     if j < 0:
         raise ValueError("moment order must be >= 0")
-    return Fraction(sum(p**j for p in support.points), 3)
+    return Fraction(sum(_powers(support, j)), 3)
+
+
+def _row_weights(table: JointTable, j: int) -> tuple[Scalar, Scalar, Scalar]:
+    """(R_0(j), R_1(j), R_2(j)) for rows Y = a, b, c."""
+    x0, x1, x2 = _powers(table.support_x, j)
+    return tuple(e0 * x0 + e1 * x1 + e2 * x2 for e0, e1, e2 in table.entries)
+
+
+def _joint_moment(rows: Sequence[Scalar], y_powers: Sequence[Fraction]) -> Scalar:
+    """E[X^j Y^k] from the row weights at j and the powers y_r^k."""
+    return rows[0] * y_powers[0] + rows[1] * y_powers[1] + rows[2] * y_powers[2]
+
+
+def _factorizes(joint: Scalar, ex: Fraction, ey: Fraction) -> bool:
+    """E[X^j Y^k] == E[X^j] E[Y^k], exactly (a QuadExt equals a rational
+    only when its sqrt part is 0)."""
+    return joint == ex * ey
 
 
 def moment(table: JointTable, j: int, k: int) -> Scalar:
     """E[X^j Y^k] straight from the joint table."""
-    sx = table.support_x.points
-    sy = table.support_y.points
-    acc: Scalar = Fraction(0)
-    for r in range(3):
-        yk = sy[r] ** k
-        for c in range(3):
-            acc = acc + table.entries[r][c] * (sx[c] ** j * yk)
-    return acc
+    return _joint_moment(_row_weights(table, j), _powers(table.support_y, k))
 
 
 def is_uncorrelated(table: JointTable, j: int, k: int) -> bool:
     """Moment-route membership test: E[X^j Y^k] == E[X^j] E[Y^k], exactly."""
-    lhs = moment(table, j, k)
-    rhs = marginal_moment(table.support_x, j) * marginal_moment(table.support_y, k)
-    return as_exact(lhs) == as_exact(rhs)
+    return _factorizes(
+        moment(table, j, k),
+        marginal_moment(table.support_x, j),
+        marginal_moment(table.support_y, k),
+    )
 
 
 def condition_lhs(x: OffsetVector, seq: ASequence, j: int, k: int) -> Scalar:
@@ -289,14 +310,28 @@ def _bilinear_cells(
 
 
 def enumerate_box_table(table: JointTable, jmax: int, kmax: int) -> list[Point]:
-    """Moment-route enumeration; the slow, assumption-free cross-check."""
+    """Moment-route enumeration; the assumption-free cross-check.
+
+    The powers are taken once per order, not once per cell: the row
+    weights R_r(j) and E[X^j] for each j <= jmax, the powers y_r^k and
+    E[Y^k] for each k <= kmax.  That is O(J + K) powers, after which each
+    cell costs one 3-term product sum_r y_r^k R_r(j) and one exact
+    comparison with E[X^j] E[Y^k].  Points come out sorted by j, then k;
+    ``is_uncorrelated`` is the same test for a single cell.
+    """
     _check_box(jmax, kmax)
-    return [
-        (j, k)
-        for j in range(1, jmax + 1)
-        for k in range(1, kmax + 1)
-        if is_uncorrelated(table, j, k)
-    ]
+    sy = table.support_y
+    by_k = [(k, _powers(sy, k), marginal_moment(sy, k)) for k in range(1, kmax + 1)]
+    out: list[Point] = []
+    for j in range(1, jmax + 1):
+        rows = _row_weights(table, j)
+        ex = marginal_moment(table.support_x, j)
+        out.extend(
+            (j, k)
+            for k, y_powers, ey in by_k
+            if _factorizes(_joint_moment(rows, y_powers), ex, ey)
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +580,20 @@ class SetDescriptor:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SetDescriptor":
+        def order(key):
+            value = obj.get(key)
+            return None if value is None else int_from_json(value)
+
         return cls(
             obj["kind"],
             obj.get("certificate", BOX_VERIFIED),
-            points=tuple(tuple(p) for p in obj.get("points", ())),
-            line_j=obj.get("j"),
-            line_k=obj.get("k"),
-            diag_sum=obj.get("sum"),
-            slope=obj.get("slope"),
+            points=tuple(
+                tuple(int_from_json(n) for n in p) for p in obj.get("points", ())
+            ),
+            line_j=order("j"),
+            line_k=order("k"),
+            diag_sum=order("sum"),
+            slope=order("slope"),
             lattices=tuple(obj.get("lattices", ())),
         )
 

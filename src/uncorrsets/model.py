@@ -32,6 +32,7 @@ from .numeric import (
     exact_abs,
     exact_sign,
     format_rational,
+    rational_from_json,
     scalar_from_json,
     scalar_to_json,
 )
@@ -112,7 +113,7 @@ class Support3:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Support3":
-        pts = [Fraction(p) for p in obj["points"]]
+        pts = [rational_from_json(p) for p in obj["points"]]
         return cls(tuple(pts), SupportKind(obj["kind"]))
 
 
@@ -145,7 +146,7 @@ class BetaSupport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BetaSupport":
-        return cls(Fraction(obj["alpha"]), Fraction(obj["beta"]))
+        return cls(rational_from_json(obj["alpha"]), rational_from_json(obj["beta"]))
 
 
 def support_from_json(obj: dict):

@@ -14,6 +14,7 @@ can never be a tie because d is square-free and at least 2.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt
@@ -264,9 +265,32 @@ def scalar_to_json(v: Scalar):
     return format_rational(v)
 
 
+def int_from_json(obj) -> int:
+    """A JSON integer; a float or a bool is not one."""
+    if type(obj) is not int:
+        raise ValueError(f"not an integer: {obj!r}")
+    return obj
+
+
+# "p", "p/q" or a decimal "1.25"; no exponent, since "1e9999999" would
+# make a 33-million-bit integer before anything could refuse it
+_RATIONAL_TEXT = re.compile(r"[-+]?(\d+(/\d+)?|\d*\.\d+)")
+
+
+def rational_from_json(obj) -> Fraction:
+    """A rational written as a string such as "3/5", or as a JSON integer.
+
+    The one reader of rationals in documents: a float (already rounded),
+    a bool and a string in exponent notation are refused, never
+    truncated or taken as 0 and 1.
+    """
+    if (isinstance(obj, str) and _RATIONAL_TEXT.fullmatch(obj)) or type(obj) is int:
+        return Fraction(obj)
+    raise ValueError(f'not a rational such as "3/5" or 2: {obj!r}')
+
+
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, dict):
-        return as_exact(QuadExt(Fraction(obj["a"]), Fraction(obj["b"]), obj["d"]))
-    if isinstance(obj, (str, int)):
-        return Fraction(obj)
-    raise ValueError(f"not a serialized scalar: {obj!r}")
+        a, b = rational_from_json(obj["a"]), rational_from_json(obj["b"])
+        return as_exact(QuadExt(a, b, int_from_json(obj["d"])))
+    return rational_from_json(obj)

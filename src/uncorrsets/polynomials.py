@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
-from .numeric import Scalar
+from .numeric import Scalar, int_from_json
 
 
 class NoSignChange(ValueError):
@@ -181,7 +181,7 @@ class IntPoly:
 
     @classmethod
     def from_json(cls, obj: Sequence[int]) -> "IntPoly":
-        return cls(obj)
+        return cls(int_from_json(c) for c in obj)
 
 
 def _frac_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -39,18 +39,19 @@ class Section:
 
 
 def route_agreement(pairs: list, box: int) -> Section:
-    """Moment route against condition route on every cell of the box, for
-    each (support, offsets) pair, with the offsets rescaled into a table."""
+    """The moment route's box enumeration, as the CLI runs it, against the
+    cells where the condition form vanishes, for each (support, offsets)
+    pair, with the offsets rescaled into a table."""
     problems = []
+    cells = list(product(range(1, box + 1), repeat=2))
     for support, x in pairs:
         x, s3 = model.rescale(x), support.to_support3()
         table = model.table_from_offsets(x, s3, s3)
         seq = ASequence(support)
-        for j, k in product(range(1, box + 1), repeat=2):
-            by_moments = engine.is_uncorrelated(table, j, k)
-            by_condition = engine.condition_lhs(x, seq, j, k) == 0
-            if by_moments != by_condition:
-                problems.append(f"{s3.points} {x.x} at ({j}, {k})")
+        by_moments = set(engine.enumerate_box_table(table, box, box))
+        by_condition = {p for p in cells if engine.condition_lhs(x, seq, *p) == 0}
+        for j, k in sorted(by_moments ^ by_condition):
+            problems.append(f"{s3.points} {x.x} at ({j}, {k})")
     supports = len({support for support, _ in pairs})
     return Section(
         f"moment route matched the condition route for {len(pairs)} offset "

@@ -15,6 +15,7 @@ import uncorrsets
 from uncorrsets import engine, selftest
 from uncorrsets.cli import main
 from uncorrsets.model import (
+    JointTable,
     OffsetVector,
     Support3,
     rescale,
@@ -298,6 +299,13 @@ def _three_point_claim(doc):
         lambda d: d["algebraic"].update(k=10),
         # below 1, where the enumeration's interval enclosures do not hold
         lambda d: d["algebraic"].update(interval=["1/2", "2"]),
+        # numbers that are not exact: truncated, they would give P again
+        lambda d: d["algebraic"].update(
+            poly=[c + (0.9 if c >= 0 else -0.9) for c in d["algebraic"]["poly"]]
+        ),
+        lambda d: d["algebraic"].update(poly=[str(c) for c in d["algebraic"]["poly"]]),
+        lambda d: d["algebraic"].update(interval=[1.5823, 1.5824]),
+        lambda d: d["algebraic"].update(m=2.0),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
@@ -365,6 +373,14 @@ def test_orders_above_the_cap_exit_two(argv):
         ("descriptor", {"kind": "hline", "k": 0}),
         ("descriptor", {"kind": "slopeline", "slope": None}),
         ("support", [1]),
+        # JSON floats, bools and exponent notation are not exact rationals
+        ("support", {"points": [1.0, 2.0, 4.0], "kind": "positive-ordered"}),
+        ("support", {"points": ["1e400", "2e400", "3e400"], "kind": "positive-ordered"}),
+        ("support", {"alpha": "1", "beta": 2.0}),
+        ("x", [True, "0", "0", "0"]),
+        ("x", [{"a": 0.5, "b": "1", "d": 2}, "0", "0", "0"]),
+        ("descriptor", {"kind": "vline", "j": True}),
+        ("descriptor", {"kind": "finite", "points": [[1.0, 2]]}),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
@@ -372,6 +388,18 @@ def test_malformed_documents_exit_two(capsys, monkeypatch, field, value, command
     doc = dict(_EMPTY_WITNESS, **{field: value})
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     code, out, err = _run(capsys, command, "--witness", "-", "--box", "3x3")
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--witness", "-", "--box", "3x3"], ["classify", "--table", "-"]]
+)
+def test_table_documents_with_float_points_exit_two(capsys, monkeypatch, argv):
+    doc = JointTable.independent(Support3.symmetric(1), Support3.symmetric(1)).to_json()
+    doc["support_x"]["points"] = [-1.0, 0.0, 1.0]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == "" and "error:" in err
 

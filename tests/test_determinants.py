@@ -30,6 +30,8 @@ from uncorrsets.engine import ExponentCapExceeded
 from uncorrsets.model import BetaSupport
 from uncorrsets.polynomials import MultiPoly
 
+from route_guard import reachable
+
 
 def test_sigma_basics():
     assert sigma(0).evaluate((5, 7)) == 1
@@ -166,35 +168,15 @@ def test_orders_above_the_bound_are_refused_before_either_route():
     assert det2_check(MAX_ORDER_SUM, 0).equal
 
 
-def _references(func: ast.FunctionDef) -> set[str]:
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(func)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
-
-
-def _reachable(tree: ast.Module, start: str) -> set[str]:
-    """Names reached from a function, through the functions of the module."""
-    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    seen, todo = set(), [start]
-    while todo:
-        for name in _references(funcs[todo.pop()]) - seen:
-            seen.add(name)
-            if name in funcs:
-                todo.append(name)
-    return seen
-
-
 def test_closed_and_direct_routes_stay_independent():
     tree = ast.parse(Path(determinants.__file__).read_text(encoding="utf-8"))
     for closed in ("f_closed", "g_closed", "det2_closed"):
-        assert not {"mp_det", "_power_matrix"} & _reachable(tree, closed), closed
+        assert not {"mp_det", "_power_matrix"} & reachable(tree, closed), closed
     for direct in ("f_direct", "g_direct"):
-        assert "_sigma_sum" not in _reachable(tree, direct), direct
+        assert "_sigma_sum" not in reachable(tree, direct), direct
     # the guard sees a reference through a helper
     planted = ast.parse("def f_closed():\n    return h()\ndef h():\n    return mp_det\n")
-    assert "mp_det" in _reachable(planted, "f_closed")
+    assert "mp_det" in reachable(planted, "f_closed")
 
 
 def test_independence_certificate_slope_two():

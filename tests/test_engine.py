@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from uncorrsets import engine
 from uncorrsets.constructions import make_diagonal
 from uncorrsets.engine import (
     ASequence,
@@ -40,6 +43,8 @@ from uncorrsets.model import (
     table_from_offsets,
 )
 from uncorrsets.numeric import QuadExt
+
+from route_guard import reachable
 
 
 S123 = Support3.from_values(1, 2, 3)
@@ -113,6 +118,27 @@ def test_condition_route_equals_moment_route():
                 want = is_uncorrelated(t, j, k)
                 got = condition_lhs(x, seq, j, k) == 0
                 assert got == want
+
+
+def test_moment_route_stays_independent_of_the_condition_route():
+    # the moment route audits every enumeration only while it reads
+    # nothing but the table and its supports
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    condition_route = {
+        "ASequence",
+        "condition_lhs",
+        "offsets_delta",
+        "enumerate_box_offsets",
+        "deviations",
+        "shape_offsets",
+    }
+    for name in ("moment", "is_uncorrelated", "enumerate_box_table"):
+        assert not condition_route & reachable(tree, name), name
+    # the guard sees a reference through a helper
+    planted = ast.parse(
+        "def moment(t):\n    return h(t)\ndef h(t):\n    return t.deviations()\n"
+    )
+    assert "deviations" in reachable(planted, "moment")
 
 
 def test_delta_route_on_general_support():

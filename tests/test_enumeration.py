@@ -147,6 +147,48 @@ def test_planted_zeros_three_routes_agree(case):
     assert set(targets) <= set(found)
 
 
+def _by_definition(table, jmax, kmax):
+    """The moment route written out per cell: the 9-term E[X^j Y^k]
+    against the product of the marginals."""
+    xs, ys, e = table.support_x.points, table.support_y.points, table.entries
+    out = []
+    for j in range(1, jmax + 1):
+        for k in range(1, kmax + 1):
+            joint = sum(
+                e[r][c] * xs[c] ** j * ys[r] ** k for r in range(3) for c in range(3)
+            )
+            ex = sum(p**j for p in xs) / 3
+            ey = sum(p**k for p in ys) / 3
+            if joint == ex * ey:
+                out.append((j, k))
+    return out
+
+
+@SETTINGS
+@given(planted(), st.one_of(st.none(), supports))
+def test_moment_enumeration_is_the_definition(case, support_y):
+    # the planted offsets give member cells when Y shares X's support; a
+    # second support for Y covers tables with two supports
+    x, support, jmax, kmax, _ = case
+    sx = support.to_support3()
+    sy = sx if support_y is None else support_y.to_support3()
+    if x.is_zero:
+        table = JointTable.independent(sx, sy)
+    else:
+        table = table_from_offsets(rescale(x), sx, sy)
+    assert enumerate_box_table(table, jmax, kmax) == _by_definition(table, jmax, kmax)
+
+
+def test_moment_enumeration_is_the_definition_at_64():
+    # Q(sqrt(2)) entries and orders up to the default cap
+    built = make_two_point(Support3.from_values(Fraction(1, 2), 2, 7), (5, 60), (64, 3))
+    s3 = built.support
+    table = table_from_offsets(rescale(built.x), s3, s3)
+    found = enumerate_box_table(table, 64, 64)
+    assert found == [(5, 60), (64, 3)]
+    assert found == _by_definition(table, 64, 64)
+
+
 @st.composite
 def golden(draw):
     support = draw(positive_supports)

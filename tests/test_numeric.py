@@ -116,6 +116,12 @@ def test_scalar_json_round_trip():
     assert scalar_from_json("9/4") == Fraction(9, 4)
     # a rational dressed up as a QuadExt comes back as a plain Fraction
     assert scalar_to_json(QuadExt(2, 0, 2)) == "2"
+    assert scalar_from_json(-3) == -3 and scalar_from_json("1.25") == Fraction(5, 4)
+    # inexact or mistyped values are refused, never truncated
+    for bad in (0.5, 2.0, True, "1e400", " 1", None, {"a": 1.5, "b": "1", "d": 2},
+                {"a": "1", "b": "1", "d": 2.0}):
+        with pytest.raises(ValueError):
+            scalar_from_json(bad)
 
 
 def test_pow_and_str():
