@@ -21,7 +21,7 @@ from . import constructions, determinants, engine, model, selftest
 from .constructions import AlgebraicSlopeLine, SlopeLineParams
 from .engine import SetDescriptor, SupportLike
 from .model import BetaSupport, JointTable, OffsetVector, Support3
-from .numeric import format_rational
+from .numeric import format_rational, rational_from_json
 
 
 def _emit(obj) -> None:
@@ -46,9 +46,10 @@ def _parse_points(text: str) -> list[tuple[int, int]]:
 
 
 def _rational(text: str) -> Fraction:
-    """A rational flag value; a zero denominator is unusable input."""
+    """A rational flag value, read by the documents' text rule (no
+    exponent notation); a zero denominator is unusable input."""
     try:
-        return Fraction(text)
+        return rational_from_json(text)
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None
 

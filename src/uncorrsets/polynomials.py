@@ -3,10 +3,15 @@
 ``IntPoly`` is a dense univariate polynomial over the integers.  It
 carries exactly the machinery the constructions need: exact evaluation
 at rationals, bisection-based root isolation to a requested interval
-width, primitive gcd, square-free part, and a Sturm count used to
-certify that an isolating interval really contains a single root.
+width, primitive gcd, and a Sturm count used to certify that an
+isolating interval really contains a single root.  Every remainder
+sequence (the gcd and the Sturm chain) runs over the integers: each
+step is a pseudo-division scaled by positive factors only, with the
+content divided out, so no Fraction is built and the signs of the
+chain are those of the rational remainders.  The Sturm chain runs
+straight from p and p' to gcd(p, p'), with no square-free pass first.
 Root isolation never touches floating point; every interval endpoint
-stays a Fraction.
+stays a Fraction, and signs are read from the integer Horner sum.
 
 ``MultiPoly`` is a sparse multivariate polynomial over the integers,
 a dict from exponent tuples to nonzero coefficients.  The determinant
@@ -77,14 +82,10 @@ class IntPoly:
         Horner's rule runs in integers on sum c_i n^i d^(deg-i), and one
         Fraction is built at the end; an int argument gives an int.
         """
-        n, d = x.numerator, x.denominator
-        acc, scale = 0, 1
-        for c in reversed(self._coeffs):
-            acc = acc * n + c * scale
-            scale *= d
+        acc = _horner(self._coeffs, x.numerator, x.denominator)
         if isinstance(x, int) or not self._coeffs:
             return acc
-        return Fraction(acc, scale // d)
+        return Fraction(acc, x.denominator ** self.degree)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self._coeffs, other._coeffs
@@ -162,19 +163,10 @@ class IntPoly:
     @staticmethod
     def gcd(f: "IntPoly", g: "IntPoly") -> "IntPoly":
         """Primitive gcd with positive leading coefficient."""
-        a = [Fraction(c) for c in f._coeffs]
-        b = [Fraction(c) for c in g._coeffs]
+        a, b = f.primitive()._coeffs, g.primitive()._coeffs
         while b:
-            a, b = b, _frac_mod(a, b)
-        return _cleared(a).primitive()
-
-    def squarefree_part(self) -> "IntPoly":
-        if self.is_zero:
-            return self
-        g = IntPoly.gcd(self, self.derivative())
-        if g.degree <= 0:
-            return self.primitive()
-        return _frac_div_exact(self, g).primitive()
+            a, b = b, _remainder(a, b)
+        return IntPoly(a).primitive()
 
     def to_json(self) -> list[int]:
         return list(self._coeffs)
@@ -184,67 +176,66 @@ class IntPoly:
         return cls(int_from_json(c) for c in obj)
 
 
-def _frac_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b over the rationals, coefficient lists low-first."""
+def _horner(coeffs: Sequence[int], n: int, d: int) -> int:
+    """d^deg · p(n/d) for coefficients low-first, in integers; d > 0, so
+    its sign is the sign of p(n/d)."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * scale
+        scale *= d
+    return acc
+
+
+def _sign_at(p: IntPoly, x: Fraction) -> int:
+    return _sign(_horner(p.coeffs, x.numerator, x.denominator))
+
+
+def _remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """A positive multiple of the remainder of a by b, primitive.
+
+    Pseudo-division over the integers, low-first coefficient lists: each
+    step multiplies a by |lc(b)| / gcd(lc(a), lc(b)), the least positive
+    factor that lets lc(b) divide the leading term.  Every factor is
+    positive, so the result has the signs of the rational remainder.
+    """
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        q = a[-1] / lb
+    while len(a) > db:
+        lead = a[-1]
+        g = int_gcd(lead, lb)
+        scale, q = abs(lb) // g, lead // g if lb > 0 else -lead // g
+        if scale != 1:
+            a = [scale * c for c in a]
         shift = len(a) - 1 - db
         for i, c in enumerate(b):
             a[i + shift] -= q * c
         while a and a[-1] == 0:
             a.pop()
-    return a
-
-
-def _cleared(cs: list[Fraction]) -> IntPoly:
-    """The primitive integer polynomial that is a positive multiple of cs."""
-    den = 1
-    for q in cs:
-        den = den * q.denominator // int_gcd(den, q.denominator)
-    p = IntPoly([q.numerator * (den // q.denominator) for q in cs])
-    g = p.content()
-    return IntPoly([c // g for c in p.coeffs]) if g > 1 else p
-
-
-def _frac_div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Exact quotient f/g up to a positive factor; g must divide f."""
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        q = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        out[shift] = q
-        for i, c in enumerate(b):
-            a[i + shift] -= q * c
-        while a and a[-1] == 0:
-            a.pop()
-    if a:
-        raise ValueError("inexact polynomial division")
-    return _cleared(out)
+    g = int_gcd(*a)
+    return tuple(c // g for c in a) if g > 1 else tuple(a)
 
 
 def sturm_root_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi).
 
-    Requires p nonzero at both endpoints; callers hold that by
-    construction because their endpoints come from sign-change brackets.
+    The chain p, p', -rem, ... ends in gcd(p, p'), which divides every
+    member and has no root where p has none, so dividing it out changes
+    no sign variation at lo or hi: the count is that of the square-free
+    part (the generalized Sturm theorem).  Requires p nonzero at both
+    endpoints; callers hold that by construction because their endpoints
+    come from sign-change brackets.
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    sf = p.squarefree_part()
-    if sf(lo) == 0 or sf(hi) == 0:
+    if _sign_at(p, lo) == 0 or _sign_at(p, hi) == 0:
         raise ValueError("endpoint is a root; shrink the interval first")
-    # each member scaled by a positive factor, which keeps its signs
-    chain = [sf, sf.derivative()]
-    while not chain[-1].is_zero:
-        a, b = ([Fraction(c) for c in q.coeffs] for q in chain[-2:])
-        chain.append(-_cleared(_frac_mod(a, b)))
+    chain = [p.coeffs, p.derivative().coeffs]
+    while chain[-1]:
+        chain.append(tuple(-c for c in _remainder(chain[-2], chain[-1])))
     chain.pop()
 
     def variations(x: Fraction) -> int:
-        signs = [s for s in (_sign(q(x)) for q in chain) if s]
+        n, d = x.numerator, x.denominator
+        signs = [s for s in (_sign(_horner(q, n, d)) for q in chain) if s]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return variations(lo) - variations(hi)
@@ -266,7 +257,7 @@ def isolate_root(
         raise ValueError(f"width must be positive, got {width}")
     if lo >= hi:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
-    slo, shi = _sign(p(lo)), _sign(p(hi))
+    slo, shi = _sign_at(p, lo), _sign_at(p, hi)
     if slo == 0:
         return lo, lo
     if shi == 0:
@@ -275,7 +266,7 @@ def isolate_root(
         raise NoSignChange(f"p({lo}) and p({hi}) share sign {slo}")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        sm = _sign(p(mid))
+        sm = _sign_at(p, mid)
         if sm == 0:
             return mid, mid
         if sm == slo:

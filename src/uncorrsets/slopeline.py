@@ -34,6 +34,14 @@ def beta_star_poly(m: int, k: int) -> IntPoly:
     return beta0_poly(m) * IntPoly.monomial(k) + growth * IntPoly.monomial(2 * m)
 
 
+def _binomial(plus: int, minus: int) -> IntPoly:
+    """B^plus - B^minus, written term by term."""
+    cs = [0] * (max(plus, minus) + 1)
+    cs[plus] += 1
+    cs[minus] -= 1
+    return IntPoly(cs)
+
+
 def slopeline_y_polys(m: int) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
     """Power-sum coordinates of the slope-line witness, as polynomials in B.
 
@@ -42,11 +50,12 @@ def slopeline_y_polys(m: int) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
     """
     if m < 2:
         raise ValueError("slope must be an integer >= 2")
-    y1 = IntPoly.monomial(3 * m + 2) - IntPoly.monomial(2 * m + 3)
-    y2 = IntPoly.monomial(2 * m) - IntPoly.monomial(3 * m + 1)
-    y3 = IntPoly.monomial(m + 3) - IntPoly.monomial(2)
-    y4 = IntPoly.monomial(1) - IntPoly.monomial(m)
-    return y1, y2, y3, y4
+    return (
+        _binomial(3 * m + 2, 2 * m + 3),
+        _binomial(2 * m, 3 * m + 1),
+        _binomial(m + 3, 2),
+        _binomial(1, m),
+    )
 
 
 def slopeline_d_parts(m: int, j: int) -> tuple[IntPoly, IntPoly]:
@@ -59,8 +68,7 @@ def slopeline_d_parts(m: int, j: int) -> tuple[IntPoly, IntPoly]:
         raise ValueError("slope must be an integer >= 2")
     if j < 1:
         raise ValueError("orders must be >= 1")
-    t1 = IntPoly.monomial(m) - IntPoly.monomial(1)
-    t3 = IntPoly.monomial(m + 1) - IntPoly([1])
+    t1, t3 = _binomial(m, 1), _binomial(m + 1, 0)
     c0 = t1 * IntPoly.monomial(2 * m + 2) - t3 * IntPoly.monomial(j + 2 * m)
     c1 = t3 * IntPoly.monomial(2) - t1 * IntPoly.monomial(j)
     return c0, c1

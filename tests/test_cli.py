@@ -217,6 +217,15 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         (["construct", "slopeline", "--m", "2", "--k", "9", "--width", "0/0"], "zero"),
         # the empty pattern vanishes at every even order when b = -c
         (["construct", "empty", "--support=-2,-1,1"], "needs b != -c"),
+        # exponent notation is refused before it can expand into a huge integer
+        (
+            ["construct", "antidiagonal", "--m", "5", "--beta", "1e1000000"],
+            "not a rational",
+        ),
+        (["construct", "lattice-union", "--alpha", "1e1000000"], "not a rational"),
+        (["construct", "empty", "--support", "1,2,3e1000000"], "not a rational"),
+        (["beta0", "--m", "2", "--width", "1e-1000000"], "not a rational"),
+        (["betastar", "--m", "2", "--k", "9", "--width", "1E-5"], "not a rational"),
     ],
 )
 def test_bad_rational_flags_exit_two(capsys, argv, message):

@@ -39,13 +39,15 @@ def test_primitive_and_content():
     assert IntPoly([-2, 0, -4]).primitive() == IntPoly([1, 0, 2])
 
 
-def test_gcd_and_squarefree():
+def test_gcd_with_repeated_roots():
     x_minus_1 = IntPoly([-1, 1])
     x_minus_2 = IntPoly([-2, 1])
     p = x_minus_1 * x_minus_1 * x_minus_2
     q = x_minus_1 * IntPoly([5, 1])
     assert IntPoly.gcd(p, q) == x_minus_1
-    assert p.squarefree_part() == x_minus_1 * x_minus_2
+    # the last member of the Sturm chain: the repeated factor, once
+    assert IntPoly.gcd(p, p.derivative()) == x_minus_1
+    assert IntPoly.gcd(p * x_minus_2, 4 * x_minus_2**3) == x_minus_2**2
     assert IntPoly.gcd(p, IntPoly([7])).degree == 0
     # scaled inputs do not change the primitive gcd
     assert IntPoly.gcd(3 * p, -5 * q) == x_minus_1
@@ -62,6 +64,40 @@ def test_sturm_count():
     assert sturm_root_count(sq, Fraction(0), Fraction(3)) == 2
     with pytest.raises(ValueError):
         sturm_root_count(p, Fraction(1), Fraction(3))
+
+
+def test_sturm_count_keeps_signs_under_negative_leading_coefficients():
+    # 1 - B^2 over p' = -2B takes one pseudo-division step, so a step
+    # scaled by lc(p') = -2 rather than |lc| = 2 would flip the last sign
+    assert sturm_root_count(IntPoly([1, 0, -1]), Fraction(-2), Fraction(7, 2)) == 2
+    # -(B-1)^2 (B-3) (2B+1): the repeated root at 1 counts once
+    p = -(IntPoly([-1, 1]) ** 2) * IntPoly([-3, 1]) * IntPoly([1, 2])
+    assert sturm_root_count(p, Fraction(-1), Fraction(4)) == 3
+    assert sturm_root_count(p, Fraction(1, 2), Fraction(2)) == 1
+    assert sturm_root_count(p, Fraction(-1, 3), Fraction(1, 2)) == 0
+    assert sturm_root_count(IntPoly([-5]), Fraction(0), Fraction(1)) == 0
+
+
+def _bisect_by_value(p, lo, hi, width):
+    """isolate_root as it read signs before: from the Fraction p(mid)."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    slo = p(lo) > 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if p(mid) == 0:
+            return mid, mid
+        lo, hi = (mid, hi) if (p(mid) > 0) == slo else (lo, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize(
+    "coeffs, lo, hi",
+    [([-2, 0, 1], 1, 2), ([-1, -1, -1, 0, 0, 1], 1, 2), ([5, -7, 0, 3], -3, 0)],
+)
+def test_isolate_root_intervals_match_the_value_bisection(coeffs, lo, hi):
+    p = IntPoly(coeffs)
+    for width in (Fraction(1, 10**12), Fraction(3, 7)):
+        assert isolate_root(p, lo, hi, width) == _bisect_by_value(p, lo, hi, width)
 
 
 def test_isolate_root_bisection():

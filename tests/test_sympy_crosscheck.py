@@ -1,6 +1,7 @@
 """Second opinions from sympy, an implementation that shares no code with
-this package: integer polynomial gcd, square-free part and real-root
-counts, membership on the near-line slope line, the F and G determinants at
+this package: integer polynomial gcd and real-root counts (with repeated
+roots, and at the degree and coefficient size of the slope line), the gcd
+and membership on the near-line slope line, the F and G determinants at
 rational points, and a third route to their closed forms through Schur
 polynomials."""
 
@@ -18,6 +19,7 @@ sp = pytest.importorskip("sympy")
 from uncorrsets.constructions import slopeline_beta_star  # noqa: E402
 from uncorrsets.determinants import f_closed, f_direct, g_closed, g_direct  # noqa: E402
 from uncorrsets.polynomials import IntPoly, sturm_root_count  # noqa: E402
+from uncorrsets.slopeline import slopeline_d_poly  # noqa: E402
 
 B = sp.Symbol("B")
 
@@ -28,6 +30,16 @@ polys = st.lists(factors, min_size=1, max_size=4).map(
     lambda fs: reduce(mul, map(IntPoly, fs))
 )
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+# the slope line's scale: degree up to ~40, coefficients up to 10^6, and
+# linear factors with rational roots in [-4, 4] so intervals hold roots
+big_factors = st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=11).filter(
+    lambda c: c[-1] != 0
+)
+linear_factors = rationals.map(lambda q: [-q.numerator, q.denominator])
+big_polys = st.lists(big_factors | linear_factors, min_size=1, max_size=2).map(
+    lambda fs: reduce(mul, map(IntPoly, fs))
+)
 
 
 def _sym(p: IntPoly):
@@ -44,26 +56,46 @@ def _rat(q: Fraction):
     return sp.Rational(q.numerator, q.denominator)
 
 
-@settings(max_examples=80, deadline=None)
-@given(polys, polys, polys)
-def test_gcd_matches_sympy(common, f, g):
+def _check_gcd(common, f, g):
     f, g = common * f, common * g
     assert _sym(IntPoly.gcd(f, g)) == _normal(sp.gcd(_sym(f), _sym(g)))
 
 
+def _check_sturm(p, a, b):
+    lo, hi = min(a, b), max(a, b)
+    assume(lo < hi and p(lo) != 0 and p(hi) != 0)
+    assert sturm_root_count(p, lo, hi) == _sym(p).count_roots(_rat(lo), _rat(hi))
+
+
 @settings(max_examples=80, deadline=None)
-@given(polys, polys)
-def test_squarefree_part_matches_sympy(f, g):
-    p = f * f * g
-    assert _sym(p.squarefree_part()) == _normal(sp.sqf_part(_sym(p)))
+@given(polys, polys, polys)
+def test_gcd_matches_sympy(common, f, g):
+    _check_gcd(common, f, g)
 
 
 @settings(max_examples=80, deadline=None)
 @given(polys, rationals, rationals)
 def test_sturm_count_matches_sympy(p, a, b):
-    lo, hi = min(a, b), max(a, b)
-    assume(lo < hi and p(lo) != 0 and p(hi) != 0)
-    assert sturm_root_count(p, lo, hi) == _sym(p).count_roots(_rat(lo), _rat(hi))
+    _check_sturm(p, a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, polys, rationals, rationals)
+def test_sturm_count_with_repeated_roots_matches_sympy(f, g, a, b):
+    # the chain runs on f·f·g itself and ends in gcd(p, p'), not 1
+    _check_sturm(f * f * g, a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(big_polys, big_polys, big_polys)
+def test_gcd_matches_sympy_at_slope_line_scale(common, f, g):
+    _check_gcd(common, f, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(big_polys, big_polys, rationals, rationals)
+def test_sturm_count_matches_sympy_at_slope_line_scale(f, g, a, b):
+    _check_sturm(f * f * g, a, b)
 
 
 @pytest.mark.parametrize("m, k", [(2, 9), (3, 14), (4, 20)])
@@ -82,7 +114,10 @@ def test_near_line_members_match_sympy(m, k):
         d = (B**m - B) * (B ** (2 * m + 2) - B ** (j + kk)) + (B ** (m + 1) - 1) * (
             B ** (kk + 2) - B ** (j + 2 * m)
         )
-        return p.gcd(sp.Poly(d, B)).count_roots(lo, hi) >= 1
+        g = p.gcd(sp.Poly(d, B))
+        # the gcd itself, not only the verdict drawn from it
+        assert _sym(IntPoly.gcd(slopeline_d_poly(m, j, kk), line.poly)) == _normal(g)
+        return g.count_roots(lo, hi) >= 1
 
     want = [(j, kk) for j in range(1, 11) for kk in range(1, 11) if member(j, kk)]
     assert line.enumerate_box(10, 10) == want
