@@ -17,13 +17,19 @@ stays a Fraction, and signs are read from the integer Horner sum.
 a dict from exponent tuples to nonzero coefficients.  The determinant
 identities are proved by expanding both sides into this ring and
 comparing dicts, so the representation is kept canonical at all times
-(zero coefficients are dropped on every operation).
+(zero coefficients are dropped on every operation).  A product packs
+each exponent tuple into one int (packed exponent vectors; Monagan and
+Pearce, CASC 2007), so a monomial product is one integer add.  The
+field width is chosen per product, from the largest exponent sum each
+variable can reach, so no field ever carries into the next; only the
+surviving terms are unpacked back to tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import add, lshift
 from typing import Iterable, Sequence
 
 from .numeric import Scalar, int_from_json
@@ -289,6 +295,13 @@ class MultiPoly:
 
     Terms live in a dict mapping exponent tuples to nonzero integer
     coefficients, so equality of two expansions is plain dict equality.
+    ``a * b`` runs on packed keys: with w the bit length of the largest
+    per-variable sum max_a[i] + max_b[i], variable i takes bits
+    [i*w, (i+1)*w) of one int.  Exponents are nonnegative, so no field
+    carries and the sum of two packed keys is the packed key of the
+    product monomial.  Zero coefficients are dropped before the result
+    is unpacked, as on every other operation.  ``__init__`` validates
+    whatever it is given; results built inside the ring skip that.
     """
 
     __slots__ = ("_arity", "_terms")
@@ -312,6 +325,15 @@ class MultiPoly:
                 if not tidy[exps]:
                     del tidy[exps]
         self._terms = tidy
+
+    @classmethod
+    def _of(cls, arity: int, terms: dict[tuple[int, ...], int]) -> "MultiPoly":
+        """Wrap a dict that is already canonical: tuple keys of arity
+        nonnegative ints, nonzero int coefficients.  Nothing is checked."""
+        p = object.__new__(cls)
+        p._arity = arity
+        p._terms = terms
+        return p
 
     @classmethod
     def zero(cls, arity: int) -> "MultiPoly":
@@ -358,9 +380,7 @@ class MultiPoly:
                 out[exps] = s
             elif exps in out:
                 del out[exps]
-        p = MultiPoly(self._arity)
-        p._terms = out
-        return p
+        return MultiPoly._of(self._arity, out)
 
     __radd__ = __add__
 
@@ -375,32 +395,39 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self):
-        p = MultiPoly(self._arity)
-        p._terms = {e: -c for e, c in self._terms.items()}
-        return p
+        return MultiPoly._of(self._arity, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return MultiPoly(self._arity)
-            p = MultiPoly(self._arity)
-            p._terms = {e: c * other for e, c in self._terms.items()}
-            return p
+            return MultiPoly._of(
+                self._arity,
+                {e: c * other for e, c in self._terms.items()} if other else {},
+            )
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        p = MultiPoly(self._arity)
-        p._terms = out
-        return p
+        a, b = self._terms, other._terms
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return MultiPoly._of(self._arity, {})
+        # every field fits its variable's largest exponent sum: no carries
+        top = max(map(add, map(max, zip(*a)), map(max, zip(*b))))
+        w = top.bit_length() or 1  # a product of constants still needs a field
+        shifts = range(0, w * self._arity, w)
+        pa = [(sum(map(lshift, e, shifts)), c) for e, c in a.items()]
+        pb = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in pa:
+            for k2, c2 in pb:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        mask = (1 << w) - 1
+        return MultiPoly._of(
+            self._arity,
+            {tuple(k >> s & mask for s in shifts): c for k, c in out.items() if c},
+        )
 
     __rmul__ = __mul__
 
@@ -451,14 +478,6 @@ class MultiPoly:
             {"exps": list(exps), "coef": str(coef)}
             for exps, coef in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json(cls, obj: Sequence[dict], arity: int | None = None) -> "MultiPoly":
-        if arity is None:
-            if not obj:
-                raise ValueError("cannot infer arity of an empty polynomial")
-            arity = len(obj[0]["exps"])
-        return cls(arity, {tuple(t["exps"]): int(t["coef"]) for t in obj})
 
     _NAMES = ("x", "y", "z", "t")
 

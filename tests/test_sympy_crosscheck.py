@@ -2,9 +2,11 @@
 this package: integer polynomial gcd and real-root counts (with repeated
 roots, and at the degree and coefficient size of the slope line), the gcd
 and membership on the near-line slope line, the F and G determinants at
-rational points, and a third route to their closed forms through Schur
-polynomials."""
+rational points, a third route to their closed forms through Schur
+polynomials, and sparse products the size of the closed forms' last
+step."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
@@ -17,8 +19,14 @@ from hypothesis import strategies as st
 sp = pytest.importorskip("sympy")
 
 from uncorrsets.constructions import slopeline_beta_star  # noqa: E402
-from uncorrsets.determinants import f_closed, f_direct, g_closed, g_direct  # noqa: E402
-from uncorrsets.polynomials import IntPoly, sturm_root_count  # noqa: E402
+from uncorrsets.determinants import (  # noqa: E402
+    f_closed,
+    f_direct,
+    g_closed,
+    g_direct,
+    vandermonde_factor,
+)
+from uncorrsets.polynomials import IntPoly, MultiPoly, sturm_root_count  # noqa: E402
 from uncorrsets.slopeline import slopeline_d_poly  # noqa: E402
 
 B = sp.Symbol("B")
@@ -158,7 +166,7 @@ def _schur(parts):
 
 @pytest.mark.parametrize(
     "closed, m, n",
-    [(f_closed, m, n) for m, n in ((2, 3), (2, 5), (3, 4), (3, 6), (4, 7))]
+    [(f_closed, m, n) for m, n in ((2, 3), (2, 5), (3, 4), (3, 6), (4, 7), (6, 10))]
     + [(g_closed, m, n) for m, n in ((1, 2), (1, 4), (2, 3), (2, 5), (3, 4))],
 )
 def test_closed_forms_are_vandermonde_times_schur(closed, m, n):
@@ -169,3 +177,30 @@ def test_closed_forms_are_vandermonde_times_schur(closed, m, n):
     vandermonde = sp.Mul(*(V[b] - V[a] for a in range(4) for b in range(a + 1, 4)))
     want = sp.Poly(vandermonde * _schur(parts), *V).as_dict()
     assert dict(closed(m, n).sorted_terms()) == {e: int(c) for e, c in want.items()}
+
+
+def _sparse(rng, terms, top):
+    return MultiPoly(4, {
+        tuple(rng.randint(0, top) for _ in range(4)): rng.randint(-(10**6), 10**6)
+        for _ in range(terms)
+    })
+
+
+@pytest.mark.parametrize(
+    "terms, top",
+    # dense enough to cancel, then the closed forms' size (sympy's Poly is
+    # dense, so exponents past 2^20 stay with the tuple oracle of
+    # test_polynomials.py)
+    [(60, 2), (300, 6), (1000, 12)],
+)
+def test_sparse_products_match_sympy(terms, top):
+    rng = random.Random(terms + top)
+    a, b = _sparse(rng, terms, top), _sparse(rng, rng.randint(1, 40), top)
+    for left, right in ((vandermonde_factor(), a), (a, b)):
+        want = (
+            sp.Poly.from_dict(dict(left.sorted_terms()), *V)
+            * sp.Poly.from_dict(dict(right.sorted_terms()), *V)
+        ).as_dict()
+        assert dict((left * right).sorted_terms()) == {
+            e: int(c) for e, c in want.items()
+        }
