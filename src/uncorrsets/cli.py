@@ -15,12 +15,11 @@ import json
 import sys
 import traceback
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import constructions, determinants, engine, model, selftest
-from .constructions import AlgebraicSlopeLine, SlopeLineParams
-from .engine import SetDescriptor, SupportLike
-from .model import BetaSupport, JointTable, OffsetVector, Support3
+from .constructions import Construction, SlopeLineParams
+from .engine import SetDescriptor
+from .model import BetaSupport, JointTable, Support3
 from .numeric import format_rational, rational_from_json
 
 
@@ -72,39 +71,18 @@ def _support_from_args(args) -> Support3 | BetaSupport:
     return Support3.from_values(a, b, c)
 
 
-class OffsetWitness(NamedTuple):
-    x: OffsetVector
-    support: SupportLike
-    descriptor: SetDescriptor
-
-
-class AlgebraicWitness(NamedTuple):
-    line: AlgebraicSlopeLine
-    descriptor: SetDescriptor
-
-
-def _read_document(path: str, accepts: tuple[type, ...]):
-    """The document at path as an OffsetWitness, a certified AlgebraicWitness
-    or a JointTable.  A form not in ``accepts`` and a wrong type anywhere in
-    the document are unusable input."""
+def _read_document(path: str) -> Construction | JointTable:
+    """The document at path as a Construction, whose ``from_json``
+    re-certifies an algebraic line, or as a JointTable.  A wrong type
+    anywhere in the document is unusable input."""
     doc = _load_doc(path)
     schema = doc.get("schema")
-    if schema == engine.WITNESS_SCHEMA:
-        form = AlgebraicWitness if "algebraic" in doc else OffsetWitness
-    elif schema == model.TABLE_SCHEMA:
-        form = JointTable
-    else:
+    if schema != engine.WITNESS_SCHEMA and schema != model.TABLE_SCHEMA:
         raise ValueError("input is neither a witness nor a table document")
-    if form not in accepts:
-        raise ValueError(f"this command cannot use a {form.__name__} document")
     try:
-        if form is JointTable:
+        if schema == model.TABLE_SCHEMA:
             return JointTable.from_json(doc)
-        if form is OffsetWitness:
-            return OffsetWitness(*engine.witness_from_json(doc))
-        line = AlgebraicSlopeLine.from_json(doc["algebraic"])
-        line.certify()
-        return AlgebraicWitness(line, SetDescriptor.from_json(doc["descriptor"]))
+        return Construction.from_json(doc)
     except (TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed document: {exc}") from None
 
@@ -181,13 +159,11 @@ def _require(value, flag):
 
 def _cmd_enumerate(args) -> int:
     jmax, kmax = _parse_box(args.box)
-    doc = _read_document(args.witness, (OffsetWitness, AlgebraicWitness, JointTable))
+    doc = _read_document(args.witness)
     if isinstance(doc, JointTable):
         points = engine.enumerate_box_table(doc, jmax, kmax)
-    elif isinstance(doc, AlgebraicWitness):
-        points = doc.line.enumerate_box(jmax, kmax)
     else:
-        points = engine.enumerate_box_offsets(doc.x, doc.support, jmax, kmax)
+        points = doc.enumerate_box(jmax, kmax)
     if args.format == "csv":
         print("j,k")
         for j, k in points:
@@ -199,58 +175,43 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     jmax, kmax = _parse_box(args.box)
-    doc = _read_document(args.witness, (OffsetWitness, AlgebraicWitness))
+    doc = _read_document(args.witness)
+    if isinstance(doc, JointTable):
+        raise ValueError("verify needs a witness document, not a table")
     desc = SetDescriptor.parse(args.descriptor) if args.descriptor else doc.descriptor
-    if isinstance(doc, AlgebraicWitness):
-        # nothing proves the whole set of a line at an algebraic ratio, so
-        # a global-analytic claim on it fails its analytic check
-        analytic = None if desc.certificate == engine.BOX_VERIFIED else False
-        found = doc.line.enumerate_box(jmax, kmax)
-        report = engine.compare_claim(desc, jmax, kmax, found, analytic)
-    else:
-        report = engine.verify_claim(doc.x, doc.support, desc, jmax, kmax)
+    report = doc.verify(desc, jmax, kmax)
     _emit(report.to_json())
     return 0 if report.verdict == engine.MATCH else 1
 
 
 def _cmd_classify(args) -> int:
-    doc = _read_document(args.table, (OffsetWitness, JointTable))
-    if isinstance(doc, OffsetWitness):
-        s3 = doc.support.to_support3()
-        x = doc.x if doc.x.is_zero else model.rescale(doc.x)
-        doc = model.table_from_offsets(x, s3, s3)
-    desc = engine.classify_symmetric(doc)
-    _emit({"descriptor": desc.to_json()})
+    doc = _read_document(args.table)
+    table = doc if isinstance(doc, JointTable) else doc.table()
+    _emit({"descriptor": engine.classify_symmetric(table).to_json()})
+    return 0
+
+
+def _emit_root(lo: Fraction, hi: Fraction, **orders: int) -> int:
+    _emit(
+        {
+            **orders,
+            "lo": format_rational(lo),
+            "hi": format_rational(hi),
+            "width": format_rational(hi - lo),
+            "approx": float((lo + hi) / 2),
+        }
+    )
     return 0
 
 
 def _cmd_beta0(args) -> int:
     lo, hi = constructions.beta0(args.m, _rational(args.width))
-    _emit(
-        {
-            "m": args.m,
-            "lo": format_rational(lo),
-            "hi": format_rational(hi),
-            "width": format_rational(hi - lo),
-            "approx": float((lo + hi) / 2),
-        }
-    )
-    return 0
+    return _emit_root(lo, hi, m=args.m)
 
 
 def _cmd_betastar(args) -> int:
     lo, hi = constructions.beta_star(args.m, args.k, _rational(args.width))
-    _emit(
-        {
-            "m": args.m,
-            "k": args.k,
-            "lo": format_rational(lo),
-            "hi": format_rational(hi),
-            "width": format_rational(hi - lo),
-            "approx": float((lo + hi) / 2),
-        }
-    )
-    return 0
+    return _emit_root(lo, hi, m=args.m, k=args.k)
 
 
 def _cmd_det(args) -> int:

@@ -30,9 +30,12 @@ from a document.  Its ``enumerate_box`` puts a cheap filter in front of
 that exact test: with D = c0 + B^k c1, monotone interval enclosures of c0
 and c1 on (lo, hi) admit, per column j, only the k whose [lo^k, hi^k] can
 hold -c0/c1, and only those cells reach the gcd.  These polynomials live
-in ``slopeline``.  ``Construction.to_json`` is the one writer of witness
-documents.  A slope m or fourth-point column k above the exponent cap is
-refused, like a box.
+in ``slopeline``.  ``Construction`` is the one in-memory witness:
+``to_json`` is the one writer of witness documents and ``from_json`` the
+one reader; ``enumerate_box``, ``verify`` and ``table`` serve offsets
+and algebraic lines alike, and ``verify`` holds the rule for a claim on
+an algebraic line.  A slope m or fourth-point column k above the
+exponent cap is refused, like a box.
 """
 
 from __future__ import annotations
@@ -48,17 +51,25 @@ from .engine import (
     Point,
     SetDescriptor,
     SupportLike,
+    UncorrReport,
     WITNESS_SCHEMA,
     _check_box,
     check_order,
+    compare_claim,
+    enumerate_box_offsets,
     shape_offsets,
+    verify_claim,
+    witness_from_json,
 )
 from . import linalg
 from .model import (
     BetaSupport,
+    JointTable,
     OffsetVector,
     Support3,
     YVector,
+    rescale,
+    table_from_offsets,
     to_y,
 )
 from .numeric import QuadExt, format_rational, int_from_json, rational_from_json
@@ -116,6 +127,44 @@ class Construction:
         if self.algebraic is not None:
             out["algebraic"] = self.algebraic.to_json()
         return out
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "Construction":
+        """The witness of a document: offsets through
+        ``engine.witness_from_json``, an algebraic line re-certified."""
+        name = doc.get("name", "")
+        if "algebraic" not in doc:
+            x, support, desc = witness_from_json(doc)
+            return cls(name, desc, support, x)
+        if doc.get("schema") != WITNESS_SCHEMA:
+            raise ValueError("not a witness document")
+        line = AlgebraicSlopeLine.from_json(doc["algebraic"])
+        line.certify()
+        return cls(name, SetDescriptor.from_json(doc["descriptor"]), algebraic=line)
+
+    def enumerate_box(self, jmax: int, kmax: int) -> list[Point]:
+        if self.algebraic is not None:
+            return self.algebraic.enumerate_box(jmax, kmax)
+        return enumerate_box_offsets(self.x, self.support, jmax, kmax)
+
+    def verify(self, desc: SetDescriptor, jmax: int, kmax: int) -> UncorrReport:
+        """The claim desc judged against the witness's set in the box."""
+        if self.algebraic is None:
+            return verify_claim(self.x, self.support, desc, jmax, kmax)
+        # nothing proves the whole set of a line at an algebraic ratio, so
+        # a global-analytic claim on it fails its analytic check
+        analytic = None if desc.certificate == BOX_VERIFIED else False
+        found = self.algebraic.enumerate_box(jmax, kmax)
+        return compare_claim(desc, jmax, kmax, found, analytic)
+
+    def table(self) -> JointTable:
+        """The joint table of the offsets, rescaled into valid weights, on
+        the support taken for both coordinates."""
+        if self.algebraic is not None:
+            raise ValueError("a line at an algebraic ratio has no rational table")
+        s3 = self.support.to_support3()
+        x = self.x if self.x.is_zero else rescale(self.x)
+        return table_from_offsets(x, s3, s3)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +485,4 @@ def make_slopeline(params: SlopeLineParams) -> Construction:
             )
         return _closed_form(SetDescriptor.slopeline(params.m), BetaSupport(1, beta))
     line = slopeline_beta_star(params.m, params.k, params.width)
-    return Construction(
-        "slopeline", line.descriptor(), support=None, x=None, y=None, algebraic=line
-    )
+    return Construction("slopeline", line.descriptor(), algebraic=line)

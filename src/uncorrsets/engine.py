@@ -46,9 +46,9 @@ witnesses with checks of their own.  ``verify_claim`` re-derives both
 sides and reports missing and extra points instead of trusting the
 claim.  ``compare_claim`` is the one verdict rule, also for sets
 enumerated elsewhere (the algebraic slope line).  ``witness_from_json``
-reads the offset witness documents that
-``constructions.Construction.to_json`` writes.  The slope-line
-polynomials come from ``slopeline``.
+is the one parser of offset witness documents, which
+``constructions.Construction.from_json`` reads through it.  The
+slope-line polynomials come from ``slopeline``.
 
 Symmetric supports (-v, 0, v) get their own classification: there A_j
 degenerates to 0 for even j and 2 for odd j, the box collapses onto the
@@ -353,9 +353,10 @@ KINDS = (
 GLOBAL_ANALYTIC = "global-analytic"
 BOX_VERIFIED = "box-verified"
 
-# the fields each kind needs, all positive integers
-_KIND_FIELDS = {"vline": ("line_j",), "hline": ("line_k",), "cross": ("line_j", "line_k"),
-                "antidiagonal": ("diag_sum",), "slopeline": ("slope",)}
+# the integer fields each kind needs, with their least values
+_KIND_FIELDS = {"vline": {"line_j": 1}, "hline": {"line_k": 1},
+                "cross": {"line_j": 1, "line_k": 1},
+                "antidiagonal": {"diag_sum": 2}, "slopeline": {"slope": 2}}
 
 LATTICE_NAMES = ("ee", "eo", "oe", "oo")
 # first (j, k) of each parity class; ee is even j, even k
@@ -380,10 +381,10 @@ class SetDescriptor:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
         if self.certificate not in (GLOBAL_ANALYTIC, BOX_VERIFIED):
             raise ValueError(f"unknown certificate {self.certificate!r}")
-        for name in _KIND_FIELDS.get(self.kind, ()):
+        for name, least in _KIND_FIELDS.get(self.kind, {}).items():
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{self.kind} needs a positive integer {name}: {value!r}")
+            if not isinstance(value, int) or value < least:
+                raise ValueError(f"{self.kind} needs an integer {name} >= {least}: {value!r}")
             check_order(value, terms=2 if name == "diag_sum" else 1)
         pts = tuple(sorted((int(j), int(k)) for j, k in self.points))
         if any(j < 1 or k < 1 for j, k in pts):
@@ -434,8 +435,6 @@ class SetDescriptor:
     def antidiagonal(
         cls, total: int, certificate: str = GLOBAL_ANALYTIC
     ) -> "SetDescriptor":
-        if total < 2:
-            raise ValueError("antidiagonal needs j + k >= 2")
         return cls("antidiagonal", certificate, diag_sum=int(total))
 
     @classmethod
@@ -445,8 +444,6 @@ class SetDescriptor:
         extra: Iterable[Point] = (),
         certificate: str = GLOBAL_ANALYTIC,
     ) -> "SetDescriptor":
-        if slope < 2:
-            raise ValueError("slope must be an integer >= 2")
         pts = [(i, slope * i) for i in (1, 2, 3)]
         pts.extend(extra)
         return cls("slopeline", certificate, points=tuple(pts), slope=int(slope))
@@ -524,32 +521,31 @@ class SetDescriptor:
         return self.kind
 
     @classmethod
-    def parse(cls, text: str, certificate: str | None = None) -> "SetDescriptor":
+    def parse(cls, text: str) -> "SetDescriptor":
         """Parse forms like empty, vline:2, cross:2,3, finite:1,1;2,3."""
         text = text.strip()
         head, _, rest = text.partition(":")
-        cert = certificate
         if head == "empty":
-            return cls.empty(cert or GLOBAL_ANALYTIC)
+            return cls.empty()
         if head == "all":
-            return cls.all_points(cert or GLOBAL_ANALYTIC)
+            return cls.all_points()
         if head == "diagonal":
-            return cls.diagonal(cert or GLOBAL_ANALYTIC)
+            return cls.diagonal()
         if head == "vline":
-            return cls.vline(int(rest), cert or GLOBAL_ANALYTIC)
+            return cls.vline(int(rest))
         if head == "hline":
-            return cls.hline(int(rest), cert or GLOBAL_ANALYTIC)
+            return cls.hline(int(rest))
         if head == "cross":
             j, k = rest.split(",")
-            return cls.cross(int(j), int(k), cert or GLOBAL_ANALYTIC)
+            return cls.cross(int(j), int(k))
         if head == "antidiagonal":
-            return cls.antidiagonal(int(rest), cert or GLOBAL_ANALYTIC)
+            return cls.antidiagonal(int(rest))
         if head == "finite":
             pts = []
             for chunk in rest.split(";"):
                 j, k = chunk.split(",")
                 pts.append((int(j), int(k)))
-            return cls.finite(pts, cert or BOX_VERIFIED)
+            return cls.finite(pts)
         if head == "slopeline":
             chunks = rest.split(";")
             slope = int(chunks[0])
@@ -557,9 +553,9 @@ class SetDescriptor:
             for chunk in chunks[1:]:
                 j, k = chunk.split(",")
                 extra.append((int(j), int(k)))
-            return cls.slopeline(slope, extra, cert or GLOBAL_ANALYTIC)
+            return cls.slopeline(slope, extra)
         if head == "lattices":
-            return cls.lattice_union(rest.split(","), cert or GLOBAL_ANALYTIC)
+            return cls.lattice_union(rest.split(","))
         raise ValueError(f"cannot parse descriptor {text!r}")
 
     def to_json(self) -> dict:

@@ -67,9 +67,7 @@ def golden_witnesses(cases: list, box: int) -> Section:
     exactly the expected ones."""
     problems = []
     for built, expected in cases:
-        report = engine.verify_claim(
-            built.x, built.support, built.descriptor, box, box
-        )
+        report = built.verify(built.descriptor, box, box)
         if (
             report.verdict != engine.MATCH
             or set(report.found) != expected
@@ -147,7 +145,7 @@ def slope_line_threshold(box: int, width: Fraction) -> Section:
             m=2, mode=constructions.MODE_AT_OR_ABOVE, beta=Fraction(2)
         )
     )
-    found = set(engine.enumerate_box_offsets(c.x, c.support, box, box))
+    found = set(c.enumerate_box(box, box))
     if found != {(1, 2), (2, 4), (3, 6)}:
         problems.append(f"beta=2 box gave {sorted(found)}")
     d_poly = constructions.slopeline_d_poly
@@ -206,10 +204,7 @@ def parity_classes(subsets: list) -> Section:
         problems.append("offsets (1,0,0,0) did not classify as empty")
     for subset in subsets:
         built = constructions.make_lattice_union(1, subset)
-        x = built.x if built.x.is_zero else model.rescale(built.x)
-        got = engine.classify_symmetric(
-            model.table_from_offsets(x, built.support, built.support)
-        )
+        got = engine.classify_symmetric(built.table())
         want = SetDescriptor.lattice_union(subset, engine.GLOBAL_ANALYTIC)
         if not got == built.descriptor == want:
             problems.append(f"{subset} classified as {got.format_spec()}")

@@ -390,6 +390,13 @@ def test_orders_above_the_cap_exit_two(argv):
         ("x", [{"a": 0.5, "b": "1", "d": 2}, "0", "0", "0"]),
         ("descriptor", {"kind": "vline", "j": True}),
         ("descriptor", {"kind": "finite", "points": [[1.0, 2]]}),
+        # below the least sum and slope that SetDescriptor.antidiagonal and
+        # SetDescriptor.slopeline accept
+        ("descriptor", {"kind": "antidiagonal", "sum": 1}),
+        ("descriptor", {"kind": "slopeline", "slope": 1}),
+        # a schema that is not a string is no known form
+        ("schema", ["uncorrsets/witness"]),
+        ("schema", {"uncorrsets/witness": 1}),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
@@ -399,6 +406,43 @@ def test_malformed_documents_exit_two(capsys, monkeypatch, field, value, command
     code, out, err = _run(capsys, command, "--witness", "-", "--box", "3x3")
     assert code == 2
     assert out == "" and "error:" in err
+
+
+def _lattice_doc(capsys):
+    code, doc = _run_json(capsys, "construct", "lattice-union", "--lattices", "ee")
+    assert code == 0
+    return doc
+
+
+def _symmetric_table_doc(capsys):
+    return JointTable.independent(Support3.symmetric(1), Support3.symmetric(1)).to_json()
+
+
+@pytest.mark.parametrize(
+    "argv, make",
+    [
+        # a line at an algebraic ratio has no rational table to classify
+        (["classify", "--table", "-"], _near_line_doc),
+        # a table carries no claim to verify
+        (["verify", "--witness", "-", "--box", "3x3"], _symmetric_table_doc),
+        # a schema that is not a string names no form
+        (
+            ["classify", "--table", "-"],
+            lambda capsys: dict(_lattice_doc(capsys), schema=["uncorrsets/witness"]),
+        ),
+        (
+            ["classify", "--table", "-"],
+            lambda capsys: dict(_lattice_doc(capsys), schema={"uncorrsets/witness": 1}),
+        ),
+    ],
+)
+def test_documents_of_the_wrong_form_exit_two(capsys, monkeypatch, argv, make):
+    # each document is usable by another command, or with its schema restored
+    doc = make(capsys)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
-"""The modules of the package import each other without a cycle.
+"""The modules of the package import each other without a cycle, and
+nothing outside the standard library.
 
-Imports inside functions count too: a lazy import hides a cycle from the
-interpreter, not from the design.
+Imports inside functions count too: a lazy import hides a cycle or a
+runtime dependency from the interpreter, not from the design.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import uncorrsets
@@ -28,6 +30,18 @@ def _imported_modules(tree: ast.AST) -> set[str]:
                 if alias.name.startswith("uncorrsets."):
                     found.add(alias.name.split(".")[1])
     return found & set(MODULES)
+
+
+def _outside_imports(tree: ast.AST) -> set[str]:
+    """Top-level names of absolute imports that are neither the standard
+    library nor the package itself."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found - set(sys.stdlib_module_names) - {"uncorrsets"}
 
 
 def _graph() -> dict[str, set[str]]:
@@ -80,3 +94,21 @@ def test_cycle_finder_catches_a_lazy_import():
     graph = {"engine": _imported_modules(tree), "constructions": {"engine"}}
     cycle = _find_cycle(graph)
     assert cycle[0] == cycle[-1] and set(cycle) == {"engine", "constructions"}
+
+
+def test_only_the_standard_library_is_imported():
+    outside = {
+        name: found
+        for name, path in MODULES.items()
+        if (found := _outside_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not outside, outside
+
+
+def test_outside_import_finder_catches_a_lazy_import():
+    tree = ast.parse(
+        "import json, sympy.core\n"
+        "def f():\n    from hypothesis import given\n    from . import engine\n"
+        "    from uncorrsets.model import rescale\n    import os.path\n"
+    )
+    assert _outside_imports(tree) == {"sympy", "hypothesis"}
