@@ -62,6 +62,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from . import linalg
@@ -74,6 +75,7 @@ from .model import (
     YVector,
     from_y,
     support_from_json,
+    to_y,
 )
 from .numeric import QuadExt, Scalar, as_exact, exact_sign, int_from_json
 from .slopeline import beta0_poly, slopeline_y_polys
@@ -171,51 +173,86 @@ class ASequence:
     __getitem__ = value
 
 
-# The moment route in one formula: E[X^j Y^k] = sum_r y_r^k R_r(j), where
-# R_r(j) = sum_c e[r][c] x_c^j is row r of the table weighted by x^j.  It
-# reads only the table and its supports, never offsets or A_j.
+# The moment route in integers.  Write the supports over one denominator
+# each, x_c = px_c / qx and y_r = py_r / qy, and every table entry as
+# (A_rc + B_rc sqrt(d)) / L, with L the least common denominator of all
+# rational and irrational parts.  Times the positive number
+# 9 L qx^j qy^k, the definition E[X^j Y^k] = E[X^j] E[Y^k] reads
+#
+#     9 sum_r Rint_r(j) py_r^k + 9 sqrt(d) sum_r Bint_r(j) py_r^k = L Sx(j) Sy(k)
+#
+# with the integers Rint_r(j) = sum_c A_rc px_c^j, Bint_r(j) = sum_c B_rc
+# px_c^j, Sx(j) = sum_c px_c^j and Sy(k) = sum_r py_r^k.  A table lives in
+# one Q(sqrt(d)) (its row and column sums could not mix radicands), and
+# sqrt(d) is irrational, so the equation holds exactly when its rational
+# part 9 sum_r Rint_r(j) py_r^k = L Sx(j) Sy(k) and its irrational part
+# sum_r Bint_r(j) py_r^k = 0 vanish separately.  The integer form is taken
+# once per table, Rint, Bint and Sx once per j, py_r^k and Sy once per k;
+# a cell is then two 3-term integer sums and no Fraction or QuadExt.  The
+# route reads only the table and its supports, never offsets or A_j.
 
 
-def _powers(support: Support3, n: int) -> list[Fraction]:
-    return [p**n for p in support.points]
+def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers n and the least q > 0 with values[i] == n[i] / q."""
+    q = lcm(*(v.denominator for v in values))
+    return [v.numerator * (q // v.denominator) for v in values], q
+
+
+def _moment_cells(
+    table: JointTable, js: Iterable[int], ks: Iterable[int]
+) -> list[Point]:
+    """The (j, k) in js x ks with E[X^j Y^k] == E[X^j] E[Y^k], exactly;
+    in the order of js, then ks.  Orders must be >= 0."""
+    px, _ = _over_one_denominator(table.support_x.points)
+    py, _ = _over_one_denominator(table.support_y.points)
+    cells = [e for row in table.entries for e in row]
+    rational = [e.a if isinstance(e, QuadExt) else e for e in cells]
+    irrational = [e.b if isinstance(e, QuadExt) else 0 for e in cells]
+    nums, den = _over_one_denominator(rational + irrational)
+    # 9 A_rc and B_rc at index 3r + c
+    a, b = [9 * n for n in nums[:9]], nums[9:]
+    by_k = []
+    for k in ks:
+        y0, y1, y2 = (p**k for p in py)
+        by_k.append((k, y0, y1, y2, y0 + y1 + y2))
+    out: list[Point] = []
+    for j in js:
+        x0, x1, x2 = (p**j for p in px)
+        r0, r1, r2 = (a[i] * x0 + a[i + 1] * x1 + a[i + 2] * x2 for i in (0, 3, 6))
+        b0, b1, b2 = (b[i] * x0 + b[i + 1] * x1 + b[i + 2] * x2 for i in (0, 3, 6))
+        lsx = den * (x0 + x1 + x2)
+        out.extend(
+            (j, k)
+            for k, y0, y1, y2, sy in by_k
+            if r0 * y0 + r1 * y1 + r2 * y2 == lsx * sy
+            and b0 * y0 + b1 * y1 + b2 * y2 == 0
+        )
+    return out
 
 
 def marginal_moment(support: Support3, j: int) -> Fraction:
     """E[X^j] for X uniform on the support."""
     if j < 0:
         raise ValueError("moment order must be >= 0")
-    return Fraction(sum(_powers(support, j)), 3)
-
-
-def _row_weights(table: JointTable, j: int) -> tuple[Scalar, Scalar, Scalar]:
-    """(R_0(j), R_1(j), R_2(j)) for rows Y = a, b, c."""
-    x0, x1, x2 = _powers(table.support_x, j)
-    return tuple(e0 * x0 + e1 * x1 + e2 * x2 for e0, e1, e2 in table.entries)
-
-
-def _joint_moment(rows: Sequence[Scalar], y_powers: Sequence[Fraction]) -> Scalar:
-    """E[X^j Y^k] from the row weights at j and the powers y_r^k."""
-    return rows[0] * y_powers[0] + rows[1] * y_powers[1] + rows[2] * y_powers[2]
-
-
-def _factorizes(joint: Scalar, ex: Fraction, ey: Fraction) -> bool:
-    """E[X^j Y^k] == E[X^j] E[Y^k], exactly (a QuadExt equals a rational
-    only when its sqrt part is 0)."""
-    return joint == ex * ey
+    return Fraction(sum(p**j for p in support.points), 3)
 
 
 def moment(table: JointTable, j: int, k: int) -> Scalar:
     """E[X^j Y^k] straight from the joint table."""
-    return _joint_moment(_row_weights(table, j), _powers(table.support_y, k))
+    sx, sy = table.support_x.points, table.support_y.points
+    terms = (
+        e * (sx[c] ** j * sy[r] ** k)
+        for r, row in enumerate(table.entries)
+        for c, e in enumerate(row)
+    )
+    return as_exact(sum(terms, Fraction(0)))
 
 
 def is_uncorrelated(table: JointTable, j: int, k: int) -> bool:
     """Moment-route membership test: E[X^j Y^k] == E[X^j] E[Y^k], exactly."""
-    return _factorizes(
-        moment(table, j, k),
-        marginal_moment(table.support_x, j),
-        marginal_moment(table.support_y, k),
-    )
+    if j < 0 or k < 0:
+        raise ValueError("moment order must be >= 0")
+    return bool(_moment_cells(table, (j,), (k,)))
 
 
 def condition_lhs(x: OffsetVector, seq: ASequence, j: int, k: int) -> Scalar:
@@ -312,26 +349,19 @@ def _bilinear_cells(
 def enumerate_box_table(table: JointTable, jmax: int, kmax: int) -> list[Point]:
     """Moment-route enumeration; the assumption-free cross-check.
 
-    The powers are taken once per order, not once per cell: the row
-    weights R_r(j) and E[X^j] for each j <= jmax, the powers y_r^k and
-    E[Y^k] for each k <= kmax.  That is O(J + K) powers, after which each
-    cell costs one 3-term product sum_r y_r^k R_r(j) and one exact
-    comparison with E[X^j] E[Y^k].  Points come out sorted by j, then k;
-    ``is_uncorrelated`` is the same test for a single cell.
+    Each cell is tested on the definition E[X^j Y^k] = E[X^j] E[Y^k]
+    multiplied by 9 L qx^j qy^k, so that both sides are integers (the
+    integer form written out above ``_moment_cells``).  The integer form
+    of the table is taken once, the row sums Rint_r(j), Bint_r(j) and
+    Sx(j) once per j <= jmax, the powers py_r^k and Sy(k) once per
+    k <= kmax.  That is O(J + K) powers, after which each cell costs two
+    3-term integer sums: the rational and the irrational part of the
+    equation must vanish separately, because sqrt(d) is irrational.
+    Points come out sorted by j, then k; ``is_uncorrelated`` is the same
+    test for a single cell.
     """
     _check_box(jmax, kmax)
-    sy = table.support_y
-    by_k = [(k, _powers(sy, k), marginal_moment(sy, k)) for k in range(1, kmax + 1)]
-    out: list[Point] = []
-    for j in range(1, jmax + 1):
-        rows = _row_weights(table, j)
-        ex = marginal_moment(table.support_x, j)
-        out.extend(
-            (j, k)
-            for k, y_powers, ey in by_k
-            if _factorizes(_joint_moment(rows, y_powers), ex, ey)
-        )
-    return out
+    return _moment_cells(table, range(1, jmax + 1), range(1, kmax + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +422,11 @@ class SetDescriptor:
         if self.kind == "finite":
             check_order(*(n for p in pts for n in p))
         object.__setattr__(self, "points", pts)
-        lats = tuple(sorted(set(self.lattices)))
-        if any(name not in LATTICE_NAMES for name in lats):
+        # names are checked before sorting, which would compare them
+        if any(not isinstance(name, str) or name not in LATTICE_NAMES
+               for name in self.lattices):
             raise ValueError(f"unknown lattice names in {self.lattices!r}")
-        object.__setattr__(self, "lattices", lats)
+        object.__setattr__(self, "lattices", tuple(sorted(set(self.lattices))))
 
     # constructors named after the shapes they describe
 
@@ -455,7 +486,7 @@ class SetDescriptor:
         names = tuple(names)
         if not names:
             return cls.empty(certificate)
-        if sorted(set(names)) == sorted(LATTICE_NAMES):
+        if set(names) == set(LATTICE_NAMES):
             return cls.all_points(certificate)
         return cls("lattice-union", certificate, lattices=names)
 
@@ -923,10 +954,15 @@ WITNESS_SCHEMA = "uncorrsets/witness"
 
 
 def witness_from_json(obj: dict) -> tuple[OffsetVector, SupportLike, SetDescriptor]:
+    """Offsets, support and claim of an offset witness document.  The
+    power sums ``"y"`` are optional; when present they must be to_y(x)."""
     if obj.get("schema") != WITNESS_SCHEMA:
         raise ValueError("not a witness document")
+    x = OffsetVector.from_json(obj["x"])
+    if "y" in obj and YVector.from_json(obj["y"]) != to_y(x):
+        raise ValueError("the witness's y is not the power sums to_y(x) of its x")
     return (
-        OffsetVector.from_json(obj["x"]),
+        x,
         support_from_json(obj["support"]),
         SetDescriptor.from_json(obj["descriptor"]),
     )

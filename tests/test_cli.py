@@ -397,6 +397,8 @@ def test_orders_above_the_cap_exit_two(argv):
         # a schema that is not a string is no known form
         ("schema", ["uncorrsets/witness"]),
         ("schema", {"uncorrsets/witness": 1}),
+        # power sums that are not to_y(x)
+        ("y", ["1", "1", "1", "1"]),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "enumerate"])

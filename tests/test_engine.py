@@ -202,6 +202,13 @@ def test_descriptor_validation():
         SetDescriptor.finite([(0, 1)])
     with pytest.raises(ValueError):
         SetDescriptor.lattice_union(["ee", "xx"])
+    # a name that is not a string is refused before the names are sorted,
+    # so the message does not depend on the string hash seed
+    unknown = r"^unknown lattice names in \(1, 'oo'\)$"
+    with pytest.raises(ValueError, match=unknown):
+        SetDescriptor.from_json({"kind": "lattice-union", "lattices": [1, "oo"]})
+    with pytest.raises(ValueError, match=unknown):
+        SetDescriptor.lattice_union([1, "oo"])
     with pytest.raises(ValueError):
         SetDescriptor.antidiagonal(1)
     with pytest.raises(ValueError):

@@ -189,6 +189,20 @@ def test_moment_enumeration_is_the_definition_at_64():
     assert found == _by_definition(table, 64, 64)
 
 
+def test_moment_enumeration_tests_the_irrational_part():
+    # the diagonal plus sqrt(2) times the column j = 2: the rational part
+    # of the condition vanishes on the whole diagonal, the sqrt(2) part
+    # only at j = 2, so a route that drops the irrational part answers
+    # the diagonal.  An unscaled table keeps the two parts apart (rescale
+    # multiplies by a factor in Q(sqrt(2)), which mixes them).
+    s = Support3.from_values(1, 2, 3)
+    r2 = QuadExt(0, 1, 2)
+    x = OffsetVector.of(0, 1, -1 - Fraction(8, 5) * r2, r2)
+    table = table_from_offsets(x.scaled(Fraction(1, 200)), s, s)
+    by_offsets = enumerate_box_offsets(x, s, 6, 6)
+    assert enumerate_box_table(table, 6, 6) == [(2, 2)] == by_offsets
+
+
 @st.composite
 def golden(draw):
     support = draw(positive_supports)

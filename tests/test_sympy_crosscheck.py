@@ -3,8 +3,9 @@ this package: integer polynomial gcd and real-root counts (with repeated
 roots, and at the degree and coefficient size of the slope line), the gcd
 and membership on the near-line slope line, the F and G determinants at
 rational points, a third route to their closed forms through Schur
-polynomials, and sparse products the size of the closed forms' last
-step."""
+polynomials, sparse products the size of the closed forms' last step,
+and the moment route's box enumeration against E[X^j Y^k] - E[X^j] E[Y^k]
+in sympy's exact arithmetic."""
 
 import random
 from fractions import Fraction
@@ -18,7 +19,12 @@ from hypothesis import strategies as st
 
 sp = pytest.importorskip("sympy")
 
-from uncorrsets.constructions import slopeline_beta_star  # noqa: E402
+from uncorrsets.constructions import (  # noqa: E402
+    make_cross,
+    make_lattice_union,
+    make_two_point,
+    slopeline_beta_star,
+)
 from uncorrsets.determinants import (  # noqa: E402
     f_closed,
     f_direct,
@@ -26,6 +32,15 @@ from uncorrsets.determinants import (  # noqa: E402
     g_direct,
     vandermonde_factor,
 )
+from uncorrsets.engine import enumerate_box_table, offsets_delta  # noqa: E402
+from uncorrsets.model import (  # noqa: E402
+    JointTable,
+    OffsetVector,
+    Support3,
+    rescale,
+    table_from_offsets,
+)
+from uncorrsets.numeric import QuadExt  # noqa: E402
 from uncorrsets.polynomials import IntPoly, MultiPoly, sturm_root_count  # noqa: E402
 from uncorrsets.slopeline import slopeline_d_poly  # noqa: E402
 
@@ -204,3 +219,79 @@ def test_sparse_products_match_sympy(terms, top):
         assert dict((left * right).sorted_terms()) == {
             e: int(c) for e, c in want.items()
         }
+
+
+def _sym_scalar(v):
+    if isinstance(v, QuadExt):
+        return _rat(v.a) + _rat(v.b) * sp.sqrt(v.d)
+    return _rat(v)
+
+
+def _members_by_sympy(table, jmax, kmax):
+    xs = [_rat(p) for p in table.support_x.points]
+    ys = [_rat(p) for p in table.support_y.points]
+    e = [[_sym_scalar(v) for v in row] for row in table.entries]
+    out = []
+    for j in range(1, jmax + 1):
+        ex = sum(x**j for x in xs) / 3
+        for k in range(1, kmax + 1):
+            ey = sum(y**k for y in ys) / 3
+            joint = sum(
+                e[r][c] * xs[c] ** j * ys[r] ** k for r in range(3) for c in range(3)
+            )
+            if sp.simplify(joint - ex * ey) == 0:
+                out.append((j, k))
+    return out
+
+
+# two different supports, each with denominators 2 and 3
+SX = Support3.from_values(Fraction(1, 2), Fraction(2, 3), 3)
+SY = Support3.from_values(Fraction(1, 3), 1, Fraction(5, 2))
+GENERAL = Support3.from_values(-3, 0, 2)
+S123 = Support3.from_values(1, 2, 3)
+
+
+def _table(x, sx, sy):
+    return table_from_offsets(rescale(x), sx, sy)
+
+
+def _own_table(built):
+    return _table(built.x, built.support, built.support)
+
+
+def _planted_general():
+    # offsets whose deviation form vanishes at (2, 3) on (-3, 0, 2): the
+    # form is linear in x, so x = (c2, -c1, 0, 0) with c_i its value on
+    # the unit offsets
+    unit = [OffsetVector.of(*(int(i == n) for i in range(4))) for n in range(2)]
+    c1, c2 = (offsets_delta(u, GENERAL, GENERAL, 2, 3) for u in unit)
+    return _table(OffsetVector.of(c2, -c1, 0, 0), GENERAL, GENERAL)
+
+
+def _sqrt2_column():
+    # the diagonal plus sqrt(2) times the column j = 2, unscaled by rescale
+    r2 = QuadExt(0, 1, 2)
+    x = OffsetVector.of(0, 1, -1 - Fraction(8, 5) * r2, r2)
+    return table_from_offsets(x.scaled(Fraction(1, 200)), S123, S123)
+
+
+TABLES = {
+    "two-supports-independent": lambda: JointTable.independent(SX, SY),
+    "two-supports": lambda: _table(OffsetVector.of(1, -2, 3, 1), SX, SY),
+    "denominators-cross": lambda: _own_table(make_cross(SX, 2, 3)),
+    "symmetric-zero": lambda: _own_table(
+        make_lattice_union(Fraction(3, 2), ["eo", "oe"])
+    ),
+    "general-zero": _planted_general,
+    "general-zero-two-supports": lambda: _table(
+        OffsetVector.of(1, 1, -1, 2), GENERAL, Support3.symmetric(2)
+    ),
+    "sqrt2-two-point": lambda: _own_table(make_two_point(SY, (1, 2), (3, 1))),
+    "sqrt2-column": _sqrt2_column,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_moment_enumeration_matches_sympy(name):
+    table = TABLES[name]()
+    assert enumerate_box_table(table, 5, 5) == _members_by_sympy(table, 5, 5)
