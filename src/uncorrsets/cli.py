@@ -16,7 +16,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from . import constructions, determinants, engine, model, selftest
+from . import constructions, engine, model
 from .constructions import Construction, SlopeLineParams
 from .engine import SetDescriptor
 from .model import BetaSupport, JointTable, Support3
@@ -215,6 +215,8 @@ def _cmd_betastar(args) -> int:
 
 
 def _cmd_det(args) -> int:
+    from . import determinants
+
     if args.family == "f":
         result = determinants.f_check(args.m, args.n)
     elif args.family == "g":
@@ -226,6 +228,8 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_indep_cert(args) -> int:
+    from . import determinants
+
     pts = _parse_points(args.points)
     support = BetaSupport(_rational(args.alpha), _rational(args.beta))
     cert = determinants.independence_certificate(pts, support)
@@ -234,6 +238,8 @@ def _cmd_indep_cert(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
+
     failures = selftest.run(seed=args.seed, fast=args.fast)
     return 0 if failures == 0 else 1
 

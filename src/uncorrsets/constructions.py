@@ -131,11 +131,13 @@ class Construction:
     @classmethod
     def from_json(cls, doc: dict) -> "Construction":
         """The witness of a document: offsets through
-        ``engine.witness_from_json``, an algebraic line re-certified."""
+        ``engine.witness_from_json``, an algebraic line re-certified.
+        The inverse of ``to_json`` on every document it writes."""
         name = doc.get("name", "")
         if "algebraic" not in doc:
+            # witness_from_json has checked that a "y" is to_y(x)
             x, support, desc = witness_from_json(doc)
-            return cls(name, desc, support, x)
+            return cls(name, desc, support, x, to_y(x) if "y" in doc else None)
         if doc.get("schema") != WITNESS_SCHEMA:
             raise ValueError("not a witness document")
         line = AlgebraicSlopeLine.from_json(doc["algebraic"])

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from . import linalg
@@ -156,8 +157,10 @@ def det2_check(j: int, m: int) -> DetResult:
     return DetResult("det2", j, m, direct, closed, direct == closed)
 
 
+@cache
 def vandermonde_factor() -> MultiPoly:
-    """(y-x)(z-x)(t-x)(z-y)(t-y)(t-z) in the four-variable ring."""
+    """(y-x)(z-x)(t-x)(z-y)(t-y)(t-z) in the four-variable ring.  Built
+    once: no MultiPoly operation changes its operands."""
     vs = [MultiPoly.variable(4, i) for i in range(4)]
     out = MultiPoly.const(4, 1)
     for a in range(4):

@@ -11,12 +11,16 @@ fact: the moment route tests the definition on the joint table itself,
 the condition route evaluates the linear form above.  They are kept
 independent so one can audit the other.
 
-Box enumeration on such supports uses the column law: for fixed j the
-form is u + A_k v with u = x1 + A_j x2 and v = x3 + A_j x4, linear in
-A_k.  Since A is injective, a column is either whole (u = v = 0), empty
-(v = 0 only), or holds the single k with A_k = -u/v, if any.  One exact
-solve per column therefore replaces one exact evaluation per cell, and
-``condition_lhs`` stays as the per-cell oracle.
+Box enumeration on such supports uses the column law, in integers.
+With the support over one denominator as pa < pb < pc, A_j = N_j / D_j
+where N_j = pc^j - pa^j and D_j = pc^j - pb^j; with the offsets over one
+denominator as (R + I sqrt(d)) / L, column j needs D_k U + N_k V = 0 for
+U = D_j P1 + N_j P2 and V = D_j P3 + N_j P4, once for P = R and once for
+P = I.  Since A is injective, a column is either whole (every U and V is
+0), empty (some part has V = 0 but U != 0, or two parts disagree), or
+holds the single k whose reduced (N_k, D_k) is the reduced (-U, V), if
+any.  One integer solve per column replaces one exact evaluation per
+cell, and ``condition_lhs`` stays as the per-cell oracle.
 
 An uncorrelatedness set inside a finite box is summarized by a
 ``SetDescriptor`` (a shape claim such as "the column j = 2" or "the
@@ -53,7 +57,8 @@ slope-line polynomials come from ``slopeline``.
 Symmetric supports (-v, 0, v) get their own classification: there A_j
 degenerates to 0 for even j and 2 for odd j, the box collapses onto the
 four parity classes, and membership is decided by four linear forms in
-the offsets.
+the offsets.  Box enumeration there emits the cells of the classes whose
+form vanishes, and ``offsets_delta`` stays as the per-cell oracle.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from . import linalg
@@ -77,7 +82,14 @@ from .model import (
     support_from_json,
     to_y,
 )
-from .numeric import QuadExt, Scalar, as_exact, exact_sign, int_from_json
+from .numeric import (
+    MixedRadicand,
+    QuadExt,
+    Scalar,
+    as_exact,
+    exact_sign,
+    int_from_json,
+)
 from .slopeline import beta0_poly, slopeline_y_polys
 
 Point = tuple[int, int]
@@ -285,44 +297,110 @@ def enumerate_box_offsets(
 ) -> list[Point]:
     """All uncorrelated (j, k) with 1 <= j <= jmax, 1 <= k <= kmax.
 
-    Positive ordered supports are solved one column at a time: with
-    u = x1 + A_j x2 and v = x3 + A_j x4 the condition reads u + A_k v = 0,
-    so column j is whole when u = v = 0, empty when only v = 0, and
-    otherwise holds at most the one k with A_k = -u/v.  That k is found
-    by a dict lookup among {A_k: k}, which is exact: A is injective
-    (strictly decreasing), -u/v is compared as an exact rational, and an
-    irrational -u/v equals no A_k.  Other supports evaluate the deviation
-    bilinear form per cell from hoisted power tables.  Points come out
-    sorted by j, then k; ``condition_lhs`` and ``offsets_delta`` remain
-    the per-cell oracles.
+    Positive ordered supports are solved one column at a time in
+    integers: with A_j = N_j / D_j and the offsets written as
+    (R + I sqrt(d)) / L, column j is whole, empty, or holds the one k
+    whose reduced (N_k, D_k) equals the column's key (the column law of
+    the module docstring).  Symmetric supports (-v, 0, v) answer
+    with the parity classes whose form ``_symmetric_lattices`` finds
+    zero.  General-ordered supports evaluate the deviation bilinear form
+    per cell from hoisted power tables.  Points come out sorted by j,
+    then k; ``condition_lhs`` and ``offsets_delta`` remain the per-cell
+    oracles.
     """
     _check_box(jmax, kmax)
     s3 = support.to_support3()
     if s3.kind is SupportKind.POSITIVE_ORDERED:
-        return _solve_columns(x, ASequence(support), jmax, kmax)
+        ratios = _ratio_terms(s3, max(jmax, kmax))
+        return _solve_columns(_offset_parts(x), ratios[:jmax], ratios[:kmax])
+    if s3.kind is SupportKind.SYMMETRIC_ZERO:
+        return _parity_cells(x, jmax, kmax)
     return _bilinear_cells(x, s3, jmax, kmax)
 
 
+# The condition route in integers (the column law of the module
+# docstring).  Times the positive number D_j D_k L, the condition
+# x1 + A_j x2 + A_k x3 + A_j A_k x4 = 0 reads D_k U + N_k V = 0 for
+# P = R and for P = I separately, since sqrt(d) is irrational.  A part
+# with U = V = 0 holds on the whole column, one with V = 0 only holds
+# nowhere (D_k > 0), any other exactly where A_k = -U / V; reduced integer
+# pairs compare those ratios with no Fraction or QuadExt.
+
+
+def _ratio_terms(s3: Support3, n: int) -> list[tuple[int, int]]:
+    """(N_j, D_j) for j = 1..n, with A_j = N_j / D_j.  Like
+    ``ASequence.value``, raises ArithmeticError unless every A_j > 1 and
+    the sequence strictly decreases, so a corrupted support cannot hand
+    out a non-injective sequence silently."""
+    (pa, pb, pc), _ = _over_one_denominator(s3.points)
+    out: list[tuple[int, int]] = []
+    a = b = c = 1
+    for j in range(1, n + 1):
+        a, b, c = a * pa, b * pb, c * pc
+        num, den = c - a, c - b
+        if not num > den > 0:
+            raise ArithmeticError(f"A_{j} = {num}/{den} fell to 1 or below")
+        if out and not out[-1][0] * den > num * out[-1][1]:
+            raise ArithmeticError(f"A_{j - 1} <= A_{j}: sequence not decreasing")
+        out.append((num, den))
+    return out
+
+
+def _offset_parts(x: OffsetVector) -> list[list[int]]:
+    """R, and I when it is not zero, with x = (R + I sqrt(d)) / L."""
+    radicands = sorted({v.d for v in x.x if isinstance(v, QuadExt)})
+    if len(radicands) > 1:
+        raise MixedRadicand(
+            f"cannot combine sqrt({radicands[0]}) with sqrt({radicands[1]})"
+        )
+    rat, irr = _split_sqrt(x.x)
+    nums, _ = _over_one_denominator(rat + irr)
+    return [nums[:4], nums[4:]] if any(nums[4:]) else [nums[:4]]
+
+
 def _solve_columns(
-    x: OffsetVector, seq: ASequence, jmax: int, kmax: int
+    parts: list[list[int]],
+    cols: Sequence[tuple[int, int]],
+    rows: Sequence[tuple[int, int]],
 ) -> list[Point]:
-    x1, x2, x3, x4 = x.x
-    row_of = {seq.value(k): k for k in range(1, kmax + 1)}
+    """The members of the box whose columns take (N_j, D_j) from cols and
+    whose rows take (N_k, D_k) from rows, sorted by j, then k."""
+    row_of = {}
+    for k, (n, d) in enumerate(rows, 1):
+        g = gcd(n, d)
+        row_of[n // g, d // g] = k
+    out: list[Point] = []
+    for j, (nj, dj) in enumerate(cols, 1):
+        keys = set()
+        for p1, p2, p3, p4 in parts:
+            u, v = dj * p1 + nj * p2, dj * p3 + nj * p4
+            if v == 0:
+                if u != 0:
+                    break  # this part holds nowhere: the column is empty
+                continue
+            if v < 0:
+                u, v = -u, -v
+            g = gcd(u, v)
+            keys.add((-u // g, v // g))
+        else:
+            if not keys:
+                out.extend((j, k) for k in range(1, len(rows) + 1))
+            elif len(keys) == 1 and (k := row_of.get(keys.pop())) is not None:
+                out.append((j, k))
+    return out
+
+
+def _parity_cells(x: OffsetVector, jmax: int, kmax: int) -> list[Point]:
+    """The box on (-v, 0, v), where for j, k >= 1 the deviation form is
+    v^(j+k) times the form of the parity class of (j, k)."""
+    zero = set(_symmetric_lattices(x))
     out: list[Point] = []
     for j in range(1, jmax + 1):
-        aj = seq.value(j)
-        u = as_exact(x1 + aj * x2)
-        v = as_exact(x3 + aj * x4)
-        if exact_sign(v) == 0:
-            if exact_sign(u) == 0:
-                out.extend((j, k) for k in range(1, kmax + 1))
-            continue
-        t = as_exact(-u / v)
-        if isinstance(t, QuadExt):
-            continue
-        k = row_of.get(t)
-        if k is not None:
-            out.append((j, k))
+        # class names read "e" for an even order, "o" for an odd one
+        starts = [k0 for k0 in (1, 2) if "eo"[j % 2] + "eo"[k0 % 2] in zero]
+        if starts:
+            step = 1 if len(starts) == 2 else 2
+            out.extend((j, k) for k in range(starts[0], kmax + 1, step))
     return out
 
 

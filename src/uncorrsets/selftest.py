@@ -1,11 +1,12 @@
 """Seeded audit of the package's guarantees, one section function each.
 
 A section takes its inputs and returns a ``Section``: the two membership
-routes agree, every golden construction reproduces its expected set, the
-F and G determinant identities hold, the slope line behaves at and near
-its threshold, four collinear orders are independent, parity unions on
-symmetric supports classify back to themselves, and every enumerated set
-obeys transposition, line closure and cross maximality.  ``run`` calls
+routes and the per-cell condition form agree, every golden construction
+reproduces its expected set, the F and G determinant identities hold,
+the slope line behaves at and near its threshold, four collinear orders
+are independent, parity unions on symmetric supports classify back to
+themselves and enumerate as the per-cell form says, and every enumerated
+set obeys transposition, line closure and cross maximality.  ``run`` calls
 the sections on seeded inputs at self-test scale; the acceptance tests
 call the same sections on their own, larger inputs.  Everything is
 exact; a single FAIL means broken arithmetic, not bad luck.
@@ -39,23 +40,28 @@ class Section:
 
 
 def route_agreement(pairs: list, box: int) -> Section:
-    """The moment route's box enumeration, as the CLI runs it, against the
-    cells where the condition form vanishes, for each (support, offsets)
-    pair, with the offsets rescaled into a table."""
+    """Three sides, for each (support, offsets) pair with the offsets
+    rescaled into a table: the moment route's box enumeration and the
+    condition route's, as the CLI runs them, and the cells where the
+    per-cell condition form vanishes."""
     problems = []
     cells = list(product(range(1, box + 1), repeat=2))
     for support, x in pairs:
         x, s3 = model.rescale(x), support.to_support3()
         table = model.table_from_offsets(x, s3, s3)
         seq = ASequence(support)
-        by_moments = set(engine.enumerate_box_table(table, box, box))
-        by_condition = {p for p in cells if engine.condition_lhs(x, seq, *p) == 0}
-        for j, k in sorted(by_moments ^ by_condition):
+        sides = (
+            set(engine.enumerate_box_table(table, box, box)),
+            set(engine.enumerate_box_offsets(x, support, box, box)),
+            {p for p in cells if engine.condition_lhs(x, seq, *p) == 0},
+        )
+        for j, k in sorted(set.union(*sides) - set.intersection(*sides)):
             problems.append(f"{s3.points} {x.x} at ({j}, {k})")
     supports = len({support for support, _ in pairs})
     return Section(
-        f"moment route matched the condition route for {len(pairs)} offset "
-        f"vectors on {supports} supports over the {box}x{box} box",
+        "moment route, box enumeration and per-cell condition form matched "
+        f"for {len(pairs)} offset vectors on {supports} supports over the "
+        f"{box}x{box} box",
         len(pairs),
         tuple(problems),
     )
@@ -190,11 +196,13 @@ def independence(orders, support: BetaSupport) -> Section:
     )
 
 
-def parity_classes(subsets: list) -> Section:
+def parity_classes(subsets: list, box: int) -> Section:
     """On (-1, 0, 1): the independence table is the full grid, offsets
     (1, 0, 0, 0) give the empty set, and each named union of parity
-    classes classifies back to itself."""
+    classes classifies back to itself, and its box enumeration is the
+    set of cells where the per-cell deviation form vanishes."""
     sym = Support3.symmetric(1)
+    cells = list(product(range(1, box + 1), repeat=2))
     problems = []
     full = model.JointTable.independent(sym, sym)
     if engine.classify_symmetric(full).kind != "all":
@@ -208,9 +216,13 @@ def parity_classes(subsets: list) -> Section:
         want = SetDescriptor.lattice_union(subset, engine.GLOBAL_ANALYTIC)
         if not got == built.descriptor == want:
             problems.append(f"{subset} classified as {got.format_spec()}")
+        found = engine.enumerate_box_offsets(built.x, sym, box, box)
+        delta = [p for p in cells if engine.offsets_delta(built.x, sym, sym, *p) == 0]
+        if found != delta:
+            problems.append(f"{subset} enumerated as {found}")
     return Section(
         f"independence and empty tables plus {len(subsets)} lattice unions "
-        "classified correctly",
+        f"classified correctly and enumerated over the {box}x{box} box",
         len(subsets) + 2,
         tuple(problems),
     )
@@ -328,7 +340,7 @@ def run(seed: int = 20250817, fast: bool = False, out=print) -> int:
         ),
         lambda: slope_line_threshold(12, Fraction(1, 10**9)),
         lambda: independence([(1, 2), (2, 4), (3, 6), (4, 8)], BetaSupport(1, 2)),
-        lambda: parity_classes(subsets),
+        lambda: parity_classes(subsets, box),
         lambda: structural_invariants(pairs, box),
     )
     failures = 0

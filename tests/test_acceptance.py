@@ -137,7 +137,7 @@ def test_criterion_5_independence_certificate(capsys):
 def test_criterion_6_parity_classification(capsys):
     names = ("ee", "eo", "oe", "oo")
     cases = list(combinations(names, 1)) + list(combinations(names, 2))
-    _report(capsys, 6, selftest.parity_classes(cases))
+    _report(capsys, 6, selftest.parity_classes(cases, 16))
 
 
 def test_criterion_7_structural_invariants(capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import uncorrsets
 from uncorrsets import engine, selftest
 from uncorrsets.cli import main
+from uncorrsets.constructions import Construction
 from uncorrsets.model import (
     JointTable,
     OffsetVector,
@@ -51,6 +52,28 @@ def test_construct_then_verify_round_trip(capsys, tmp_path):
     assert code == 0
     assert report["verdict"] == "match"
     assert report["analytic"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("empty",),
+        ("all",),
+        ("diagonal",),
+        ("singleton", "--point", "2,3"),
+        ("two-point", "--points", "1,2;2,1"),
+        ("vline", "--j", "2"),
+        ("hline", "--k", "3"),
+        ("cross", "--j", "2", "--k", "3"),
+        ("antidiagonal", "--m", "5", "--beta", "2"),
+        ("slopeline", "--m", "2", "--beta", "2"),
+        ("slopeline", "--m", "2", "--k", "9"),
+        ("lattice-union", "--lattices", "ee,oo"),
+    ],
+)
+def test_reading_a_construct_document_writes_it_back(capsys, argv):
+    _, doc = _run_json(capsys, "construct", *argv)
+    assert Construction.from_json(doc).to_json() == doc
 
 
 def test_verify_mismatch_sets_exit_code(capsys, tmp_path):

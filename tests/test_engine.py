@@ -42,7 +42,7 @@ from uncorrsets.model import (
     rescale,
     table_from_offsets,
 )
-from uncorrsets.numeric import QuadExt
+from uncorrsets.numeric import MixedRadicand, QuadExt
 
 from route_guard import reachable
 
@@ -75,6 +75,27 @@ def test_moment_ratio_audit_catches_corruption():
     seq._cache[2] = Fraction(1, 2)  # plant a value below 1's successor
     with pytest.raises(ArithmeticError):
         seq.value(3)
+
+
+def test_box_enumeration_audits_the_ratios_too():
+    # a support corrupted past its own validation: A_1 = (2 - 1) / (2 - 3)
+    bad = Support3.from_values(1, 2, 3)
+    object.__setattr__(bad, "points", (Fraction(1), Fraction(3), Fraction(2)))
+    with pytest.raises(ArithmeticError):
+        enumerate_box_offsets(OffsetVector.of(0, 1, -1, 0), bad, 4, 4)
+    # A = 6, 12/7, 72/37 on (-2, 3, 4) passed off as positive: every
+    # A_j > 1, but A_2 < A_3
+    flat = Support3.from_values(1, 2, 3)
+    object.__setattr__(flat, "points", (Fraction(-2), Fraction(3), Fraction(4)))
+    with pytest.raises(ArithmeticError, match="A_2 <= A_3"):
+        enumerate_box_offsets(OffsetVector.of(0, 1, -1, 0), flat, 4, 4)
+
+
+@pytest.mark.parametrize("support", [S123, Support3.symmetric(1)])
+def test_box_enumeration_refuses_mixed_radicands(support):
+    x = OffsetVector.of(QuadExt(0, 1, 2), 0, QuadExt(0, 1, 3), 0)
+    with pytest.raises(MixedRadicand):
+        enumerate_box_offsets(x, support, 3, 3)
 
 
 def test_marginal_and_joint_moments():
@@ -139,6 +160,20 @@ def test_moment_route_stays_independent_of_the_condition_route():
         "def moment(t):\n    return h(t)\ndef h(t):\n    return t.deviations()\n"
     )
     assert "deviations" in reachable(planted, "moment")
+
+
+def test_condition_route_stays_independent_of_the_moment_route():
+    # the reverse guard: the box enumeration on offsets must not lean on
+    # the table or the moment route it is audited against
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    moment_route = {
+        "_moment_cells",
+        "enumerate_box_table",
+        "is_uncorrelated",
+        "moment",
+        "entries",
+    }
+    assert not moment_route & reachable(tree, "enumerate_box_offsets")
 
 
 def test_delta_route_on_general_support():

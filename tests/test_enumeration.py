@@ -1,10 +1,12 @@
 """Property tests: the column solve agrees with both per-cell routes.
 
-Inputs carry planted zeros, so the sets under test are not all empty: a
-random support and a few random target orders give condition rows, and
-the witness is drawn from their nullspace (rational, or with a sqrt(2)
-part).  The golden constructions add whole columns, crosses, the full
-box and Q(sqrt(2)) singletons and pairs on random positive supports.
+Most inputs carry planted zeros, so the sets under test are not all
+empty: a random support and a few random target orders give condition
+rows, and the witness is drawn from their nullspace (rational, or with a
+sqrt(2) part).  The golden constructions add whole columns, crosses, the
+full box and Q(sqrt(2)) singletons and pairs on random positive
+supports.  Unplanted small offsets, often zero, test boxes up to 64
+against the per-cell forms alone.
 """
 
 from fractions import Fraction
@@ -201,6 +203,45 @@ def test_moment_enumeration_tests_the_irrational_part():
     table = table_from_offsets(x.scaled(Fraction(1, 200)), s, s)
     by_offsets = enumerate_box_offsets(x, s, 6, 6)
     assert enumerate_box_table(table, 6, 6) == [(2, 2)] == by_offsets
+
+
+# unplanted offsets: small entries, often zero, some in Q(sqrt(2))
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    _rationals,
+    st.builds(lambda a, b: QuadExt(a, b, 2), _rationals, _rationals),
+)
+offsets = st.tuples(_entries, _entries, _entries, _entries).map(OffsetVector)
+BIG_BOX = st.integers(1, 64)
+
+
+@SETTINGS
+@given(offsets, positive_supports, BIG_BOX, BIG_BOX)
+def test_column_solve_is_the_condition_form(x, support, jmax, kmax):
+    seq = ASequence(support)
+    cells = [(j, k) for j in range(1, jmax + 1) for k in range(1, kmax + 1)]
+    want = [p for p in cells if condition_lhs(x, seq, *p) == 0]
+    assert enumerate_box_offsets(x, support, jmax, kmax) == want
+
+
+# the per-cell deviation form runs on powers of alpha; fewer examples
+@settings(max_examples=20, deadline=None, database=None)
+@given(offsets, _positive, BIG_BOX, BIG_BOX)
+def test_parity_cells_are_the_deviation_form(x, alpha, jmax, kmax):
+    s = Support3.symmetric(alpha)
+    cells = [(j, k) for j in range(1, jmax + 1) for k in range(1, kmax + 1)]
+    want = [p for p in cells if offsets_delta(x, s, s, *p) == 0]
+    assert enumerate_box_offsets(x, s, jmax, kmax) == want
+
+
+def test_parity_cells_tell_the_classes_apart():
+    # each class alone, on a box whose sides have both parities
+    s = Support3.symmetric(Fraction(3, 2))
+    starts = {"ee": (2, 2), "eo": (2, 1), "oe": (1, 2), "oo": (1, 1)}
+    for name, (j0, k0) in starts.items():
+        built = make_lattice_union(Fraction(3, 2), [name])
+        want = [(j, k) for j in range(j0, 6, 2) for k in range(k0, 5, 2)]
+        assert enumerate_box_offsets(built.x, s, 5, 4) == want, name
 
 
 @st.composite
