@@ -29,8 +29,10 @@ polynomial D(j, k) and a Sturm count; ``certify`` re-derives a line read
 from a document.  Its ``enumerate_box`` puts a cheap filter in front of
 that exact test: with D = c0 + B^k c1, monotone interval enclosures of c0
 and c1 on (lo, hi) admit, per column j, only the k whose [lo^k, hi^k] can
-hold -c0/c1, and only those cells reach the gcd.  These polynomials live
-in ``slopeline``.  ``Construction`` is the one in-memory witness:
+hold -c0/c1, and only those cells reach the gcd.  The enclosures are
+integer sums over the powers of the interval's ends, scaled to one
+common denominator once per box.  These polynomials live in
+``slopeline``.  ``Construction`` is the one in-memory witness:
 ``to_json`` is the one writer of witness documents and ``from_json`` the
 one reader; ``enumerate_box``, ``verify`` and ``table`` serve offsets
 and algebraic lines alike, and ``verify`` holds the rule for a claim on
@@ -43,6 +45,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import lcm
+from operator import mul
 
 from .engine import (
     ASequence,
@@ -77,8 +82,8 @@ from .polynomials import IntPoly, isolate_root, sturm_root_count
 from .slopeline import (
     beta0_poly,
     beta_star_poly,
-    slopeline_d_parts,
     slopeline_d_poly,
+    slopeline_d_terms,
     slopeline_y_polys,
 )
 
@@ -235,27 +240,39 @@ def beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
     threshold polynomial, no root comparison needed).  A width that is
     not positive raises ValueError.
     """
+    width = _check_width(width)
+    check_order(m, k)
+    return _near_line_interval(beta_star_poly(m, k), m, k, width)
+
+
+def _check_width(width) -> Fraction:
     width = Fraction(width)
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    check_order(m, k)
-    p = beta_star_poly(m, k)
+    return width
+
+
+def _near_line_interval(
+    p: IntPoly, m: int, k: int, width: Fraction
+) -> tuple[Fraction, Fraction]:
+    """``beta_star`` on P = beta_star_poly(m, k), built by the caller; every
+    sign is read from the integer Horner sum."""
     threshold = beta0_poly(m)
     _, hi0 = beta0(m, Fraction(1, 2**20))
     step = Fraction(1, 2)
     for _ in range(64):
         lo = 1 + step
-        if lo < hi0 and p(lo) < 0:
+        if lo < hi0 and p.sign_at(lo) < 0:
             break
         step /= 2
     else:
         raise BracketNotFound(
             f"P stayed nonnegative on 1 + 2^-i for i <= 64 with m={m}, k={k}"
         )
-    if p(hi0) <= 0:
+    if p.sign_at(hi0) <= 0:
         raise BracketNotFound(f"P({hi0}) <= 0; no sign change before beta0")
     lo, hi = isolate_root(p, lo, hi0, width)
-    while lo < hi and threshold(hi) >= 0:
+    while lo < hi and threshold.sign_at(hi) >= 0:
         lo, hi = isolate_root(p, lo, hi, (hi - lo) / 2)
     return lo, hi
 
@@ -327,6 +344,12 @@ class AlgebraicSlopeLine:
         the hull of the quotients -c0/c1 goes to ``contains``; otherwise
         the whole column does.  The filter drops no cell ``contains``
         accepts, and every point returned is decided by ``contains``.
+
+        The enclosures run in integers: with lo = a/d, hi = b/d and N the
+        largest degree of a c0 or c1 in the box, the powers a^i d^(N-i)
+        and b^i d^(N-i) are built once, and each enclosure end is a sum of
+        at most four of them, scaled by d^N.  The scale cancels in the
+        quotients, the only Fractions built per column.
         Raises ValueError unless 1 < lo < hi, which the enclosures need.
         """
         _check_box(jmax, kmax)
@@ -336,15 +359,17 @@ class AlgebraicSlopeLine:
         # both increase with kk, since lo > 1
         lo_powers = [lo**kk for kk in range(1, kmax + 1)]
         hi_powers = [hi**kk for kk in range(1, kmax + 1)]
+        # c0 has degree at most j + 3m + 1, c1 less
+        lo_scaled, hi_scaled = _scaled_powers(lo, hi, jmax + 3 * self.m + 1)
         out = []
         for j in range(1, jmax + 1):
-            c0, c1 = slopeline_d_parts(self.m, j)
-            a1, b1 = _enclosure(c1, lo, hi)
+            c0, c1 = slopeline_d_terms(self.m, j)
+            a1, b1 = _enclosure(c1, lo_scaled, hi_scaled)
             if a1 <= 0 <= b1:
                 candidates = range(1, kmax + 1)
             else:
-                a0, b0 = _enclosure(c0, lo, hi)
-                quotients = [-c / d for c in (a0, b0) for d in (a1, b1)]
+                a0, b0 = _enclosure(c0, lo_scaled, hi_scaled)
+                quotients = [Fraction(-c, dd) for c in (a0, b0) for dd in (a1, b1)]
                 first = bisect_left(hi_powers, min(quotients)) + 1
                 last = bisect_right(lo_powers, max(quotients))
                 candidates = range(first, last + 1)
@@ -390,18 +415,42 @@ class AlgebraicSlopeLine:
         )
 
 
-def _enclosure(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Bounds on p over [lo, hi] for 0 < lo: the parts of p with positive
-    and with negative coefficients both increase there."""
-    pos = IntPoly([max(c, 0) for c in p.coeffs])
-    neg = IntPoly([max(-c, 0) for c in p.coeffs])
-    return pos(lo) - neg(hi), pos(hi) - neg(lo)
+def _scaled_powers(lo: Fraction, hi: Fraction, n: int) -> tuple[list[int], list[int]]:
+    """a^i d^(n-i) and b^i d^(n-i) for i = 0..n, with lo = a/d and hi = b/d
+    over one common denominator d: the powers of lo and hi times d^n."""
+    d = lcm(lo.denominator, hi.denominator)
+    down = list(accumulate(repeat(d, n), mul, initial=1))[::-1]  # d^(n-i)
+
+    def scaled(q: Fraction) -> list[int]:
+        a = q.numerator * (d // q.denominator)
+        return list(map(mul, accumulate(repeat(a, n), mul, initial=1), down))
+
+    return scaled(lo), scaled(hi)
+
+
+def _enclosure(
+    terms: dict[int, int], lo_scaled: list[int], hi_scaled: list[int]
+) -> tuple[int, int]:
+    """Bounds on the sum of c B^i over [lo, hi] for 0 < lo, both scaled as
+    the powers are: the parts with positive and with negative
+    coefficients both increase there."""
+    low = high = 0
+    for i, c in terms.items():
+        if c > 0:
+            low += c * lo_scaled[i]
+            high += c * hi_scaled[i]
+        else:
+            low += c * hi_scaled[i]
+            high += c * lo_scaled[i]
+    return low, high
 
 
 def slopeline_beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> AlgebraicSlopeLine:
     """Isolate beta_star(m, k) and certify the interval holds one root."""
-    lo, hi = beta_star(m, k, width)
+    width = _check_width(width)
+    check_order(m, k)
     p = beta_star_poly(m, k)
+    lo, hi = _near_line_interval(p, m, k, width)
     while sturm_root_count(p, lo, hi) != 1:
         lo, hi = isolate_root(p, lo, hi, (hi - lo) / 4)
     return AlgebraicSlopeLine(m=m, k=k, poly=p, interval=(lo, hi))

@@ -242,13 +242,6 @@ def _moment_cells(
     return out
 
 
-def marginal_moment(support: Support3, j: int) -> Fraction:
-    """E[X^j] for X uniform on the support."""
-    if j < 0:
-        raise ValueError("moment order must be >= 0")
-    return Fraction(sum(p**j for p in support.points), 3)
-
-
 def moment(table: JointTable, j: int, k: int) -> Scalar:
     """E[X^j Y^k] straight from the joint table."""
     sx, sy = table.support_x.points, table.support_y.points

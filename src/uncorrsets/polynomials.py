@@ -10,8 +10,10 @@ step is a pseudo-division scaled by positive factors only, with the
 content divided out, so no Fraction is built and the signs of the
 chain are those of the rational remainders.  The Sturm chain runs
 straight from p and p' to gcd(p, p'), with no square-free pass first.
-Root isolation never touches floating point; every interval endpoint
-stays a Fraction, and signs are read from the integer Horner sum.
+Root isolation never touches floating point.  It bisects on integer
+numerators over one common denominator: lo = a/d and hi = b/d become
+(a, a + b) or (a + b, 2b) over 2d, so a step is two integer additions and
+one integer Horner sum, and Fractions are built only for the result.
 
 ``MultiPoly`` is a sparse multivariate polynomial over the integers,
 a dict from exponent tuples to nonzero coefficients.  The determinant
@@ -28,7 +30,7 @@ surviving terms are unpacked back to tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from operator import add, lshift
 from typing import Iterable, Sequence
 
@@ -92,6 +94,10 @@ class IntPoly:
         if isinstance(x, int) or not self._coeffs:
             return acc
         return Fraction(acc, x.denominator ** self.degree)
+
+    def sign_at(self, x: int | Fraction) -> int:
+        """The sign of p(x), read from the integer Horner sum."""
+        return _sign(_horner(self._coeffs, x.numerator, x.denominator))
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self._coeffs, other._coeffs
@@ -192,10 +198,6 @@ def _horner(coeffs: Sequence[int], n: int, d: int) -> int:
     return acc
 
 
-def _sign_at(p: IntPoly, x: Fraction) -> int:
-    return _sign(_horner(p.coeffs, x.numerator, x.denominator))
-
-
 def _remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """A positive multiple of the remainder of a by b, primitive.
 
@@ -232,7 +234,7 @@ def sturm_root_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     come from sign-change brackets.
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    if _sign_at(p, lo) == 0 or _sign_at(p, hi) == 0:
+    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise ValueError("endpoint is a root; shrink the interval first")
     chain = [p.coeffs, p.derivative().coeffs]
     while chain[-1]:
@@ -257,29 +259,38 @@ def isolate_root(
     interval (root, root) is returned.  Raises NoSignChange when the
     initial bracket has no sign change, and ValueError when the width is
     not positive (bisection would never reach it).
+
+    The bracket runs as a/d and b/d with one common denominator d: the
+    midpoint is (a + b)/2d, the kept endpoint is doubled, and the width
+    test is (b - a)·wd > wn·d for width wn/wd, all in integers.
     """
     lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     if lo >= hi:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
-    slo, shi = _sign_at(p, lo), _sign_at(p, hi)
+    slo, shi = p.sign_at(lo), p.sign_at(hi)
     if slo == 0:
         return lo, lo
     if shi == 0:
         return hi, hi
     if slo == shi:
         raise NoSignChange(f"p({lo}) and p({hi}) share sign {slo}")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = _sign_at(p, mid)
+    cs = p.coeffs
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * d:
+        mid, d = a + b, 2 * d
+        sm = _sign(_horner(cs, mid, d))
         if sm == 0:
-            return mid, mid
+            root = Fraction(mid, d)
+            return root, root
         if sm == slo:
-            lo = mid
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    return lo, hi
+            a, b = 2 * a, mid
+    return Fraction(a, d), Fraction(b, d)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 from . import constructions, determinants, engine, model
 from .engine import ASequence, SetDescriptor
@@ -40,20 +41,27 @@ class Section:
 
 
 def route_agreement(pairs: list, box: int) -> Section:
-    """Three sides, for each (support, offsets) pair with the offsets
-    rescaled into a table: the moment route's box enumeration and the
-    condition route's, as the CLI runs them, and the cells where the
-    per-cell condition form vanishes."""
+    """Five sides, for each (support, offsets) pair: the moment route's and
+    the condition route's box enumerations on the offsets rescaled into a
+    table, as the CLI runs them; the condition route's and the per-cell
+    condition form's on the offsets as given; and the moment route's on a
+    table of the offsets times a rational factor.  ``rescale``'s factor
+    lies in Q(sqrt(d)) and mixes the rational and sqrt(d) parts, so only
+    the unscaled and rationally scaled sides show a route that drops a
+    part."""
     problems = []
     cells = list(product(range(1, box + 1), repeat=2))
     for support, x in pairs:
-        x, s3 = model.rescale(x), support.to_support3()
-        table = model.table_from_offsets(x, s3, s3)
+        scaled, s3 = model.rescale(x), support.to_support3()
+        table = model.table_from_offsets(scaled, s3, s3)
+        rational = model.table_from_offsets(x.scaled(_rational_scale(x)), s3, s3)
         seq = ASequence(support)
         sides = (
             set(engine.enumerate_box_table(table, box, box)),
+            set(engine.enumerate_box_offsets(scaled, support, box, box)),
             set(engine.enumerate_box_offsets(x, support, box, box)),
             {p for p in cells if engine.condition_lhs(x, seq, *p) == 0},
+            set(engine.enumerate_box_table(rational, box, box)),
         )
         for j, k in sorted(set.union(*sides) - set.intersection(*sides)):
             problems.append(f"{s3.points} {x.x} at ({j}, {k})")
@@ -61,10 +69,22 @@ def route_agreement(pairs: list, box: int) -> Section:
     return Section(
         "moment route, box enumeration and per-cell condition form matched "
         f"for {len(pairs)} offset vectors on {supports} supports over the "
-        f"{box}x{box} box",
+        f"{box}x{box} box, rescaled, unscaled and rationally scaled",
         len(pairs),
         tuple(problems),
     )
+
+
+def _rational_scale(x: OffsetVector) -> Fraction:
+    """A rational factor that keeps every table entry of x in [1/18, 1/6]:
+    each deviation a + b sqrt(d) is at most |a| + |b| (isqrt(d) + 1)."""
+    bound = Fraction(0)
+    for row in x.deviations():
+        for dev in row:
+            if isinstance(dev, QuadExt):
+                dev = abs(dev.a) + abs(dev.b) * (isqrt(dev.d) + 1)
+            bound = max(bound, abs(dev))
+    return model.NINTH / (2 * bound)
 
 
 def golden_witnesses(cases: list, box: int) -> Section:

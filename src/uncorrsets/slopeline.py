@@ -2,9 +2,11 @@
 
 The threshold polynomial of beta0(m), the near-line polynomial P of
 beta_star(m, k), the witness power sums y(B) and D(j, k), with its split
-D = c0 + B^k c1, live here.  The module imports only ``polynomials``, so
-``engine`` (the global slope-line check) and ``constructions`` (the
-witnesses) both use it without importing each other.
+D = c0 + B^k c1, live here, each written from its few terms with like
+terms combined, not from products.  The module imports only
+``polynomials``, so ``engine`` (the global slope-line check) and
+``constructions`` (the witnesses) both use it without importing each
+other.
 """
 
 from __future__ import annotations
@@ -29,17 +31,35 @@ def beta_star_poly(m: int, k: int) -> IntPoly:
             f"fourth-point column must exceed 4m = {4 * m}; P only dips "
             "below zero when its slope at 1 is negative"
         )
-    growth = IntPoly.monomial(m + 2) + IntPoly.monomial(m + 1) + IntPoly.monomial(m)
-    growth = growth + IntPoly([0, -1])
-    return beta0_poly(m) * IntPoly.monomial(k) + growth * IntPoly.monomial(2 * m)
+    # P = (B^(m+1) - B^2 - B - 1) B^k + (B^(m+2) + B^(m+1) + B^m - B) B^(2m)
+    return _from_terms(
+        _add_terms(
+            (m + 1 + k, 1), (k + 2, -1), (k + 1, -1), (k, -1),
+            (3 * m + 2, 1), (3 * m + 1, 1), (3 * m, 1), (2 * m + 1, -1),
+        )
+    )
+
+
+def _from_terms(terms: dict[int, int]) -> IntPoly:
+    """The sum of coef B^power over a {power: coef} dict."""
+    cs = [0] * (max(terms, default=-1) + 1)
+    for power, coef in terms.items():
+        cs[power] = coef
+    return IntPoly(cs)
+
+
+def _add_terms(*terms: tuple[int, int]) -> dict[int, int]:
+    """{power: coef} of a sum of (power, coef) terms, like terms combined
+    and zero coefficients dropped."""
+    out: dict[int, int] = {}
+    for power, coef in terms:
+        out[power] = out.get(power, 0) + coef
+    return {power: coef for power, coef in out.items() if coef}
 
 
 def _binomial(plus: int, minus: int) -> IntPoly:
     """B^plus - B^minus, written term by term."""
-    cs = [0] * (max(plus, minus) + 1)
-    cs[plus] += 1
-    cs[minus] -= 1
-    return IntPoly(cs)
+    return _from_terms(_add_terms((plus, 1), (minus, -1)))
 
 
 def slopeline_y_polys(m: int) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
@@ -58,19 +78,24 @@ def slopeline_y_polys(m: int) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
     )
 
 
-def slopeline_d_parts(m: int, j: int) -> tuple[IntPoly, IntPoly]:
-    """c0 and c1 in B with D(j, k) = c0 + B^k c1, for every k.
+def slopeline_d_terms(m: int, j: int) -> tuple[dict[int, int], dict[int, int]]:
+    """c0 and c1 in B with D(j, k) = c0 + B^k c1, for every k, as
+    {power: coef} dicts: like terms combined, zero coefficients dropped,
+    so each holds at most 4 terms.
 
-    c0 = (B^m - B) B^(2m+2) - (B^(m+1) - 1) B^(j+2m),
-    c1 = (B^(m+1) - 1) B^2 - (B^m - B) B^j.
+    c0 = (B^m - B) B^(2m+2) - (B^(m+1) - 1) B^(j+2m)
+       = B^(3m+2) - B^(2m+3) - B^(j+3m+1) + B^(j+2m),
+    c1 = (B^(m+1) - 1) B^2 - (B^m - B) B^j
+       = B^(m+3) - B^2 - B^(j+m) + B^(j+1).
     """
     if m < 2:
         raise ValueError("slope must be an integer >= 2")
     if j < 1:
         raise ValueError("orders must be >= 1")
-    t1, t3 = _binomial(m, 1), _binomial(m + 1, 0)
-    c0 = t1 * IntPoly.monomial(2 * m + 2) - t3 * IntPoly.monomial(j + 2 * m)
-    c1 = t3 * IntPoly.monomial(2) - t1 * IntPoly.monomial(j)
+    c0 = _add_terms(
+        (3 * m + 2, 1), (2 * m + 3, -1), (j + 3 * m + 1, -1), (j + 2 * m, 1)
+    )
+    c1 = _add_terms((m + 3, 1), (2, -1), (j + m, -1), (j + 1, 1))
     return c0, c1
 
 
@@ -79,8 +104,9 @@ def slopeline_d_poly(m: int, j: int, k: int) -> IntPoly:
 
     D(j,k) = (B^m - B)(B^(2m+2) - B^(j+k)) + (B^(m+1) - 1)(B^(k+2) - B^(j+2m)).
     Vanishing of D at the support ratio is exactly membership of (j, k).
+    It is built from the 8 terms of c0 + B^k c1.
     """
     if k < 1:
         raise ValueError("orders must be >= 1")
-    c0, c1 = slopeline_d_parts(m, j)
-    return c0 + c1 * IntPoly.monomial(k)
+    c0, c1 = slopeline_d_terms(m, j)
+    return _from_terms(_add_terms(*c0.items(), *((e + k, c) for e, c in c1.items())))

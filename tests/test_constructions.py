@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor
 
 import pytest
 
@@ -10,6 +11,8 @@ from uncorrsets.constructions import (
     MODE_AT_OR_ABOVE,
     MODE_BETA_STAR,
     SlopeLineParams,
+    _enclosure,
+    _scaled_powers,
     beta0,
     beta0_poly,
     beta_star,
@@ -27,6 +30,7 @@ from uncorrsets.constructions import (
     make_vline,
     slopeline_beta_star,
     slopeline_d_poly,
+    slopeline_d_terms,
     slopeline_y_polys,
     two_point_witness,
 )
@@ -296,6 +300,49 @@ def test_algebraic_enumeration_matches_the_per_cell_loop(m, monkeypatch):
             coarse["contains"] += counts["contains"]
             coarse["members"] += len(want)
     assert coarse["contains"] > coarse["members"]
+
+
+@pytest.mark.parametrize("m, k", [(2, 9), (3, 17), (4, 25)])
+@pytest.mark.parametrize("lo_den, hi_den", [(3**30, 3**30), (3**30, 7**17)])
+def test_algebraic_enumeration_on_a_non_dyadic_interval(
+    m, k, lo_den, hi_den, monkeypatch
+):
+    # the enclosures run over one common denominator of both ends; a
+    # wrong one shows on ends whose denominators are no power of 2 and
+    # differ from each other
+    built = slopeline_beta_star(m, k)
+    lo, hi = built.interval
+    interval = (
+        Fraction(floor(lo * lo_den), lo_den),
+        Fraction(ceil(hi * hi_den), hi_den),
+    )
+    assert all(q.denominator % 2 for q in interval)
+    line = AlgebraicSlopeLine(m, k, built.poly, interval)
+    line.certify()
+    counts = _count_exact_tests(monkeypatch)
+    want = _per_cell(line, 12, 2 * k)
+    assert want == built.enumerate_box(12, 2 * k)
+    counts.clear()
+    assert line.enumerate_box(12, 2 * k) == want
+    # the wider interval still sends only the members to the exact test
+    assert counts["contains"] == len(want)
+
+
+def test_enclosures_hold_every_value_on_the_interval():
+    # B^2 - 2B dips to -1 at B = 1 inside [1/3, 5/2], below both end values
+    # (-5/9 and 5/4), so the end values alone are no enclosure
+    lo, hi, n = Fraction(1, 3), Fraction(5, 2), 19
+    lo_scaled, hi_scaled = _scaled_powers(lo, hi, n)
+    scale = 6**n  # the common denominator of the ends, to the n
+    assert lo_scaled == [lo**i * scale for i in range(n + 1)]
+    assert hi_scaled == [hi**i * scale for i in range(n + 1)]
+    parts = [{2: 1, 1: -2}]
+    parts += [c for m in (2, 3) for j in (1, 4, 9) for c in slopeline_d_terms(m, j)]
+    for terms in parts:
+        low, high = _enclosure(terms, lo_scaled, hi_scaled)
+        for i in range(13):
+            b = lo + (hi - lo) * i / 12
+            assert low <= scale * sum(c * b**e for e, c in terms.items()) <= high
 
 
 def test_algebraic_enumeration_needs_an_interval_above_one():

@@ -25,7 +25,6 @@ from uncorrsets.engine import (
     enumerate_box_offsets,
     enumerate_box_table,
     is_uncorrelated,
-    marginal_moment,
     max_exponent,
     moment,
     offsets_delta,
@@ -99,11 +98,12 @@ def test_box_enumeration_refuses_mixed_radicands(support):
 
 
 def test_marginal_and_joint_moments():
-    assert marginal_moment(S123, 0) == 1
-    assert marginal_moment(S123, 1) == 2
-    assert marginal_moment(S123, 2) == Fraction(14, 3)
     t = table_from_offsets(rescale(OffsetVector.of(0, 1, -1, 0)), S123, S123)
-    assert moment(t, 1, 1) == marginal_moment(S123, 1) ** 2
+    # the marginals are the joint moments of order (j, 0) and (0, k)
+    assert moment(t, 0, 0) == 1
+    assert moment(t, 1, 0) == moment(t, 0, 1) == 2
+    assert moment(t, 2, 0) == moment(t, 0, 2) == Fraction(14, 3)
+    assert moment(t, 1, 1) == 4
     assert is_uncorrelated(t, 1, 1)
     assert not is_uncorrelated(t, 1, 2)
 

@@ -92,11 +92,21 @@ def _bisect_by_value(p, lo, hi, width):
 
 @pytest.mark.parametrize(
     "coeffs, lo, hi",
-    [([-2, 0, 1], 1, 2), ([-1, -1, -1, 0, 0, 1], 1, 2), ([5, -7, 0, 3], -3, 0)],
+    [
+        ([-2, 0, 1], 1, 2),
+        ([-1, -1, -1, 0, 0, 1], 1, 2),
+        ([5, -7, 0, 3], -3, 0),
+        # non-dyadic brackets: the common denominator is not a power of 2
+        ([-3, 0, 2], Fraction(1, 3), Fraction(7, 5)),
+        ([-1, -1, -1, 0, 0, 1], Fraction(1, 3), Fraction(7, 5)),
+        ([5, -7, 0, 3], Fraction(-7, 3), Fraction(1, 9)),
+        # (3B - 2)(B^2 + 1): the second midpoint is the root 2/3
+        ([-2, 3, -2, 3], Fraction(1, 3), Fraction(5, 3)),
+    ],
 )
 def test_isolate_root_intervals_match_the_value_bisection(coeffs, lo, hi):
     p = IntPoly(coeffs)
-    for width in (Fraction(1, 10**12), Fraction(3, 7)):
+    for width in (Fraction(1, 10**12), Fraction(3, 7), Fraction(1, 10)):
         assert isolate_root(p, lo, hi, width) == _bisect_by_value(p, lo, hi, width)
 
 
