@@ -67,7 +67,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import linalg
@@ -89,6 +89,8 @@ from .numeric import (
     as_exact,
     exact_sign,
     int_from_json,
+    over_one_denominator,
+    sqrt_parts,
 )
 from .slopeline import beta0_poly, slopeline_y_polys
 
@@ -199,15 +201,10 @@ class ASequence:
 # sqrt(d) is irrational, so the equation holds exactly when its rational
 # part 9 sum_r Rint_r(j) py_r^k = L Sx(j) Sy(k) and its irrational part
 # sum_r Bint_r(j) py_r^k = 0 vanish separately.  The integer form is taken
-# once per table, Rint, Bint and Sx once per j, py_r^k and Sy once per k;
-# a cell is then two 3-term integer sums and no Fraction or QuadExt.  The
-# route reads only the table and its supports, never offsets or A_j.
-
-
-def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers n and the least q > 0 with values[i] == n[i] / q."""
-    q = lcm(*(v.denominator for v in values))
-    return [v.numerator * (q // v.denominator) for v in values], q
+# once per table (``numeric.sqrt_parts``), Rint, Bint and Sx once per j,
+# py_r^k and Sy once per k; a cell is then two 3-term integer sums and no
+# Fraction or QuadExt.  The route reads only the table and its supports,
+# never offsets or A_j.
 
 
 def _moment_cells(
@@ -215,14 +212,11 @@ def _moment_cells(
 ) -> list[Point]:
     """The (j, k) in js x ks with E[X^j Y^k] == E[X^j] E[Y^k], exactly;
     in the order of js, then ks.  Orders must be >= 0."""
-    px, _ = _over_one_denominator(table.support_x.points)
-    py, _ = _over_one_denominator(table.support_y.points)
-    cells = [e for row in table.entries for e in row]
-    rational = [e.a if isinstance(e, QuadExt) else e for e in cells]
-    irrational = [e.b if isinstance(e, QuadExt) else 0 for e in cells]
-    nums, den = _over_one_denominator(rational + irrational)
+    px, _ = over_one_denominator(table.support_x.points)
+    py, _ = over_one_denominator(table.support_y.points)
+    nums, b, _, den = sqrt_parts([e for row in table.entries for e in row])
     # 9 A_rc and B_rc at index 3r + c
-    a, b = [9 * n for n in nums[:9]], nums[9:]
+    a = [9 * n for n in nums]
     by_k = []
     for k in ks:
         y0, y1, y2 = (p**k for p in py)
@@ -325,7 +319,7 @@ def _ratio_terms(s3: Support3, n: int) -> list[tuple[int, int]]:
     ``ASequence.value``, raises ArithmeticError unless every A_j > 1 and
     the sequence strictly decreases, so a corrupted support cannot hand
     out a non-injective sequence silently."""
-    (pa, pb, pc), _ = _over_one_denominator(s3.points)
+    (pa, pb, pc), _ = over_one_denominator(s3.points)
     out: list[tuple[int, int]] = []
     a = b = c = 1
     for j in range(1, n + 1):
@@ -346,9 +340,8 @@ def _offset_parts(x: OffsetVector) -> list[list[int]]:
         raise MixedRadicand(
             f"cannot combine sqrt({radicands[0]}) with sqrt({radicands[1]})"
         )
-    rat, irr = _split_sqrt(x.x)
-    nums, _ = _over_one_denominator(rat + irr)
-    return [nums[:4], nums[4:]] if any(nums[4:]) else [nums[:4]]
+    rat, irr, _, _ = sqrt_parts(x.x)
+    return [rat, irr] if any(irr) else [rat]
 
 
 def _solve_columns(
@@ -761,19 +754,6 @@ def _nonzero_multiple(x: OffsetVector, pattern: OffsetVector) -> bool:
     )
 
 
-def _split_sqrt(values: Sequence[Scalar]) -> tuple[list[Fraction], list[Fraction]]:
-    """Write each scalar as p + q*sqrt(d) and collect the p and q parts."""
-    rat, irr = [], []
-    for v in values:
-        if isinstance(v, QuadExt):
-            rat.append(v.a)
-            irr.append(v.b)
-        else:
-            rat.append(Fraction(v))
-            irr.append(Fraction(0))
-    return rat, irr
-
-
 def _analytic_singleton(x: OffsetVector, seq: ASequence, p: Point) -> bool:
     x1, x2, x3, x4 = x.x
     if exact_sign(x4) != 0 or exact_sign(x2) == 0 or exact_sign(x3) == 0:
@@ -788,8 +768,10 @@ def _analytic_two_point(x: OffsetVector, seq: ASequence, pts: Sequence[Point]) -
     (j1, k1), (j2, k2) = pts
     if j1 == j2 or k1 == k2:
         return False
-    rat, irr = _split_sqrt(x.x)
-    if all(v == 0 for v in rat) or all(v == 0 for v in irr):
+    # the integer parts of x = (rat + irr sqrt(d)) / L; neither test
+    # below depends on the scale L
+    rat, irr, _, _ = sqrt_parts(x.x)
+    if not any(rat) or not any(irr):
         return False
     if linalg.rank([rat, irr]) != 2:
         return False

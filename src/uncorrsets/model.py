@@ -14,6 +14,15 @@ Offsets may be rational or quadratic irrationals; probabilities must be
 nonnegative, which ``rescale`` arranges by shrinking any offset vector
 to the canonical scale 1/(18M) where M is the largest absolute deviation.
 
+Building and checking a table runs on integers.  The offsets are written
+once as (R + I sqrt(d)) / L (``numeric.sqrt_parts``), so each deviation
+is an integer combination of R and I over the same L, entry rc is
+(L + 9 dev_rc) / (9L), and a table's own entries, written the same way,
+pass exactly when every entry has ``quad_sign`` >= 0 and every row and
+column has 3 sum R == L and sum I == 0.  ``Fraction`` and ``QuadExt``
+objects are built only for the results; every table is still checked in
+full when it is made.
+
 The y-coordinates y1 = x4, y2 = x3+x4, y3 = x2+x4, y4 = x1+x2+x3+x4 turn
 the uncorrelatedness condition on geometric supports into a four-term
 power sum; ``to_y`` and ``from_y`` convert between the two charts.
@@ -27,14 +36,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from .numeric import (
+    MixedRadicand,
+    QuadExt,
     Scalar,
     as_exact,
-    exact_abs,
     exact_sign,
     format_rational,
+    quad_sign,
     rational_from_json,
     scalar_from_json,
+    scalar_from_parts,
     scalar_to_json,
+    sqrt_parts,
 )
 
 NINTH = Fraction(1, 9)
@@ -155,6 +168,16 @@ def support_from_json(obj: dict):
     return Support3.from_json(obj)
 
 
+def _deviation_table(x1, x2, x3, x4) -> tuple[tuple, ...]:
+    """The deviation layout of the module docstring, for offsets of any
+    ring: exact scalars, or the integer numerators R or I."""
+    return (
+        (x4, x3, -x3 - x4),
+        (x2, x1, -x1 - x2),
+        (-x2 - x4, -x1 - x3, x1 + x2 + x3 + x4),
+    )
+
+
 def _four(values: Sequence) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     vals = tuple(as_exact(v) for v in values)
     if len(vals) != 4:
@@ -181,12 +204,7 @@ class OffsetVector:
 
     def deviations(self) -> tuple[tuple[Scalar, ...], ...]:
         """Full 3x3 deviation table, rows Y = a,b,c and columns X = a,b,c."""
-        x1, x2, x3, x4 = self.x
-        return (
-            (x4, x3, -x3 - x4),
-            (x2, x1, -x1 - x2),
-            (-x2 - x4, -x1 - x3, x1 + x2 + x3 + x4),
-        )
+        return _deviation_table(*self.x)
 
     def transpose(self) -> "OffsetVector":
         """Offsets of the swapped pair (Y, X): x2 and x3 trade places."""
@@ -235,21 +253,89 @@ def from_y(y: YVector) -> OffsetVector:
     return OffsetVector((y4 - y2 - y3 + y1, y3 - y1, y2 - y1, y1))
 
 
+# The pairs of offsets that the deviation table combines, in the order
+# OffsetVector.deviations meets them.  Offsets from two quadratic fields
+# are refused with the first such pair, as those sums would refuse them.
+_DEVIATION_PAIRS = ((2, 3), (0, 1), (1, 3), (0, 2), (0, 3), (1, 2))
+
+
+def _integer_offsets(x: OffsetVector) -> tuple[list[int], list[int], int, int]:
+    """(R, I, d, L) with x = (R + I sqrt(d)) / L."""
+    ds = [v.d if isinstance(v, QuadExt) else 0 for v in x.x]
+    for p, q in _DEVIATION_PAIRS:
+        if ds[p] and ds[q] and ds[p] != ds[q]:
+            raise MixedRadicand(f"cannot combine sqrt({ds[p]}) with sqrt({ds[q]})")
+    return sqrt_parts(x.x)
+
+
 def rescale(x: OffsetVector) -> OffsetVector:
     """Scale offsets so every table entry lands in [1/18, 1/6].
 
     The canonical scale is (1/9) / (2M) with M the largest absolute
     deviation, so the most extreme cells sit exactly at 1/9 +- 1/18.
+    With x = (R + I sqrt(d)) / L, every deviation is (r + i sqrt(d)) / L
+    for integer combinations r of R and i of I, and M = (mr + mi sqrt(d))
+    / L is found with ``quad_sign`` alone.  Then x / (18M) is
+    (R + I sqrt(d)) (mr - mi sqrt(d)) / (18 (mr^2 - d mi^2)), whose
+    integer parts are written straight into the result.
     """
-    if x.is_zero:
+    rat, irr, d, _ = _integer_offsets(x)
+    if not any(rat) and not any(irr):
         raise ZeroVector("cannot rescale the zero offset vector")
-    m = Fraction(0)
-    for row in x.deviations():
-        for dev in row:
-            a = exact_abs(dev)
-            if m < a:
-                m = a
-    return x.scaled(NINTH / (2 * m))
+    mr = mi = 0
+    for row_r, row_i in zip(_deviation_table(*rat), _deviation_table(*irr)):
+        for r, i in zip(row_r, row_i):
+            if quad_sign(r, i, d) < 0:
+                r, i = -r, -i
+            if quad_sign(r - mr, i - mi, d) > 0:
+                mr, mi = r, i
+    den = 18 * (mr * mr - d * mi * mi)
+    return OffsetVector(
+        tuple(
+            scalar_from_parts(r * mr - d * i * mi, i * mr - r * mi, d, den)
+            for r, i in zip(rat, irr)
+        )
+    )
+
+
+# the cells of each row, then of each column, of a flattened 3x3 table
+_LINES = (
+    ("row", ((0, 1, 2), (3, 4, 5), (6, 7, 8))),
+    ("column", ((0, 3, 6), (1, 4, 7), (2, 5, 8))),
+)
+
+
+def _check_entries(cells: Sequence[Scalar]) -> None:
+    """Raise unless the nine entries (row by row) are nonnegative and
+    every row and column sums to 1/3; the entries are checked first, then
+    the rows, then the columns, each in order."""
+    try:
+        rat, irr, d, den = sqrt_parts(cells)
+    except MixedRadicand:
+        _check_mixed(cells)
+        raise
+    for n in range(9):
+        if quad_sign(rat[n], irr[n], d) < 0:
+            raise NegativeEntry(n // 3, n % 3, cells[n])
+    for name, lines in _LINES:
+        for k, (p, q, s) in enumerate(lines):
+            if 3 * (rat[p] + rat[q] + rat[s]) != den or irr[p] + irr[q] + irr[s] != 0:
+                raise ValueError(f"{name} {k} does not sum to 1/3")
+
+
+def _check_mixed(cells: Sequence[Scalar]) -> None:
+    """The checks of ``_check_entries`` for entries from two quadratic
+    fields, each entry and each line split alone, so that the error raised
+    is the first that entry signs and running line sums would meet."""
+    for n, v in enumerate(cells):
+        (r,), (i,), d, _ = sqrt_parts([v])
+        if quad_sign(r, i, d) < 0:
+            raise NegativeEntry(n // 3, n % 3, v)
+    for name, lines in _LINES:
+        for k, line in enumerate(lines):
+            rat, irr, _, den = sqrt_parts([cells[n] for n in line])
+            if 3 * sum(rat) != den or sum(irr) != 0:
+                raise ValueError(f"{name} {k} does not sum to 1/3")
 
 
 @dataclass(frozen=True)
@@ -257,7 +343,10 @@ class JointTable:
     """Joint pmf of (X, Y), both uniform on three points.
 
     entries[r][c] is P(X = support_x.points[c], Y = support_y.points[r]).
-    Construction validates nonnegativity and the uniform marginals.
+    Construction validates nonnegativity and the uniform marginals, on
+    the entries written as (R + I sqrt(d)) / L: each entry's sign is
+    ``quad_sign(R, I, d)``, and a row or column sums to 1/3 exactly when
+    3 sum R == L and sum I == 0.
     """
 
     entries: tuple[tuple[Scalar, ...], ...]
@@ -269,17 +358,7 @@ class JointTable:
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("joint table must be 3x3")
         object.__setattr__(self, "entries", rows)
-        third = Fraction(1, 3)
-        for r in range(3):
-            for c in range(3):
-                if exact_sign(rows[r][c]) < 0:
-                    raise NegativeEntry(r, c, rows[r][c])
-        for r in range(3):
-            if sum(rows[r], Fraction(0)) != third:
-                raise ValueError(f"row {r} does not sum to 1/3")
-        for c in range(3):
-            if sum((rows[r][c] for r in range(3)), Fraction(0)) != third:
-                raise ValueError(f"column {c} does not sum to 1/3")
+        _check_entries([v for row in rows for v in row])
 
     @classmethod
     def independent(cls, support_x: Support3, support_y: Support3) -> "JointTable":
@@ -308,8 +387,17 @@ class JointTable:
 def table_from_offsets(
     x: OffsetVector, support_x: Support3, support_y: Support3
 ) -> JointTable:
-    """1/9 plus the deviation table; raises NegativeEntry when invalid."""
+    """1/9 plus the deviation table; raises NegativeEntry when invalid.
+
+    With x = (R + I sqrt(d)) / L, entry rc is (L + 9 r + 9 i sqrt(d)) / (9L)
+    for the integer deviation parts r and i; the JointTable checks it.
+    """
+    rat, irr, d, den = _integer_offsets(x)
     entries = tuple(
-        tuple(as_exact(NINTH + dev) for dev in row) for row in x.deviations()
+        tuple(
+            scalar_from_parts(den + 9 * r, 9 * i, d, 9 * den)
+            for r, i in zip(row_r, row_i)
+        )
+        for row_r, row_i in zip(_deviation_table(*rat), _deviation_table(*irr))
     )
     return JointTable(entries, support_x, support_y)

@@ -10,6 +10,12 @@ single fixed Q(sqrt(d)), so no general algebraic-number tower is built.
 Signs are decided without any floating point.  For a + b*sqrt(d) with a
 and b of opposite sign the comparison reduces to a^2 versus d*b^2, which
 can never be a tie because d is square-free and at least 2.
+
+A vector of such scalars is written once in integers as (R + I*sqrt(d)) / L,
+with one radicand d and L the least common denominator of every rational
+and irrational part (``sqrt_parts``); ``quad_sign`` is the sign rule on
+those integers, and ``scalar_from_parts`` builds a scalar back.  Kernels
+that only add, scale and compare a fixed vector work on R and I alone.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
-from typing import Union
+from math import isqrt, lcm
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction, "QuadExt"]
 
@@ -43,6 +49,15 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+_new = object.__new__
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 @total_ordering
 class QuadExt:
     """a + b*sqrt(d) with a, b rational and d a square-free integer >= 2."""
@@ -60,6 +75,18 @@ class QuadExt:
         self._a = Fraction(a)
         self._b = Fraction(b)
         self._d = d
+
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """a + b*sqrt(d) from parts already known good: a and b are
+        Fractions and d is the radicand of an existing QuadExt.  Results
+        of arithmetic in one field are made this way; ``__init__`` checks
+        everything that comes from outside."""
+        q = _new(cls)
+        q._a = a
+        q._b = b
+        q._d = d
+        return q
 
     @property
     def a(self) -> Fraction:
@@ -87,7 +114,7 @@ class QuadExt:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self._d)
+            return QuadExt._of(_fraction(other), _ZERO, self._d)
         return NotImplemented
 
     # -- ring operations ----------------------------------------------
@@ -96,7 +123,7 @@ class QuadExt:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self._a + o._a, self._b + o._b, self._d)
+        return QuadExt._of(self._a + o._a, self._b + o._b, self._d)
 
     __radd__ = __add__
 
@@ -104,19 +131,19 @@ class QuadExt:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self._a - o._a, self._b - o._b, self._d)
+        return QuadExt._of(self._a - o._a, self._b - o._b, self._d)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(o._a - self._a, o._b - self._b, self._d)
+        return QuadExt._of(o._a - self._a, o._b - self._b, self._d)
 
     def __mul__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(
+        return QuadExt._of(
             self._a * o._a + self._d * self._b * o._b,
             self._a * o._b + self._b * o._a,
             self._d,
@@ -125,7 +152,7 @@ class QuadExt:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QuadExt(-self._a, -self._b, self._d)
+        return QuadExt._of(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -135,7 +162,7 @@ class QuadExt:
         n = self._a * self._a - self._d * self._b * self._b
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return QuadExt(self._a / n, -self._b / n, self._d)
+        return QuadExt._of(self._a / n, -self._b / n, self._d)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -154,7 +181,7 @@ class QuadExt:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = QuadExt(1, 0, self._d)
+        result = QuadExt._of(_ONE, _ZERO, self._d)
         base = self
         while n:
             if n & 1:
@@ -166,23 +193,11 @@ class QuadExt:
     # -- comparisons ----------------------------------------------------
 
     def sign(self) -> int:
-        a, b, d = self._a, self._b, self._d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| vs |b| sqrt(d), squared comparison is exact
-        lhs = a * a
-        rhs = d * b * b
-        if lhs == rhs:
-            raise ArithmeticError(f"sqrt({d}) behaved rationally for {self!r}")
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        a, b = self._a, self._b
+        # times the positive a.denominator * b.denominator
+        return quad_sign(
+            a.numerator * b.denominator, b.numerator * a.denominator, self._d
+        )
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
@@ -222,15 +237,67 @@ class QuadExt:
         return f"{self._a} {op} {abs(self._b)}*sqrt({self._d})"
 
 
+def quad_sign(r: int, i: int, d: int) -> int:
+    """Sign of r + i*sqrt(d) for integers r and i, decided without floats;
+    d >= 2 must not be a square wherever i != 0 (d is unread at i == 0)."""
+    if i == 0:
+        return (r > 0) - (r < 0)
+    if r == 0 or (r > 0) == (i > 0):
+        return 1 if i > 0 else -1
+    # opposite signs: |r| vs |i| sqrt(d), squared comparison is exact
+    lhs = r * r
+    rhs = d * i * i
+    if lhs == rhs:
+        raise ArithmeticError(f"sqrt({d}) behaved rationally at {r} + {i}*sqrt({d})")
+    return (1 if r > 0 else -1) if lhs > rhs else (1 if i > 0 else -1)
+
+
+def over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers n and the least q > 0 with values[i] == n[i] / q."""
+    q = lcm(*(v.denominator for v in values))
+    return [v.numerator * (q // v.denominator) for v in values], q
+
+
+def sqrt_parts(values: Sequence[Scalar]) -> tuple[list[int], list[int], int, int]:
+    """(R, I, d, L) with values[n] == (R[n] + I[n]*sqrt(d)) / L.
+
+    L is the least common denominator of every rational and irrational
+    part; d is the one radicand, or 0 when no value is a QuadExt (I is
+    then all zeros).  Raises MixedRadicand, naming the first radicand met
+    and the first one that differs from it, when two values lie in
+    different quadratic fields.
+    """
+    d = 0
+    for v in values:
+        if isinstance(v, QuadExt):
+            if d == 0:
+                d = v._d
+            elif v._d != d:
+                raise MixedRadicand(f"cannot combine sqrt({d}) with sqrt({v._d})")
+    if d == 0:
+        rational, den = over_one_denominator(values)
+        return rational, [0] * len(rational), 0, den
+    nums, den = over_one_denominator(
+        [v._a if isinstance(v, QuadExt) else v for v in values]
+        + [v._b if isinstance(v, QuadExt) else _ZERO for v in values]
+    )
+    n = len(values)
+    return nums[:n], nums[n:], d, den
+
+
+def scalar_from_parts(r: int, i: int, d: int, den: int) -> Scalar:
+    """The canonical scalar (r + i*sqrt(d)) / den: a Fraction when i == 0.
+    d must come from ``sqrt_parts``, so it is not checked again."""
+    if i == 0:
+        return Fraction(r, den)
+    return QuadExt._of(Fraction(r, den), Fraction(i, den), d)
+
+
 def exact_sign(v: Scalar) -> int:
     """Sign of an exact scalar as -1, 0 or 1, decided without floats."""
     if isinstance(v, QuadExt):
         return v.sign()
     return (v > 0) - (v < 0)
-
-
-def exact_abs(v: Scalar) -> Scalar:
-    return -v if exact_sign(v) < 0 else v
 
 
 def as_exact(v) -> Scalar:
@@ -239,6 +306,8 @@ def as_exact(v) -> Scalar:
     A QuadExt with zero irrational part collapses to its rational value,
     so equality and serialization never depend on how a number was made.
     """
+    if type(v) is Fraction:
+        return v
     if isinstance(v, QuadExt):
         return v.a if v.is_rational else v
     if isinstance(v, (int, Fraction)):
@@ -249,7 +318,7 @@ def as_exact(v) -> Scalar:
 
 
 def format_rational(q) -> str:
-    q = Fraction(q)
+    q = _fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

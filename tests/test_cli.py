@@ -482,6 +482,18 @@ def test_table_documents_with_float_points_exit_two(capsys, monkeypatch, argv):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("d", [1, 4, 8, 12, "2", True])
+def test_table_entries_with_a_bad_radicand_exit_two(capsys, monkeypatch, d):
+    # arithmetic results skip the radicand checks; a document never does
+    doc = JointTable.independent(Support3.symmetric(1), Support3.symmetric(1)).to_json()
+    doc["entries"][0][0] = {"a": "1/9", "b": "0", "d": d}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = _run(capsys, "classify", "--table", "-")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    assert "radicand" in err or "not an integer" in err
+
+
 def _documents():
     sym = Support3.symmetric(1)
     table = table_from_offsets(rescale(OffsetVector.of(0, 1, 1, 0)), sym, sym)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncorrsets.model import (
     BetaSupport,
@@ -18,7 +20,7 @@ from uncorrsets.model import (
     table_from_offsets,
     to_y,
 )
-from uncorrsets.numeric import QuadExt
+from uncorrsets.numeric import MixedRadicand, QuadExt, as_exact, exact_sign
 
 
 def test_support_kinds_and_validation():
@@ -154,3 +156,160 @@ def test_offsets_json_round_trip():
     assert OffsetVector.from_json(x.to_json()) == x
     y = YVector.of(1, 2, 3, 4)
     assert YVector.from_json(y.to_json()) == y
+
+
+# The definitions that rescale and table_from_offsets compute in integers,
+# written in Fraction and QuadExt arithmetic as the oracle.
+
+
+def _rescale_by_definition(x):
+    m = Fraction(0)
+    for row in x.deviations():
+        for dev in row:
+            if m < abs(dev):
+                m = abs(dev)
+    factor = Fraction(1, 9) / (2 * m)
+    return OffsetVector(tuple(as_exact(factor * v) for v in x.x))
+
+
+def _entries_by_definition(x):
+    """The entries 1/9 + dev, or the first negative one as (row, col)."""
+    entries = tuple(
+        tuple(as_exact(Fraction(1, 9) + dev) for dev in row) for row in x.deviations()
+    )
+    for r in range(3):
+        for c in range(3):
+            if exact_sign(entries[r][c]) < 0:
+                return (r, c)
+    return entries
+
+
+def _entries_or_negative(x, s):
+    try:
+        return table_from_offsets(x, s, s).entries
+    except NegativeEntry as exc:
+        return (exc.row, exc.col)
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def _offsets(draw):
+    d = draw(st.sampled_from([None, 2, 3]))
+    if d is None:
+        parts = [draw(_RATIONALS) for _ in range(4)]
+    else:
+        parts = [QuadExt(draw(_RATIONALS), draw(_RATIONALS), d) for _ in range(4)]
+    return OffsetVector(tuple(parts))
+
+
+# the largest |deviation| tied between a Fraction cell and a cell of
+# QuadExt sums whose sqrt(2) parts cancel, in both orders
+_TIES = [
+    OffsetVector.of(-2, -2, QuadExt(0, 1, 2), QuadExt(0, -1, 2)),
+    OffsetVector.of(-2, -2, QuadExt(2, -1, 2), QuadExt(2, 1, 2)),
+]
+
+
+def _check_builders(x):
+    s = Support3.from_values(1, 2, 3)
+    assert _entries_or_negative(x, s) == _entries_by_definition(x)
+    if x.is_zero:
+        return
+    scaled = rescale(x)
+    assert scaled == _rescale_by_definition(x)
+    assert scaled.to_json() == _rescale_by_definition(x).to_json()
+    entries = [v for row in table_from_offsets(scaled, s, s).entries for v in row]
+    assert entries == [v for row in _entries_by_definition(scaled) for v in row]
+    low, high = Fraction(1, 18), Fraction(1, 6)
+    assert all(exact_sign(v - low) >= 0 and exact_sign(high - v) >= 0 for v in entries)
+    # the most extreme entries sit exactly on the bounds
+    assert any(v == low or v == high for v in entries)
+    devs = [abs(d) for row in scaled.deviations() for d in row]
+    assert max(devs) == Fraction(1, 18)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_offsets())
+def test_builders_match_their_definition(x):
+    _check_builders(x)
+
+
+@pytest.mark.parametrize("x", _TIES)
+def test_builders_match_their_definition_on_a_tie(x):
+    devs = [d for row in x.deviations() for d in row]
+    tied = [d for d in devs if abs(d) == max(abs(v) for v in devs)]
+    assert len(tied) == 2 and {type(d) for d in tied} == {Fraction, QuadExt}
+    _check_builders(x)
+
+
+def _plus_ninth(devs):
+    return tuple(tuple(Fraction(1, 9) + d for d in row) for row in devs)
+
+
+def test_negative_irrational_entry_with_a_positive_rational_part():
+    s = Support3.from_values(1, 2, 3)
+    half = QuadExt(0, Fraction(1, 18), 2)
+    # entry (1, 2) is 1/9 - sqrt(2)/9 < 0; rows and columns sum to 1/3
+    x = OffsetVector.of(half, half, 0, 0)
+    with pytest.raises(NegativeEntry) as info:
+        table_from_offsets(x, s, s)
+    assert (info.value.row, info.value.col) == (1, 2)
+    assert info.value.value == QuadExt(Fraction(1, 9), Fraction(-1, 9), 2)
+    with pytest.raises(NegativeEntry) as info:
+        JointTable(_plus_ninth(x.deviations()), s, s)
+    assert (info.value.row, info.value.col) == (1, 2)
+
+
+def test_line_sums_read_the_irrational_parts():
+    s = Support3.from_values(1, 2, 3)
+    r2 = QuadExt(0, Fraction(1, 18), 2)
+    # row 0's rational parts sum to 1/3, its sqrt(2) parts do not
+    devs = ((r2, 0, 0), (0, 0, 0), (-r2, 0, 0))
+    with pytest.raises(ValueError, match="^row 0 does not sum to 1/3$"):
+        JointTable(_plus_ninth(devs), s, s)
+    # every row sums to 1/3, so the failing columns come in pairs
+    q = Fraction(1, 18)
+    for devs in (((q, -q, 0), (0, 0, 0), (0, 0, 0)), ((r2, -r2, 0), (0, 0, 0), (0, 0, 0))):
+        with pytest.raises(ValueError, match="^column 0 does not sum to 1/3$"):
+            JointTable(_plus_ninth(devs), s, s)
+
+
+def test_mixed_radicand_tables_keep_their_message():
+    s = Support3.from_values(1, 2, 3)
+    r2, r3 = QuadExt(0, Fraction(1, 18), 2), QuadExt(0, Fraction(1, 18), 3)
+    # rows pass; column 0 meets sqrt(2) before sqrt(3)
+    devs = ((r2, -r2, 0), (r3, 0, -r3), (0, 0, 0))
+    with pytest.raises(MixedRadicand, match=r"^cannot combine sqrt\(2\) with sqrt\(3\)$"):
+        JointTable(_plus_ninth(devs), s, s)
+    # row 0 meets sqrt(3) first
+    devs = ((r3, r2, 0), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(MixedRadicand, match=r"^cannot combine sqrt\(3\) with sqrt\(2\)$"):
+        JointTable(_plus_ninth(devs), s, s)
+    # a negative entry is found before any sum
+    devs = ((r3, r2, -1), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(NegativeEntry):
+        JointTable(_plus_ninth(devs), s, s)
+
+
+def test_mixed_radicand_offsets_keep_the_message_of_their_sums():
+    # rescale and table_from_offsets name the pair that the deviation
+    # sums meet first, whatever the radicands of the four offsets
+    s = Support3.from_values(1, 2, 3)
+    field = {0: Fraction(1, 3), 2: QuadExt(1, 1, 2), 3: QuadExt(-1, 1, 3), 5: QuadExt(0, 2, 5)}
+    mixed = 0
+    for code in range(4**4):
+        ds = [(0, 2, 3, 5)[(code >> (2 * n)) & 3] for n in range(4)]
+        x = OffsetVector(tuple(field[d] for d in ds))
+        try:
+            x.deviations()
+            continue
+        except MixedRadicand as exc:
+            want = str(exc)
+        mixed += 1
+        for build in (lambda: rescale(x), lambda: table_from_offsets(x, s, s)):
+            with pytest.raises(MixedRadicand) as info:
+                build()
+            assert str(info.value) == want
+    assert mixed == 4**4 - 1 - 3 * 15

@@ -7,11 +7,13 @@ from uncorrsets.numeric import (
     MixedRadicand,
     QuadExt,
     as_exact,
-    exact_abs,
     exact_sign,
     format_rational,
+    quad_sign,
     scalar_from_json,
+    scalar_from_parts,
     scalar_to_json,
+    sqrt_parts,
 )
 
 
@@ -62,7 +64,6 @@ def test_ordering_and_abs():
     assert Fraction(7, 5) < r < Fraction(3, 2)
     assert 1 < r
     assert abs(1 - r) == r - 1
-    assert exact_abs(Fraction(-3, 4)) == Fraction(3, 4)
     assert exact_sign(r - 2) == -1
     assert exact_sign(Fraction(0)) == 0
 
@@ -98,6 +99,8 @@ def test_as_exact_collapses_rational_quadext():
     assert isinstance(v, Fraction) and v == Fraction(5, 3)
     assert as_exact("7/2") == Fraction(7, 2)
     assert isinstance(as_exact(3), Fraction)
+    q = Fraction(-7, 3)
+    assert as_exact(q) is q
     with pytest.raises(TypeError):
         as_exact(1.5)
 
@@ -129,3 +132,62 @@ def test_pow_and_str():
     assert r**10 == 32
     assert r**0 == 1
     assert str(QuadExt(1, -1, 2)) == "1 - 1*sqrt(2)"
+
+
+def _public(v):
+    """The same number built through the checking constructor."""
+    return QuadExt(v.a, v.b, v.d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_arithmetic_results_equal_the_public_constructor(d):
+    # results of arithmetic skip the radicand checks and the Fraction
+    # re-wrap; they must be the very numbers __init__ would build
+    rng = random.Random(d)
+
+    def rand():
+        return QuadExt(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            d,
+        )
+
+    for _ in range(200):
+        a, b = rand(), rand()
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        results = [a + b, a - b, a * b, -a, a + q, q - a, a * q, a ** rng.randint(0, 5)]
+        if a:
+            results += [a.inverse(), b / a, q / a, a ** -rng.randint(1, 3)]
+        for v in results:
+            assert type(v.a) is Fraction and type(v.b) is Fraction and v.d == d
+            w = _public(v)
+            assert (v.a, v.b, v.d) == (w.a, w.b, w.d) and repr(v) == repr(w)
+        assert a * b == _public(QuadExt(a.a * b.a + d * a.b * b.b, a.a * b.b + a.b * b.a, d))
+        if a:
+            n = a.a * a.a - d * a.b * a.b
+            assert a.inverse() == QuadExt(a.a / n, -a.b / n, d)
+
+
+def test_quad_sign_is_the_sign_of_quadext():
+    rng = random.Random(11)
+    for _ in range(500):
+        d = rng.choice((2, 3, 5, 7))
+        r, i = rng.randint(-50, 50), rng.randint(-50, 50)
+        assert quad_sign(r, i, d) == QuadExt(r, i, d).sign()
+    # near ties: 99^2 - 2 * 70^2 = 1 and 577^2 - 2 * 408^2 = 1
+    assert quad_sign(99, -70, 2) == 1 and quad_sign(-99, 70, 2) == -1
+    assert quad_sign(577, -408, 2) == 1 and quad_sign(-577, 408, 2) == -1
+    assert quad_sign(0, 0, 0) == 0 and quad_sign(-3, 0, 0) == -1
+
+
+def test_sqrt_parts_writes_a_vector_over_one_denominator():
+    vals = [Fraction(1, 6), QuadExt(Fraction(1, 4), Fraction(-2, 3), 3), 2, Fraction(0)]
+    rs, irs, d, den = sqrt_parts(vals)
+    assert d == 3 and den == 12
+    assert (rs, irs) == ([2, 3, 24, 0], [0, -8, 0, 0])
+    assert [scalar_from_parts(r, i, d, den) for r, i in zip(rs, irs)] == vals
+    assert type(scalar_from_parts(24, 0, 3, 12)) is Fraction
+    assert sqrt_parts([Fraction(1, 2), Fraction(-1, 3)]) == ([3, -2], [0, 0], 0, 6)
+    # the first radicand met, then the first that differs from it
+    with pytest.raises(MixedRadicand, match=r"^cannot combine sqrt\(5\) with sqrt\(2\)$"):
+        sqrt_parts([1, QuadExt(0, 1, 5), QuadExt(1, 1, 5), QuadExt(0, 1, 2)])
