@@ -253,19 +253,15 @@ def from_y(y: YVector) -> OffsetVector:
     return OffsetVector((y4 - y2 - y3 + y1, y3 - y1, y2 - y1, y1))
 
 
-# The pairs of offsets that the deviation table combines, in the order
-# OffsetVector.deviations meets them.  Offsets from two quadratic fields
-# are refused with the first such pair, as those sums would refuse them.
-_DEVIATION_PAIRS = ((2, 3), (0, 1), (1, 3), (0, 2), (0, 3), (1, 2))
-
-
 def _integer_offsets(x: OffsetVector) -> tuple[list[int], list[int], int, int]:
     """(R, I, d, L) with x = (R + I sqrt(d)) / L."""
-    ds = [v.d if isinstance(v, QuadExt) else 0 for v in x.x]
-    for p, q in _DEVIATION_PAIRS:
-        if ds[p] and ds[q] and ds[p] != ds[q]:
-            raise MixedRadicand(f"cannot combine sqrt({ds[p]}) with sqrt({ds[q]})")
-    return sqrt_parts(x.x)
+    try:
+        return sqrt_parts(x.x)
+    except MixedRadicand:
+        # the deviation sums combine every pair of offsets, so they refuse
+        # mixed radicands too, naming the pair they meet first
+        x.deviations()
+        raise
 
 
 def rescale(x: OffsetVector) -> OffsetVector:
@@ -308,11 +304,15 @@ _LINES = (
 def _check_entries(cells: Sequence[Scalar]) -> None:
     """Raise unless the nine entries (row by row) are nonnegative and
     every row and column sums to 1/3; the entries are checked first, then
-    the rows, then the columns, each in order."""
+    the rows, then the columns, each in order.  One split of all nine
+    entries serves every table from one field; ``_check_mixed`` gives the
+    same checks, slower, for the rest."""
     try:
         rat, irr, d, den = sqrt_parts(cells)
     except MixedRadicand:
         _check_mixed(cells)
+        # not reached: some row or column of a two-field table either
+        # mixes the fields or leaves an irrational part over
         raise
     for n in range(9):
         if quad_sign(rat[n], irr[n], d) < 0:

@@ -300,6 +300,10 @@ def exact_sign(v: Scalar) -> int:
     return (v > 0) - (v < 0)
 
 
+def exact_abs(v: Scalar) -> Scalar:
+    return -v if exact_sign(v) < 0 else v
+
+
 def as_exact(v) -> Scalar:
     """Coerce int/str/Fraction/QuadExt to a canonical exact scalar.
 

@@ -7,6 +7,7 @@ from uncorrsets.numeric import (
     MixedRadicand,
     QuadExt,
     as_exact,
+    exact_abs,
     exact_sign,
     format_rational,
     quad_sign,
@@ -64,6 +65,7 @@ def test_ordering_and_abs():
     assert Fraction(7, 5) < r < Fraction(3, 2)
     assert 1 < r
     assert abs(1 - r) == r - 1
+    assert exact_abs(Fraction(-3, 4)) == Fraction(3, 4)
     assert exact_sign(r - 2) == -1
     assert exact_sign(Fraction(0)) == 0
 
