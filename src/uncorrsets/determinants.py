@@ -17,17 +17,19 @@ rational powers of the support ratio.
 
 Every identity is checked two independent ways: ``*_direct`` expands the
 determinant by cofactors, ``*_closed`` writes each term of the multisum,
-a monomial times one sigma, into one coefficient dict (``_sigma_sum``)
-and multiplies once by its prefactor.  The two routes share only the
-polynomial ring and sigma; their results are compared coefficient by
-coefficient.  Orders with m + n above ``MAX_ORDER_SUM`` are refused.
+a monomial times one sigma, as a run of packed keys in one coefficient
+dict and multiplies by the prefactor one linear factor at a time
+(``_sigma_sum``).  The two routes share only the polynomial ring and
+sigma; their results are compared coefficient by coefficient.  Orders
+with m + n above ``MAX_ORDER_SUM`` are refused.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from operator import lshift
 from typing import Sequence
 
 from . import linalg
@@ -41,7 +43,7 @@ X, Y, Z, T = range(4)
 
 # largest m + n of a determinant identity; admits every G(a, b) that an
 # independence certificate needs at the default exponent cap (a + b <= 31).
-# The slowest check under it, G(10, 22), takes about 0.9 s, most of it in
+# The slowest check under it, G(10, 22), takes about 0.1 s, most of it in
 # the closed route's _sigma_sum.
 MAX_ORDER_SUM = 32
 
@@ -54,24 +56,67 @@ class SlopeOne(ValueError):
     """Slope 1 makes the middle columns coincide; the system degenerates."""
 
 
-def _sigma_sum(arity: int, i: int, j: int, terms) -> MultiPoly:
-    """Sum of v^exps * sigma_e(v_i, v_j) over the (exps, e) pairs in terms,
-    each term written straight into one coefficient dict."""
-    out: dict[tuple[int, ...], int] = {}
-    for exps, e in terms:
-        mono = list(exps)
-        ei, ej = mono[i], mono[j]
-        for r in range(e + 1):
-            mono[i], mono[j] = ei + e - r, ej + r
-            key = tuple(mono)
-            out[key] = out.get(key, 0) + 1
-    return MultiPoly._of(arity, out)
+# the Vandermonde product (y-x)(z-x)(t-x)(z-y)(t-y)(t-z) as pairs (a, b),
+# each the factor v_b - v_a, in the order the closed routes multiply
+VANDERMONDE = ((Z, T), (X, Y), (X, Z), (X, T), (Y, Z), (Y, T))
+
+
+def _sigma_sum(arity: int, i: int, j: int, terms, factors=()) -> MultiPoly:
+    """The product of (v_b - v_a) over the pairs (a, b) in factors, times
+    the sum of v^exps * sigma_e(v_i, v_j) over the (exps, e) pairs in terms.
+
+    Runs on packed keys, as ``MultiPoly.__mul__`` does: variable v takes
+    bits [v*w, (v+1)*w) of one int, so with s_v = 2^(v*w) the terms of
+    v^exps * sigma_e are the arithmetic progression key(exps) + e*s_i +
+    r*(s_j - s_i), r = 0..e (a step of 0 when i == j), and multiplying by
+    v_b - v_a is the copy shifted by s_b minus the copy shifted by s_a.
+    Equal (exps, e) pairs are counted first, so each distinct run is
+    written once, with its multiplicity as the increment.  No exponent of
+    the sum exceeds max(exps) + e and each factor adds at most one, so a
+    field of w bits for that bound plus one per factor never carries.
+    Keys are unpacked once, at the end.
+    """
+    counts = Counter(terms)
+    if not counts:
+        return MultiPoly.zero(arity)
+    top = max(max(exps) + e for exps, e in counts) + len(factors)
+    w = top.bit_length() or 1
+    shifts = range(0, w * arity, w)
+    si = 1 << i * w
+    step = (1 << j * w) - si
+    out: dict[int, int] = {}
+    get = out.get
+    for (exps, e), mult in counts.items():
+        start = sum(map(lshift, exps, shifts)) + e * si
+        if step:
+            for k in range(start, start + (e + 1) * step, step):
+                out[k] = get(k, 0) + mult
+        else:
+            out[start] = get(start, 0) + (e + 1) * mult
+    for a, b in factors:
+        sa, sb = 1 << a * w, 1 << b * w
+        shifted = {k + sb: c for k, c in out.items()}
+        get = shifted.get
+        for k, c in out.items():
+            k += sa
+            c = get(k, 0) - c
+            if c:
+                shifted[k] = c
+            else:  # only a key of the first copy can cancel
+                del shifted[k]
+        out = shifted
+    mask = (1 << w) - 1
+    return MultiPoly._of(
+        arity, {tuple([k >> s & mask for s in shifts]): c for k, c in out.items()}
+    )
 
 
 def sigma(k: int, arity: int = 2, i: int = 0, j: int = 1) -> MultiPoly:
     """sigma_k in variables i and j of an arity-wide ring."""
     if k < 0:
         raise ValueError("sigma needs k >= 0")
+    if not (0 <= i < arity and 0 <= j < arity):
+        raise ValueError(f"variable index {i} or {j} out of range for arity {arity}")
     return _sigma_sum(arity, i, j, [((0,) * arity, k)])
 
 
@@ -80,8 +125,7 @@ def sigma_diff_identity(k: int) -> bool:
     if k < 1:
         raise ValueError("the difference identity needs k >= 1")
     lhs = sigma(k, 3, X, Y) - sigma(k, 3, X, Z)
-    acc = _sigma_sum(3, Y, Z, (((k - 1 - j, 0, 0), j) for j in range(k)))
-    rhs = (MultiPoly.variable(3, Y) - MultiPoly.variable(3, Z)) * acc
+    rhs = _sigma_sum(3, Y, Z, (((k - 1 - j, 0, 0), j) for j in range(k)), ((Z, Y),))
     return lhs == rhs
 
 
@@ -143,12 +187,11 @@ def det2_closed(j: int, m: int) -> MultiPoly:
     _check_orders(min(j, m), max(j, m), lowest=0)
     if j > m:
         return -det2_closed(m, j)
-    acc = _sigma_sum(3, Y, Z, (
+    return _sigma_sum(3, Y, Z, (
         ((j + m - r - s, r, r), s - r - 1)
         for r in range(j + 1)
         for s in range(j + 1, m + 1)
-    ))
-    return (MultiPoly.variable(3, Z) - MultiPoly.variable(3, Y)) * acc
+    ), ((Y, Z),))
 
 
 def det2_check(j: int, m: int) -> DetResult:
@@ -157,10 +200,12 @@ def det2_check(j: int, m: int) -> DetResult:
     return DetResult("det2", j, m, direct, closed, direct == closed)
 
 
-@cache
 def vandermonde_factor() -> MultiPoly:
-    """(y-x)(z-x)(t-x)(z-y)(t-y)(t-z) in the four-variable ring.  Built
-    once: no MultiPoly operation changes its operands."""
+    """(y-x)(z-x)(t-x)(z-y)(t-y)(t-z) in the four-variable ring, as a
+    product of MultiPolys.  The closed routes multiply by the same factors
+    inside ``_sigma_sum``; this product is the reference the tests hold
+    them to.  Only selftest and the tests call it, so it is built on each
+    call rather than kept for the life of the process."""
     vs = [MultiPoly.variable(4, i) for i in range(4)]
     out = MultiPoly.const(4, 1)
     for a in range(4):
@@ -193,14 +238,13 @@ def f_closed(m: int, n: int) -> MultiPoly:
     step with the repeated-column determinant on the direct route.
     """
     _check_orders(m, n, lowest=1)
-    acc = _sigma_sum(4, Z, T, (
+    return _sigma_sum(4, Z, T, (
         ((n - 3 - j - k, m + j + k - r - s - 1, r, r), s - r - 1)
         for j in range(m - 1)
         for k in range(n - m)
         for r in range(j + 1)
         for s in range(j + 1, m + k)
-    ))
-    return vandermonde_factor() * acc
+    ), VANDERMONDE)
 
 
 def g_direct(m: int, n: int) -> MultiPoly:
@@ -212,7 +256,7 @@ def g_direct(m: int, n: int) -> MultiPoly:
 def g_closed(m: int, n: int) -> MultiPoly:
     """Vandermonde product times the quintuple-sum cofactor of G(m, n)."""
     _check_orders(m, n, lowest=1)
-    acc = _sigma_sum(4, Z, T, (
+    return _sigma_sum(4, Z, T, (
         (
             (2 * m + n - 3 - k - p - j, n + k - 2 - r - s, j + r, j + r),
             p + s - j - r - 1,
@@ -222,8 +266,7 @@ def g_closed(m: int, n: int) -> MultiPoly:
         for p in range(m)
         for s in range(k - p, n)
         for r in range(k - j)
-    ))
-    return vandermonde_factor() * acc
+    ), VANDERMONDE)
 
 
 def _check_orders(m: int, n: int, lowest: int) -> None:
@@ -256,9 +299,11 @@ class IndependenceCertificate:
     """Why four membership conditions admit only the zero offset.
 
     The matrix rows are (1, beta^j, beta^k, beta^(j+k)) for each order
-    pair; ``det_value`` is its exact determinant and ``closed_value``
-    the G(a, b) product formula evaluated at u_i = beta^(j_i / a), equal
-    up to the recorded column-swap sign.  The product formula is a
+    pair; ``det_value`` is its exact determinant, ``nullspace_dim`` its
+    nullity, and ``closed_value`` the G(a, b) product formula evaluated
+    at u_i = beta^(j_i / a), equal up to the recorded column-swap sign.
+    All three are computed in integers, on rows and points scaled by
+    powers of beta's denominator.  The product formula is a
     strictly positive quantity at increasing positive arguments, which
     is the actual proof that the determinant cannot vanish.
     """
@@ -309,20 +354,25 @@ def independence_certificate(
     if slope == 1:
         raise SlopeOne("slope 1 duplicates the two middle columns")
 
-    beta = support.beta
-    rows = [[Fraction(1), beta**j, beta**k, beta ** (j + k)] for j, k in pts]
-    det_value = linalg.det(rows)
-    null_dim = len(linalg.nullspace(rows))
+    # with beta = p/q, row (1, beta^j, beta^k, beta^(j+k)) times q^(j+k)
+    p, q = support.beta.numerator, support.beta.denominator
+    rows = [[q ** (j + k), p**j * q**k, p**k * q**j, p ** (j + k)] for j, k in pts]
+    det_value = linalg.det(rows) / q ** sum(j + k for j, k in pts)
+    null_dim = 4 - linalg.rank(rows)
 
     a, b = slope.denominator, slope.numerator
     for j, _ in pts:
         if j % a != 0:
             raise NotOnLine(f"j = {j} is not a multiple of {a}")
-    u = [beta ** (j // a) for j, _ in pts]
+    # u_i = beta^t_i with t_i = j_i / a is U_i / q^top; G(a, b) is
+    # homogeneous of degree 2(a + b), so G(u) = G(U) / q^(2 top (a + b))
+    ts = [j // a for j, _ in pts]
+    top = max(ts)
+    big_u = [p**t * q ** (top - t) for t in ts]
     # for b < a the columns (1, u^a, u^b, u^(a+b)) swap the middle pair of G(b, a)
     closed = g_closed(min(a, b), max(a, b))
     sign = 1 if b > a else -1
-    closed_value = Fraction(closed.evaluate(u))
+    closed_value = Fraction(closed.evaluate(big_u), q ** (2 * top * (a + b)))
     cross_checked = det_value == sign * closed_value
     independent = det_value != 0 and null_dim == 0 and closed_value > 0
     return IndependenceCertificate(

@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals on small dense matrices.
 
-Everything is fraction-free in spirit but implemented directly over
-Fraction; matrix sizes here are at most a handful of rows, so clarity
-wins over asymptotics.  Matrices are lists of rows.
+``det`` and ``rank`` share one fraction-free elimination (Bareiss, Math.
+Comp. 22, 1968) over integers: each row is scaled by the lcm of its
+denominators, every step divides exactly by the previous pivot, and the
+last pivot of a full-rank square matrix is the determinant of the scaled
+rows.  ``rref`` and ``nullspace`` return rational rows and run over
+Fraction.  Matrices are lists of rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -18,6 +22,48 @@ def _to_rows(mat: Sequence[Sequence]) -> list[list[Fraction]]:
         if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix")
     return rows
+
+
+def _integer_rows(mat: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of
+    those factors."""
+    rows, scale = [], 1
+    for row in mat:
+        row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+        d = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (d // v.denominator) for v in row])
+        scale *= d
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    return rows, scale
+
+
+def _eliminate(rows: list[list[int]]) -> tuple[int, int]:
+    """Bareiss forward elimination of integer rows, in place.
+
+    Returns the rank and the last pivot, signed by the row swaps.  A
+    column with no pivot left is skipped, which is elimination on the
+    matrix without that column, so every division stays exact.
+    """
+    n = len(rows)
+    r, prev, sign = 0, 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        if r == n:
+            break
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i in range(r + 1, n):
+            f = rows[i][c]
+            rows[i] = [(p * v - f * w) // prev for v, w in zip(rows[i], top)]
+        prev = p
+        r += 1
+    return r, sign * prev
 
 
 def rref(mat: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -47,7 +93,7 @@ def rref(mat: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(mat: Sequence[Sequence]) -> int:
-    return len(rref(mat)[1])
+    return _eliminate(_integer_rows(mat)[0])[0]
 
 
 def nullspace(mat: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -69,23 +115,9 @@ def nullspace(mat: Sequence[Sequence]) -> list[list[Fraction]]:
 
 
 def det(mat: Sequence[Sequence]) -> Fraction:
-    rows = _to_rows(mat)
+    rows, scale = _integer_rows(mat)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        out *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
-    return sign * out
+    r, last = _eliminate(rows)
+    return Fraction(last if r == n else 0, scale)

@@ -347,7 +347,7 @@ def int_from_json(obj) -> int:
 
 # "p", "p/q" or a decimal "1.25"; no exponent, since "1e9999999" would
 # make a 33-million-bit integer before anything could refuse it
-_RATIONAL_TEXT = re.compile(r"[-+]?(\d+(/\d+)?|\d*\.\d+)")
+_RATIONAL_TEXT = re.compile(r"([-+]?)(?:(\d+)(?:/(\d+))?|(\d*)\.(\d+))")
 
 
 def rational_from_json(obj) -> Fraction:
@@ -355,11 +355,21 @@ def rational_from_json(obj) -> Fraction:
 
     The one reader of rationals in documents: a float (already rounded),
     a bool and a string in exponent notation are refused, never
-    truncated or taken as 0 and 1.
+    truncated or taken as 0 and 1.  The Fraction is built from the
+    match's integer groups, so the text is parsed once.
     """
-    if (isinstance(obj, str) and _RATIONAL_TEXT.fullmatch(obj)) or type(obj) is int:
+    if type(obj) is int:
         return Fraction(obj)
-    raise ValueError(f'not a rational such as "3/5" or 2: {obj!r}')
+    m = _RATIONAL_TEXT.fullmatch(obj) if isinstance(obj, str) else None
+    if m is None:
+        raise ValueError(f'not a rational such as "3/5" or 2: {obj!r}')
+    sign, num, den, whole, frac = m.groups()
+    if num is None:
+        den = 10 ** len(frac)
+        num = int(whole or 0) * den + int(frac)
+    else:
+        num, den = int(num), int(den or 1)
+    return Fraction(-num if sign == "-" else num, den)
 
 
 def scalar_from_json(obj) -> Scalar:

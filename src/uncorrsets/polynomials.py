@@ -311,8 +311,11 @@ class MultiPoly:
     [i*w, (i+1)*w) of one int.  Exponents are nonnegative, so no field
     carries and the sum of two packed keys is the packed key of the
     product monomial.  Zero coefficients are dropped before the result
-    is unpacked, as on every other operation.  ``__init__`` validates
-    whatever it is given; results built inside the ring skip that.
+    is unpacked, as on every other operation.  When one operand is a
+    single term the product translates the other's exponent tuples
+    instead, which can neither collide nor cancel, so nothing is packed.
+    ``__init__`` validates whatever it is given; results built inside the
+    ring skip that.
     """
 
     __slots__ = ("_arity", "_terms")
@@ -422,6 +425,12 @@ class MultiPoly:
             a, b = b, a
         if not a:
             return MultiPoly._of(self._arity, {})
+        if len(a) == 1:
+            # a translation: keys stay distinct and coefficients nonzero
+            ((ea, ca),) = a.items()
+            return MultiPoly._of(
+                self._arity, {tuple(map(add, ea, e)): ca * c for e, c in b.items()}
+            )
         # every field fits its variable's largest exponent sum: no carries
         top = max(map(add, map(max, zip(*a)), map(max, zip(*b))))
         w = top.bit_length() or 1  # a product of constants still needs a field
@@ -465,13 +474,17 @@ class MultiPoly:
         return hash((self._arity, frozenset(self._terms.items())))
 
     def evaluate(self, point: Sequence) -> Scalar:
-        """Exact value at a point of Fractions or QuadExt scalars."""
+        """Exact value at a point of ints, Fractions or QuadExt scalars.
+
+        The sum starts from int coefficients and the int power 1, so at a
+        point of ints the value is an int.
+        """
         if len(point) != self._arity:
             raise ArityMismatch(f"point has {len(point)} coordinates")
-        cache: list[dict[int, Scalar]] = [{0: Fraction(1)} for _ in point]
-        acc: Scalar = Fraction(0)
+        cache: list[dict[int, Scalar]] = [{0: 1} for _ in point]
+        acc: Scalar = 0
         for exps, coef in self._terms.items():
-            term: Scalar = Fraction(coef)
+            term: Scalar = coef
             for i, e in enumerate(exps):
                 powers = cache[i]
                 if e not in powers:

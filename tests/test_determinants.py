@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,17 @@ def test_sigma_basics():
     assert sigma(3, 3, 0, 2).evaluate((2, 0, 1)) == 15
     with pytest.raises(ValueError):
         sigma(-1)
+
+
+def test_sigma_in_one_variable_and_index_checks():
+    # sigma_k(v, v) = (k + 1) v^k: every term of the sum is the same monomial
+    x = MultiPoly.variable(2, 0)
+    assert sigma(2, 2, 0, 0) == 3 * x**2
+    assert sigma(0, 2, 1, 1) == MultiPoly.const(2, 1)
+    assert sigma(5, 3, 2, 2) == 6 * MultiPoly.variable(3, 2) ** 5
+    for i, j in ((0, 3), (3, 0), (-1, 0), (0, -1), (2, 2)):
+        with pytest.raises(ValueError, match="variable index"):
+            sigma(2, 2, i, j)
 
 
 def test_sigma_telescopes_power_differences():
@@ -166,6 +178,99 @@ def test_orders_above_the_bound_are_refused_before_either_route():
     assert MAX_ORDER_SUM >= 16 + 15
     assert g_check(1, MAX_ORDER_SUM - 1).equal
     assert det2_check(MAX_ORDER_SUM, 0).equal
+
+
+def _closed_and_reference(monkeypatch, route, *orders):
+    """route(*orders), and the product the closed routes used to make from
+    the terms the route hands _sigma_sum: the MultiPoly product of its
+    linear factors times the bare sum.  Also the field bound's base and
+    the number of factors."""
+    real = determinants._sigma_sum
+    calls = []
+
+    def spy(arity, i, j, terms, factors=()):
+        terms = list(terms)
+        calls.append((arity, i, j, terms, factors))
+        return real(arity, i, j, terms, factors)
+
+    monkeypatch.setattr(determinants, "_sigma_sum", spy)
+    got = route(*orders)
+    monkeypatch.undo()
+    ((arity, i, j, terms, factors),) = calls
+    if len(factors) == 6:
+        prefactor = vandermonde_factor()
+    else:
+        ((a, b),) = factors
+        prefactor = MultiPoly.variable(arity, b) - MultiPoly.variable(arity, a)
+    top = max((max(exps) + e for exps, e in terms), default=0)
+    return got, prefactor * real(arity, i, j, terms), top, len(factors)
+
+
+# every F and G order with m + n <= 14, the degenerate n = m included
+SMALL_ORDERS = [(m, n) for m in range(1, 8) for n in range(m, 15 - m)]
+
+# orders past the exhaustive ranges below where the one-bit-per-factor
+# margin of _sigma_sum's field width changes the width
+MARGIN_ORDERS = {
+    f_closed: [(2, 17), (2, 18), (3, 17), (2, 29)],
+    g_closed: [(1, 17), (2, 15), (2, 17), (1, 31)],
+    det2_closed: [(7, 9), (0, 16), (15, 17)],
+}
+
+
+def test_closed_routes_equal_the_vandermonde_product(monkeypatch):
+    cases = {
+        f_closed: SMALL_ORDERS + MARGIN_ORDERS[f_closed],
+        g_closed: SMALL_ORDERS + MARGIN_ORDERS[g_closed],
+        det2_closed: [(j, m) for m in range(9) for j in range(m + 1)]
+        + MARGIN_ORDERS[det2_closed],
+    }
+    for route, orders in cases.items():
+        for mn in orders:
+            got, want, top, nfactors = _closed_and_reference(monkeypatch, route, *mn)
+            assert got == want, (route.__name__, mn)
+            if mn in MARGIN_ORDERS[route]:
+                assert top.bit_length() != (top + nfactors).bit_length(), mn
+
+
+def test_closed_routes_make_no_multipoly_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("MultiPoly product in a closed route")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    f_closed(5, 9)
+    g_closed(4, 7)
+    det2_closed(2, 6)
+    assert sigma_diff_identity(6)
+
+
+def _leibniz(exponents):
+    """det of the power matrix (v^e for e in exponents) at v = x, y, z, t as
+    the 24-term permutation sum, zero terms dropped."""
+    out = {}
+    for perm in permutations(range(4)):
+        inversions = sum(perm[a] > perm[b] for a in range(4) for b in range(a + 1, 4))
+        key = tuple(exponents[c] for c in perm)
+        out[key] = out.get(key, 0) + (-1) ** inversions
+    return {e: c for e, c in out.items() if c}
+
+
+def test_direct_routes_equal_the_leibniz_sum(monkeypatch):
+    for m, n in SMALL_ORDERS:
+        assert dict(f_direct(m, n).sorted_terms()) == _leibniz((0, 1, m, n))
+        assert dict(g_direct(m, n).sorted_terms()) == _leibniz((0, m, n, m + n))
+    # mp_det is the full cofactor recursion: 1 + 4 (1 + 3 (1 + 2)) calls
+    calls = []
+    real = determinants.mp_det
+
+    def counting(mat):
+        calls.append(len(mat))
+        return real(mat)
+
+    monkeypatch.setattr(determinants, "mp_det", counting)
+    g_direct(2, 3)
+    assert len(calls) == 41
+    assert sorted(set(calls)) == [1, 2, 3, 4]
 
 
 def test_closed_and_direct_routes_stay_independent():

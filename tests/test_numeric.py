@@ -11,6 +11,7 @@ from uncorrsets.numeric import (
     exact_sign,
     format_rational,
     quad_sign,
+    rational_from_json,
     scalar_from_json,
     scalar_from_parts,
     scalar_to_json,
@@ -127,6 +128,25 @@ def test_scalar_json_round_trip():
                 {"a": "1", "b": "1", "d": 2.0}):
         with pytest.raises(ValueError):
             scalar_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+3", "-0/5", "007/010", ".5", "1.250", "-2.5", "3/5", "1/0", "-1/0", "7" * 5000],
+)
+def test_rational_from_json_reads_as_fraction_does(text):
+    # built from the match's groups, the value (or the exception, with its
+    # message) is Fraction(text)'s; the 5,000-digit numerator passes the
+    # pattern and meets int()'s digit limit
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            rational_from_json(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = rational_from_json(text)
+        assert type(got) is Fraction and got == want
 
 
 def test_pow_and_str():

@@ -235,6 +235,33 @@ def test_multipoly_product_at_the_field_boundary(top):
             assert (a * b).sorted_terms()[0][0] == (top,) * arity
 
 
+@pytest.mark.parametrize("arity", [1, 6])
+def test_multipoly_product_with_one_term_operand(arity):
+    # a one-term operand on either side: a monomial with a negative or a
+    # positive coefficient, a negative constant and the constant 1, against
+    # operands with cancelling coefficients and exponents past 2^20
+    rng = random.Random(arity + 7)
+
+    def rand(terms, top):
+        return MultiPoly(arity, {
+            tuple(rng.randint(0, top) for _ in range(arity)): rng.choice((-3, -1, 1, 2))
+            for _ in range(terms)
+        })
+
+    for top in (3, 2**20):
+        for _ in range(20):
+            many = rand(rng.randint(1, 12), top)
+            for one in (
+                rand(1, top),
+                MultiPoly(arity, {tuple(rng.randint(0, top) for _ in range(arity)): -5}),
+                MultiPoly.const(arity, -2),
+                MultiPoly.const(arity, 1),
+            ):
+                assert one.term_count == 1
+                _check_product(one, many)
+                _check_product(one, one)
+
+
 def test_multipoly_product_cancellations():
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
@@ -270,6 +297,11 @@ def test_multipoly_evaluate_mixed_scalars():
     r = QuadExt(0, 1, 2)
     assert p.evaluate([r, Fraction(1)]) == 0
     assert p.evaluate([Fraction(3), Fraction(1)]) == 7
+    # ints stay ints: the sum starts from int coefficients and powers
+    for point, want in (([3, 1], 7), ([5, 4], -7), ([0, 0], 0)):
+        value = p.evaluate(point)
+        assert type(value) is int and value == want
+    assert p.evaluate([Fraction(1, 2), 1]) == Fraction(-7, 4)
     with pytest.raises(ArityMismatch):
         p.evaluate([Fraction(1)])
 

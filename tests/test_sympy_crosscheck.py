@@ -3,14 +3,16 @@ this package: integer polynomial gcd and real-root counts (with repeated
 roots, and at the degree and coefficient size of the slope line), the gcd
 and membership on the near-line slope line, the F and G determinants at
 rational points, a third route to their closed forms through Schur
-polynomials, sparse products the size of the closed forms' last step,
-and the moment route's box enumeration against E[X^j Y^k] - E[X^j] E[Y^k]
-in sympy's exact arithmetic."""
+polynomials and the degree of G's, sparse products the size of the
+closed forms' old last step, the determinant and rank of rational
+matrices, the values of independence certificates, and the moment
+route's box enumeration against E[X^j Y^k] - E[X^j] E[Y^k] in sympy's
+exact arithmetic."""
 
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from operator import mul
 
 import pytest
@@ -25,15 +27,18 @@ from uncorrsets.constructions import (  # noqa: E402
     make_two_point,
     slopeline_beta_star,
 )
+from uncorrsets import linalg  # noqa: E402
 from uncorrsets.determinants import (  # noqa: E402
     f_closed,
     f_direct,
     g_closed,
     g_direct,
+    independence_certificate,
     vandermonde_factor,
 )
 from uncorrsets.engine import enumerate_box_table, offsets_delta  # noqa: E402
 from uncorrsets.model import (  # noqa: E402
+    BetaSupport,
     JointTable,
     OffsetVector,
     Support3,
@@ -192,6 +197,91 @@ def test_closed_forms_are_vandermonde_times_schur(closed, m, n):
     vandermonde = sp.Mul(*(V[b] - V[a] for a in range(4) for b in range(a + 1, 4)))
     want = sp.Poly(vandermonde * _schur(parts), *V).as_dict()
     assert dict(closed(m, n).sorted_terms()) == {e: int(c) for e, c in want.items()}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_g_closed_is_homogeneous_of_degree_twice_the_order_sum(m):
+    for n in range(m + 1, 14 - m):
+        poly = sp.Poly.from_dict(dict(g_closed(m, n).sorted_terms()), *V)
+        assert poly.is_homogeneous and poly.homogeneous_order() == 2 * (m + n)
+
+
+def _rational_matrix(rng, nrows, ncols):
+    """A random rational matrix: either sparse, so that elimination swaps
+    rows, or a product through a random inner size, often singular; and
+    sometimes with zero rows and columns, so that elimination skips pivot
+    columns."""
+    zeros = rng.random()
+
+    def entry():
+        if rng.random() < zeros:
+            return Fraction(0)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    if rng.random() < 0.5:
+        mat = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        inner = rng.randint(0, max(nrows, ncols))
+        left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+        mat = [
+            [sum((left[i][k] * right[k][j] for k in range(inner)), Fraction(0))
+             for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    for i in range(nrows):
+        if rng.random() < 0.15:
+            mat[i] = [Fraction(0)] * ncols
+    for j in range(ncols):
+        if rng.random() < 0.15:
+            for row in mat:
+                row[j] = Fraction(0)
+    return mat
+
+
+def _sym_matrix(mat, ncols):
+    return sp.Matrix(len(mat), ncols, [_rat(v) for row in mat for v in row])
+
+
+def test_det_and_rank_match_sympy():
+    rng = random.Random(2024)
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.4:
+            ncols = nrows
+        mat = _rational_matrix(rng, nrows, ncols)
+        want = _sym_matrix(mat, ncols)
+        assert linalg.rank(mat) == want.rank(), mat
+        if nrows == ncols:
+            assert linalg.det(mat) == Fraction(int(want.det().p), int(want.det().q)), mat
+    # the empty matrix: rank 0, and the empty product as its determinant
+    assert linalg.rank([]) == 0 and linalg.det([]) == 1
+    assert linalg.rank([[], []]) == 0
+    assert linalg.rank([[0, 0, 0], [0, 0, 0]]) == 0
+
+
+CERT_BETAS = (Fraction(3, 2), Fraction(2), Fraction(5, 3), Fraction(7, 4))
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b])
+def test_certificate_values_match_sympy(a, b):
+    slope = Fraction(b, a)
+    ra, rb = slope.denominator, slope.numerator
+    closed = g_closed(min(ra, rb), max(ra, rb))
+    for beta in CERT_BETAS:
+        for ts in combinations(range(1, 7), 4):
+            pts = [(a * t, b * t) for t in ts]
+            cert = independence_certificate(pts, BetaSupport(1, beta))
+            rows = sp.Matrix([
+                [1, _rat(beta) ** j, _rat(beta) ** k, _rat(beta) ** (j + k)] for j, k in pts
+            ])
+            want = rows.det()
+            assert cert.det_value == Fraction(int(want.p), int(want.q)), (pts, beta)
+            assert cert.closed_value == closed.evaluate(
+                [beta ** (j // ra) for j, _ in pts]
+            ), (pts, beta)
+            assert cert.nullspace_dim == 4 - rows.rank() == 0
+            assert cert.cross_checked and cert.independent
 
 
 def _sparse(rng, terms, top):
