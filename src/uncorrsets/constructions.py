@@ -25,14 +25,17 @@ beta_star is irrational, so the fourth-point construction cannot hand
 out a rational support; instead ``AlgebraicSlopeLine`` keeps P together
 with a certified isolating interval and decides membership of (j, k)
 exactly, through the gcd of P with the corresponding difference
-polynomial D(j, k) and a Sturm count; ``certify`` re-derives a line read
-from a document.  Its ``enumerate_box`` puts a cheap filter in front of
-that exact test: with D = c0 + B^k c1, monotone interval enclosures of c0
-and c1 on (lo, hi) admit, per column j, only the k whose [lo^k, hi^k] can
-hold -c0/c1, and only those cells reach the gcd.  The enclosures are
-integer sums over the powers of the interval's ends, scaled to one
-common denominator once per box.  These polynomials live in
-``slopeline``.  ``Construction`` is the one in-memory witness:
+polynomial D(j, k) and ``polynomials.root_count``, whose monotonicity
+certificates decide a narrow interval without a Sturm chain; ``certify``
+re-derives a line read from a document, with a Sturm count.  Its
+``enumerate_box`` puts a cheap filter in front of that exact test: with
+D = c0 + B^k c1, monotone interval enclosures of c0 and c1 on (lo, hi)
+admit, per column j, only the k whose [lo^k, hi^k] can hold -c0/c1, and
+only those cells reach the gcd.  The enclosures and the column bounds
+are integer sums, floor divisions and comparisons over the powers of the
+interval's ends, scaled to one common denominator once per box.  These
+polynomials live in ``slopeline``.  ``Construction`` is the one
+in-memory witness:
 ``to_json`` is the one writer of witness documents and ``from_json`` the
 one reader; ``enumerate_box``, ``verify`` and ``table`` serve offsets
 and algebraic lines alike, and ``verify`` holds the rule for a claim on
@@ -45,9 +48,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import lcm
-from operator import mul
 
 from .engine import (
     ASequence,
@@ -78,7 +78,14 @@ from .model import (
     to_y,
 )
 from .numeric import QuadExt, format_rational, int_from_json, rational_from_json
-from .polynomials import IntPoly, isolate_root, sturm_root_count
+from .polynomials import (
+    IntPoly,
+    _enclosure,
+    _scaled_powers,
+    isolate_root,
+    root_count,
+    sturm_root_count,
+)
 from .slopeline import (
     beta0_poly,
     beta_star_poly,
@@ -315,9 +322,11 @@ class AlgebraicSlopeLine:
     """A slope-line construction at the algebraic ratio beta_star(m, k).
 
     Membership of an order pair (j, kk) is decided exactly: beta_star
-    is the only root of ``poly`` in ``interval`` (Sturm-certified), so
-    (j, kk) is uncorrelated iff gcd(D(j, kk), poly) still has a root
-    there.  No floating point, no numeric thresholds.
+    is the only root of ``poly`` in ``interval`` (certified by
+    ``root_count`` when built, and by a Sturm count in ``certify`` when
+    read), so (j, kk) is uncorrelated iff gcd(D(j, kk), poly) still has a
+    root there, which ``root_count`` decides.  No floating point, no
+    numeric thresholds.
     """
 
     m: int
@@ -332,7 +341,7 @@ class AlgebraicSlopeLine:
         g = IntPoly.gcd(d, self.poly)
         if g.degree <= 0:
             return False
-        return sturm_root_count(g, self.interval[0], self.interval[1]) >= 1
+        return root_count(g, self.interval[0], self.interval[1]) >= 1
 
     def enumerate_box(self, jmax: int, kmax: int) -> list[Point]:
         """The members in the box, in row-by-row order.
@@ -345,22 +354,29 @@ class AlgebraicSlopeLine:
         the whole column does.  The filter drops no cell ``contains``
         accepts, and every point returned is decided by ``contains``.
 
-        The enclosures run in integers: with lo = a/d, hi = b/d and N the
-        largest degree of a c0 or c1 in the box, the powers a^i d^(N-i)
-        and b^i d^(N-i) are built once, and each enclosure end is a sum of
-        at most four of them, scaled by d^N.  The scale cancels in the
-        quotients, the only Fractions built per column.
+        No Fraction is built: with lo = a/d, hi = b/d and N the larger of
+        kmax and the largest degree of a c0 or c1 in the box, the powers
+        a^i d^(N-i) and b^i d^(N-i) are built once.  They are the powers
+        of lo and hi scaled by S = d^N, and each enclosure end is a sum of
+        at most four of them, scaled alike.  Negating c0 and c1 together
+        keeps every quotient, so take 0 < a1 <= b1 for the enclosures
+        [a0, b0] and [a1, b1].  The hull of the quotients then starts at
+        -b0/b1 and ends at -a0/a1, except where b0 > 0 or a0 > 0 moves
+        that end to another corner; both corners are then negative and
+        below every power, so the same kk are kept.  Those two bounds,
+        times S and rounded towards the powers, are compared with the
+        integer powers exactly.
         Raises ValueError unless 1 < lo < hi, which the enclosures need.
         """
         _check_box(jmax, kmax)
         lo, hi = self.interval
         if not 1 < lo < hi:
             raise ValueError(f"interval ({lo}, {hi}) must satisfy 1 < lo < hi")
-        # both increase with kk, since lo > 1
-        lo_powers = [lo**kk for kk in range(1, kmax + 1)]
-        hi_powers = [hi**kk for kk in range(1, kmax + 1)]
-        # c0 has degree at most j + 3m + 1, c1 less
-        lo_scaled, hi_scaled = _scaled_powers(lo, hi, jmax + 3 * self.m + 1)
+        # c0 has degree at most j + 3m + 1, c1 less; both lists increase
+        # with the power, since lo > 1
+        top = max(jmax + 3 * self.m + 1, kmax)
+        lo_scaled, hi_scaled = _scaled_powers(lo, hi, top)
+        scale = lo_scaled[0]
         out = []
         for j in range(1, jmax + 1):
             c0, c1 = slopeline_d_terms(self.m, j)
@@ -369,9 +385,11 @@ class AlgebraicSlopeLine:
                 candidates = range(1, kmax + 1)
             else:
                 a0, b0 = _enclosure(c0, lo_scaled, hi_scaled)
-                quotients = [Fraction(-c, dd) for c in (a0, b0) for dd in (a1, b1)]
-                first = bisect_left(hi_powers, min(quotients)) + 1
-                last = bisect_right(lo_powers, max(quotients))
+                if b1 < 0:
+                    a0, b0, a1, b1 = -b0, -a0, -b1, -a1
+                # the first hi^kk >= -b0/b1 and the last lo^kk <= -a0/a1
+                first = bisect_left(hi_scaled, -(b0 * scale // b1), 1, kmax + 1)
+                last = bisect_right(lo_scaled, -a0 * scale // a1, 1, kmax + 1) - 1
                 candidates = range(first, last + 1)
             out.extend((j, kk) for kk in candidates if self.contains(j, kk))
         return out
@@ -415,43 +433,13 @@ class AlgebraicSlopeLine:
         )
 
 
-def _scaled_powers(lo: Fraction, hi: Fraction, n: int) -> tuple[list[int], list[int]]:
-    """a^i d^(n-i) and b^i d^(n-i) for i = 0..n, with lo = a/d and hi = b/d
-    over one common denominator d: the powers of lo and hi times d^n."""
-    d = lcm(lo.denominator, hi.denominator)
-    down = list(accumulate(repeat(d, n), mul, initial=1))[::-1]  # d^(n-i)
-
-    def scaled(q: Fraction) -> list[int]:
-        a = q.numerator * (d // q.denominator)
-        return list(map(mul, accumulate(repeat(a, n), mul, initial=1), down))
-
-    return scaled(lo), scaled(hi)
-
-
-def _enclosure(
-    terms: dict[int, int], lo_scaled: list[int], hi_scaled: list[int]
-) -> tuple[int, int]:
-    """Bounds on the sum of c B^i over [lo, hi] for 0 < lo, both scaled as
-    the powers are: the parts with positive and with negative
-    coefficients both increase there."""
-    low = high = 0
-    for i, c in terms.items():
-        if c > 0:
-            low += c * lo_scaled[i]
-            high += c * hi_scaled[i]
-        else:
-            low += c * hi_scaled[i]
-            high += c * lo_scaled[i]
-    return low, high
-
-
 def slopeline_beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> AlgebraicSlopeLine:
     """Isolate beta_star(m, k) and certify the interval holds one root."""
     width = _check_width(width)
     check_order(m, k)
     p = beta_star_poly(m, k)
     lo, hi = _near_line_interval(p, m, k, width)
-    while sturm_root_count(p, lo, hi) != 1:
+    while root_count(p, lo, hi) != 1:
         lo, hi = isolate_root(p, lo, hi, (hi - lo) / 4)
     return AlgebraicSlopeLine(m=m, k=k, poly=p, interval=(lo, hi))
 

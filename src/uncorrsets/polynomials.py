@@ -3,8 +3,14 @@
 ``IntPoly`` is a dense univariate polynomial over the integers.  It
 carries exactly the machinery the constructions need: exact evaluation
 at rationals, bisection-based root isolation to a requested interval
-width, primitive gcd, and a Sturm count used to certify that an
-isolating interval really contains a single root.  Every remainder
+width, primitive gcd, and root counts on an interval.  ``root_count``
+decides a count first by two exact monotonicity certificates, each a
+few integer sums over the powers of the interval's ends (the
+enclosures of ``_enclosure``): an enclosure of p that excludes 0 means
+no root, a sign change with an enclosure of p' that excludes 0 means
+one.  Only what neither decides goes to the Sturm count,
+``sturm_root_count``, which is also the independent check on a document
+and in the self-test.  Every remainder
 sequence (the gcd and the Sturm chain) runs over the integers: each
 step is a pseudo-division scaled by positive factors only, with the
 content divided out, so no Fraction is built and the signs of the
@@ -30,8 +36,9 @@ surviving terms are unpacked back to tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd as int_gcd, lcm
-from operator import add, lshift
+from operator import add, lshift, mul
 from typing import Iterable, Sequence
 
 from .numeric import Scalar, int_from_json
@@ -247,6 +254,67 @@ def sturm_root_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return variations(lo) - variations(hi)
+
+
+def root_count(p: IntPoly, lo, hi) -> int:
+    """Number of distinct real roots of p in the open interval (lo, hi),
+    as ``sturm_root_count`` gives it: ValueError when p vanishes at an end,
+    and also unless lo < hi.
+
+    For 0 <= lo two exact certificates come first, both read from the
+    powers of lo and hi over one common denominator: if the enclosure of
+    p over [lo, hi] excludes 0 the count is 0, and if p(lo) p(hi) < 0 and
+    the enclosure of p' excludes 0, p is strictly monotone there and the
+    count is 1.  Around a simple root a narrow interval meets one of the
+    two; whatever neither decides goes to ``sturm_root_count``.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi:
+        raise ValueError(f"empty interval ({lo}, {hi})")
+    if lo >= 0 and not p.is_zero:
+        lo_scaled, hi_scaled = _scaled_powers(lo, hi, p.degree)
+        terms = {i: c for i, c in enumerate(p.coeffs) if c}
+        low, high = _enclosure(terms, lo_scaled, hi_scaled)
+        if low > 0 or high < 0:
+            return 0
+        at_lo = sum(c * lo_scaled[i] for i, c in terms.items())
+        at_hi = sum(c * hi_scaled[i] for i, c in terms.items())
+        if _sign(at_lo) * _sign(at_hi) < 0:
+            slope = {i - 1: i * c for i, c in terms.items() if i}
+            low, high = _enclosure(slope, lo_scaled, hi_scaled)
+            if low > 0 or high < 0:
+                return 1
+    return sturm_root_count(p, lo, hi)
+
+
+def _scaled_powers(lo: Fraction, hi: Fraction, n: int) -> tuple[list[int], list[int]]:
+    """a^i d^(n-i) and b^i d^(n-i) for i = 0..n, with lo = a/d and hi = b/d
+    over one common denominator d: the powers of lo and hi times d^n."""
+    d = lcm(lo.denominator, hi.denominator)
+    down = list(accumulate(repeat(d, n), mul, initial=1))[::-1]  # d^(n-i)
+
+    def scaled(q: Fraction) -> list[int]:
+        a = q.numerator * (d // q.denominator)
+        return list(map(mul, accumulate(repeat(a, n), mul, initial=1), down))
+
+    return scaled(lo), scaled(hi)
+
+
+def _enclosure(
+    terms: dict[int, int], lo_scaled: list[int], hi_scaled: list[int]
+) -> tuple[int, int]:
+    """Bounds on the sum of c B^i over [lo, hi] for 0 <= lo, both scaled as
+    the powers are: the parts with positive and with negative
+    coefficients both increase there."""
+    low = high = 0
+    for i, c in terms.items():
+        if c > 0:
+            low += c * lo_scaled[i]
+            high += c * hi_scaled[i]
+        else:
+            low += c * hi_scaled[i]
+            high += c * lo_scaled[i]
+    return low, high
 
 
 def isolate_root(

@@ -24,6 +24,7 @@ from . import constructions, determinants, engine, model
 from .engine import ASequence, SetDescriptor
 from .model import BetaSupport, OffsetVector, Support3
 from .numeric import QuadExt
+from .polynomials import IntPoly, root_count, sturm_root_count
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,9 @@ def power_sum_identities(det2_pairs, sigma_orders) -> Section:
 def slope_line_threshold(box: int, width: Fraction) -> Section:
     """The slope-2 line of the paper: the threshold beta0(2) isolated to
     the width, the exact three-point set at beta = 2, negative fourth-row
-    differences, and the four-point set at the near-line ratio beta*(2, 9)."""
+    differences, and the four-point set at the near-line ratio beta*(2, 9).
+    The root counts that decide that set are audited against Sturm counts
+    on P and on every gcd(D, P) of degree >= 1 in the box."""
     problems = []
     lo, hi = constructions.beta0(2, width)
     p = constructions.beta0_poly(2)
@@ -185,11 +188,20 @@ def slope_line_threshold(box: int, width: Fraction) -> Section:
         problems.append(f"near-line box gave {pts}, not {want}")
     if not (1 < line.interval[0] and p(line.interval[1]) < 0):
         problems.append("near-line ratio is not inside (1, beta0)")
+    gcds = [
+        g
+        for j, k in product(range(1, box + 1), repeat=2)
+        if (g := IntPoly.gcd(d_poly(2, j, k), line.poly)).degree >= 1
+    ]
+    for q in [line.poly, *gcds]:
+        if root_count(q, *line.interval) != sturm_root_count(q, *line.interval):
+            problems.append(f"root count and Sturm count differ on {q}")
     return Section(
         f"threshold interval of width {width}, exact three-point set at "
-        f"beta=2, negative fourth-row differences for k <= {box}, and the "
-        "near-line four-point set at the algebraic ratio",
-        3,
+        f"beta=2, negative fourth-row differences for k <= {box}, the "
+        "near-line four-point set at the algebraic ratio, and root counts "
+        f"equal to Sturm counts on P and its {len(gcds)} gcds with D",
+        4 + len(gcds),
         tuple(problems),
     )
 

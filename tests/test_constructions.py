@@ -1,3 +1,4 @@
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -5,9 +6,11 @@ from math import ceil, floor
 
 import pytest
 
+from uncorrsets import polynomials
 from uncorrsets.constructions import (
     AlgebraicSlopeLine,
     BetaTooSmall,
+    DEFAULT_WIDTH,
     MODE_AT_OR_ABOVE,
     MODE_BETA_STAR,
     SlopeLineParams,
@@ -262,6 +265,7 @@ def _per_cell(line, jmax, kmax):
 def _count_exact_tests(monkeypatch):
     counts = Counter()
     contains, gcd = AlgebraicSlopeLine.contains, IntPoly.gcd
+    sturm = polynomials.sturm_root_count
 
     def counted_contains(self, j, kk):
         counts["contains"] += 1
@@ -271,9 +275,47 @@ def _count_exact_tests(monkeypatch):
         counts["gcd"] += 1
         return gcd(f, g)
 
+    def counted_sturm(p, lo, hi):
+        counts["sturm"] += 1
+        return sturm(p, lo, hi)
+
     monkeypatch.setattr(AlgebraicSlopeLine, "contains", counted_contains)
     monkeypatch.setattr(IntPoly, "gcd", staticmethod(counted_gcd))
+    monkeypatch.setattr(polynomials, "sturm_root_count", counted_sturm)
     return counts
+
+
+# the near-line lines the benchmark's algebraic-line workload builds
+WORKLOAD_LINES = [(m, k) for m in (2, 3, 4) for k in range(4 * m + 1, 4 * m + 13)]
+
+
+def _fraction_hull_candidates(line, jmax, kmax):
+    """How many cells the filter of ``enumerate_box`` should send to the
+    exact test, by the rule written in Fractions: per column, the kk whose
+    [lo^kk, hi^kk] meets the hull of the four quotients -c0/c1 of the
+    enclosure ends, found by bisection over the Fraction powers; the whole
+    column when the enclosure of c1 holds 0.  Also a count of the columns
+    whose c1 enclosure lies below 0, and of those where c0's reaches above
+    0, so that some quotients are positive."""
+    lo, hi = line.interval
+    lo_powers = [lo**kk for kk in range(1, kmax + 1)]
+    hi_powers = [hi**kk for kk in range(1, kmax + 1)]
+    lo_scaled, hi_scaled = _scaled_powers(lo, hi, jmax + 3 * line.m + 1)
+    total, columns = 0, Counter()
+    for j in range(1, jmax + 1):
+        c0, c1 = slopeline_d_terms(line.m, j)
+        a1, b1 = _enclosure(c1, lo_scaled, hi_scaled)
+        if a1 <= 0 <= b1:
+            total += kmax
+            continue
+        a0, b0 = _enclosure(c0, lo_scaled, hi_scaled)
+        columns["c1 < 0"] += b1 < 0
+        columns["c1 < 0 < c0"] += b1 < 0 < b0
+        quotients = [Fraction(-c, dd) for c in (a0, b0) for dd in (a1, b1)]
+        first = bisect_left(hi_powers, min(quotients)) + 1
+        last = bisect_right(lo_powers, max(quotients))
+        total += max(0, last - first + 1)
+    return total, columns
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -326,6 +368,60 @@ def test_algebraic_enumeration_on_a_non_dyadic_interval(
     assert line.enumerate_box(12, 2 * k) == want
     # the wider interval still sends only the members to the exact test
     assert counts["contains"] == len(want)
+    assert counts["contains"] == _fraction_hull_candidates(line, 12, 2 * k)[0]
+
+
+def test_workload_lines_reach_sturm_only_on_coarse_intervals(monkeypatch):
+    # at the default width every root count of a build and of a 12 x 2k
+    # enumeration is decided by an exact certificate; at width 1/4 some
+    # fall back to the Sturm count, and the sets stay those of the
+    # per-cell loop
+    counts = _count_exact_tests(monkeypatch)
+    lines = {mk: slopeline_beta_star(*mk) for mk in WORKLOAD_LINES}
+    boxes = {mk: line.enumerate_box(12, 2 * mk[1]) for mk, line in lines.items()}
+    assert counts["sturm"] == 0
+    for (m, k), line in lines.items():
+        coarse = slopeline_beta_star(m, k, Fraction(1, 4))
+        assert coarse.enumerate_box(12, 2 * k) == boxes[m, k]
+        assert boxes[m, k] == _per_cell(line, 12, 2 * k)
+    assert counts["sturm"] > 0
+
+
+@pytest.mark.parametrize(
+    "width", [DEFAULT_WIDTH, Fraction(1, 50), Fraction(1, 4), Fraction(3, 7)]
+)
+def test_filter_keeps_the_cells_of_the_fraction_hull(width, monkeypatch):
+    # the integer bounds of enumerate_box admit exactly the cells of the
+    # rule in Fractions, on columns where c1 is positive and where it is
+    # negative alike
+    lines = [slopeline_beta_star(m, k, width) for m, k in WORKLOAD_LINES]
+    counts = _count_exact_tests(monkeypatch)
+    columns = Counter()
+    for line in lines:
+        counts.clear()
+        line.enumerate_box(16, 2 * line.k)
+        cells, line_columns = _fraction_hull_candidates(line, 16, 2 * line.k)
+        assert counts["contains"] == cells
+        columns += line_columns
+    assert columns["c1 < 0"] > 0
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(Fraction(27, 20), Fraction(729, 500)), (Fraction(11, 8), Fraction(1199, 800))],
+)
+def test_filter_on_columns_where_c1_is_negative_and_c0_is_not(lo, hi, monkeypatch):
+    # on a certified line every column with c1 < 0 also has c0 < 0, so its
+    # quotients are negative and no kk is kept; above beta0(5) an interval
+    # has columns with c1 < 0 whose quotients reach above 0
+    line = AlgebraicSlopeLine(5, 21, beta_star_poly(5, 21), (lo, hi))
+    cells, columns = _fraction_hull_candidates(line, 16, 42)
+    assert columns["c1 < 0 < c0"] > 0
+    counts = _count_exact_tests(monkeypatch)
+    want = _per_cell(line, 16, 42)
+    counts.clear()
+    assert line.enumerate_box(16, 42) == want
+    assert counts["contains"] == cells
 
 
 def test_enclosures_hold_every_value_on_the_interval():

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from uncorrsets import polynomials
 from uncorrsets.polynomials import (
     ArityMismatch,
     IntPoly,
     MultiPoly,
     NoSignChange,
     isolate_root,
+    root_count,
     sturm_root_count,
 )
 
@@ -76,6 +78,65 @@ def test_sturm_count_keeps_signs_under_negative_leading_coefficients():
     assert sturm_root_count(p, Fraction(1, 2), Fraction(2)) == 1
     assert sturm_root_count(p, Fraction(-1, 3), Fraction(1, 2)) == 0
     assert sturm_root_count(IntPoly([-5]), Fraction(0), Fraction(1)) == 0
+
+
+@pytest.fixture
+def sturm_calls(monkeypatch):
+    """The number of Sturm counts run so far, in a one-item list."""
+    calls = [0]
+    sturm = polynomials.sturm_root_count
+
+    def counted(p, lo, hi):
+        calls[0] += 1
+        return sturm(p, lo, hi)
+
+    monkeypatch.setattr(polynomials, "sturm_root_count", counted)
+    return calls
+
+
+def test_root_count_excludes_zero_without_sturm(sturm_calls):
+    # B - 1 is at least 1/10 on [11/10, 2]
+    assert root_count(IntPoly([-1, 1]), Fraction(11, 10), Fraction(2)) == 0
+    assert sturm_calls == [0]
+
+
+def test_root_count_certifies_a_monotone_sign_change_without_sturm(sturm_calls):
+    # B^2 - 2 changes sign on (1414/1000, 1415/1000), where 2B > 0, but its
+    # own enclosure there holds 0
+    p = IntPoly([-2, 0, 1])
+    assert root_count(p, Fraction(1414, 1000), Fraction(1415, 1000)) == 1
+    assert sturm_calls == [0]
+
+
+def test_root_count_falls_back_to_sturm_on_a_double_root(sturm_calls):
+    # (2B - 3)^2 is 1 at both ends of (1, 2) and neither certificate holds
+    p = IntPoly([-3, 2]) ** 2
+    assert root_count(p, Fraction(1), Fraction(2)) == 1
+    assert sturm_calls == [1]
+
+
+def test_root_count_falls_back_to_sturm_below_zero(sturm_calls):
+    # the enclosures need lo >= 0; B - 2 would exclude 0 on [-1, 1]
+    assert root_count(IntPoly([-2, 1]), Fraction(-1), Fraction(1)) == 0
+    assert sturm_calls == [1]
+    assert root_count(IntPoly([-1, 0, 1]), Fraction(-2), Fraction(1, 2)) == 1
+    assert sturm_calls == [2]
+
+
+def test_root_count_rejects_an_endpoint_root():
+    # the enclosure of B - 1 on [1, 2] ends exactly at 0, so it excludes
+    # nothing; the count must not come out as 0
+    for lo, hi in ((1, 2), (Fraction(1, 2), 1)):
+        with pytest.raises(ValueError, match="endpoint"):
+            root_count(IntPoly([-1, 1]), Fraction(lo), Fraction(hi))
+    with pytest.raises(ValueError, match="endpoint"):
+        root_count(IntPoly([]), Fraction(1), Fraction(2))
+
+
+def test_root_count_rejects_an_empty_interval():
+    for lo, hi in ((2, 2), (3, 2)):
+        with pytest.raises(ValueError, match="empty interval"):
+            root_count(IntPoly([-1, 1]), Fraction(lo), Fraction(hi))
 
 
 def _bisect_by_value(p, lo, hi, width):

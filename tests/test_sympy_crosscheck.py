@@ -1,6 +1,7 @@
 """Second opinions from sympy, an implementation that shares no code with
 this package: integer polynomial gcd and real-root counts (with repeated
-roots, and at the degree and coefficient size of the slope line), the gcd
+roots, and at the degree and coefficient size of the slope line), root
+counts with their exact certificates on narrow intervals, the gcd
 and membership on the near-line slope line, the F and G determinants at
 rational points, a third route to their closed forms through Schur
 polynomials and the degree of G's, sparse products the size of the
@@ -46,7 +47,12 @@ from uncorrsets.model import (  # noqa: E402
     table_from_offsets,
 )
 from uncorrsets.numeric import QuadExt  # noqa: E402
-from uncorrsets.polynomials import IntPoly, MultiPoly, sturm_root_count  # noqa: E402
+from uncorrsets.polynomials import (  # noqa: E402
+    IntPoly,
+    MultiPoly,
+    root_count,
+    sturm_root_count,
+)
 from uncorrsets.slopeline import slopeline_d_poly  # noqa: E402
 
 B = sp.Symbol("B")
@@ -124,6 +130,27 @@ def test_gcd_matches_sympy_at_slope_line_scale(common, f, g):
 @given(big_polys, big_polys, rationals, rationals)
 def test_sturm_count_matches_sympy_at_slope_line_scale(f, g, a, b):
     _check_sturm(f * f * g, a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    polys,
+    big_polys,
+    st.fractions(min_value=0, max_value=4, max_denominator=6),
+    st.booleans(),
+    st.integers(0, 40),
+    st.integers(1, 7),
+    st.integers(1, 7),
+)
+def test_root_count_matches_sympy_around_rational_roots(f, g, r, square, e, u, v):
+    # a rational root r, repeated factors or not, and an interval around r
+    # from wide (reaching below 0, where only Sturm counts) to 2^-40 narrow
+    p = f * g * IntPoly([-r.numerator, r.denominator])
+    if square:
+        p = p * f
+    lo, hi = r - Fraction(u, 2**e), r + Fraction(v, 3 * 2**e)
+    assume(p(lo) != 0 and p(hi) != 0)
+    assert root_count(p, lo, hi) == _sym(p).count_roots(_rat(lo), _rat(hi))
 
 
 @pytest.mark.parametrize("m, k", [(2, 9), (3, 14), (4, 20)])
