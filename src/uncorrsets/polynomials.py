@@ -16,10 +16,23 @@ step is a pseudo-division scaled by positive factors only, with the
 content divided out, so no Fraction is built and the signs of the
 chain are those of the rational remainders.  The Sturm chain runs
 straight from p and p' to gcd(p, p'), with no square-free pass first.
+Every value is one integer Horner sum over the polynomial's nonzero
+terms, which ``IntPoly`` keeps: a gap g between two exponents is one
+multiply by n^g and d^g, so 8 nonzero terms cost 8 steps at any degree.
+
 Root isolation never touches floating point.  It bisects on integer
 numerators over one common denominator: lo = a/d and hi = b/d become
 (a, a + b) or (a + b, 2b) over 2d, so a step is two integer additions and
-one integer Horner sum, and Fractions are built only for the result.
+one Horner sum, and Fractions are built only for the result.  The width
+fixes the number of halvings, so the result is one cell of a dyadic split
+of the bracket.  Once an enclosure of p' over the bracket excludes 0, p
+is monotone there and that cell is the one holding the root; Newton's
+iteration on a dyadic grid whose precision doubles each step finds it in
+O(log log 1/width) sums instead of O(log 1/width) (quadratic interval
+refinement; Abbott, ACM Commun. Comput. Algebra 48, 2014; Kerber and
+Sagraloff, ISSAC 2011).  The cell is accepted only when p's signs at its
+two ends bracket the root, which makes the interval the very one
+bisection returns; anything else goes on bisecting.
 
 ``MultiPoly`` is a sparse multivariate polynomial over the integers,
 a dict from exponent tuples to nonzero coefficients.  The determinant
@@ -59,13 +72,14 @@ def _sign(q) -> int:
 class IntPoly:
     """Univariate polynomial with integer coefficients, lowest degree first."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_terms")
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
+        self._terms = None
 
     @classmethod
     def monomial(cls, power: int, coef: int = 1) -> "IntPoly":
@@ -76,6 +90,14 @@ class IntPoly:
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
+
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero terms as (exponent, coefficient), highest first: what
+        ``_horner`` walks.  Built on first use and kept."""
+        if self._terms is None:
+            self._terms = _nonzero_terms(self._coeffs)
+        return self._terms
 
     @property
     def degree(self) -> int:
@@ -97,14 +119,14 @@ class IntPoly:
         Horner's rule runs in integers on sum c_i n^i d^(deg-i), and one
         Fraction is built at the end; an int argument gives an int.
         """
-        acc = _horner(self._coeffs, x.numerator, x.denominator)
+        acc = _horner(self.terms, x.numerator, x.denominator)
         if isinstance(x, int) or not self._coeffs:
             return acc
         return Fraction(acc, x.denominator ** self.degree)
 
     def sign_at(self, x: int | Fraction) -> int:
         """The sign of p(x), read from the integer Horner sum."""
-        return _sign(_horner(self._coeffs, x.numerator, x.denominator))
+        return _sign(_horner(self.terms, x.numerator, x.denominator))
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self._coeffs, other._coeffs
@@ -195,14 +217,36 @@ class IntPoly:
         return cls(int_from_json(c) for c in obj)
 
 
-def _horner(coeffs: Sequence[int], n: int, d: int) -> int:
-    """d^deg · p(n/d) for coefficients low-first, in integers; d > 0, so
-    its sign is the sign of p(n/d)."""
-    acc, scale = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * n + c * scale
-        scale *= d
-    return acc
+def _nonzero_terms(coeffs: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The (exponent, coefficient) pairs of the nonzero coefficients of a
+    low-first list, highest exponent first: the order ``_horner`` walks."""
+    return tuple([(i, c) for i, c in enumerate(coeffs) if c][::-1])
+
+
+def _horner(terms: Sequence[tuple[int, int]], n: int, d: int) -> int:
+    """d^deg · p(n/d) in integers, for p given by its nonzero terms, highest
+    exponent first, and deg the first exponent; d > 0, so its sign is the
+    sign of p(n/d).
+
+    Horner's rule over the terms alone: a gap g between two exponents
+    multiplies by n^g and scales the next coefficient by d^g, and a gap of
+    1 is a plain multiply, so a dense polynomial costs what it always did.
+    """
+    if not terms:
+        return 0
+    it = iter(terms)
+    last, acc = next(it)
+    scale = 1
+    for e, c in it:
+        g = last - e
+        if g == 1:
+            scale *= d
+            acc = acc * n + c * scale
+        else:
+            scale *= d**g
+            acc = acc * n**g + c * scale
+        last = e
+    return acc * n**last if last else acc
 
 
 def _remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -247,6 +291,7 @@ def sturm_root_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     while chain[-1]:
         chain.append(tuple(-c for c in _remainder(chain[-2], chain[-1])))
     chain.pop()
+    chain = [_nonzero_terms(q) for q in chain]
 
     def variations(x: Fraction) -> int:
         n, d = x.numerator, x.denominator
@@ -273,7 +318,7 @@ def root_count(p: IntPoly, lo, hi) -> int:
         raise ValueError(f"empty interval ({lo}, {hi})")
     if lo >= 0 and not p.is_zero:
         lo_scaled, hi_scaled = _scaled_powers(lo, hi, p.degree)
-        terms = {i: c for i, c in enumerate(p.coeffs) if c}
+        terms = dict(p.terms)
         low, high = _enclosure(terms, lo_scaled, hi_scaled)
         if low > 0 or high < 0:
             return 0
@@ -329,36 +374,208 @@ def isolate_root(
     not positive (bisection would never reach it).
 
     The bracket runs as a/d and b/d with one common denominator d: the
-    midpoint is (a + b)/2d, the kept endpoint is doubled, and the width
-    test is (b - a)·wd > wn·d for width wn/wd, all in integers.
+    midpoint is (a + b)/2d and the kept endpoint is doubled, so b - a
+    never changes and the number of halvings T is fixed up front by the
+    width; the answer is one cell of the split of the bracket into 2^T.
+
+    Bisection may jump to that cell.  While 0 <= a, a certificate tries
+    whether p' keeps one sign over the bracket (``_monotone_wait``).  If
+    it does, p is strictly monotone there, every later midpoint reads
+    p's sign at lo exactly when it lies below the root, and bisection's
+    remaining path is fixed: it ends in the cell that holds the root, or
+    at the root itself if that is a cell end.  Newton's iteration in
+    integers names a cell (``_newton_cell``), and the cell is taken only
+    if p's signs at its two ends show the root inside it, or p is 0 at an
+    end (``_read_cell``), so the interval is the one bisection returns,
+    to the same Fractions.  A failed certificate sets when the next one
+    is tried; anything else goes on bisecting from the certified bracket.
+    Jumps are tried only while enough halvings are left for one to pay.
     """
     lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     if lo >= hi:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
-    slo, shi = p.sign_at(lo), p.sign_at(hi)
+    terms = p.terms
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    pa, pb = _horner(terms, a, d), _horner(terms, b, d)
+    slo, shi = _sign(pa), _sign(pb)
     if slo == 0:
         return lo, lo
     if shi == 0:
         return hi, hi
     if slo == shi:
         raise NoSignChange(f"p({lo}) and p({hi}) share sign {slo}")
-    cs = p.coeffs
-    d = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-    wn, wd = width.numerator, width.denominator
-    while (b - a) * wd > wn * d:
+    # b - a never changes, so the number of halvings is fixed up front
+    span = b - a
+    levels = (-(-span * width.denominator // (width.numerator * d)) - 1).bit_length()
+    deg, up = p.degree, slo > 0
+    # jumps are tried up to the last step that leaves enough levels to pay
+    last = levels - _JUMP_LEVELS - -(-_JUMP_OVERHEAD // deg)
+    retry = 0 if last >= 0 else -1
+    # the values at the ends were read after ta + 1 and tb + 1 halvings
+    ta = tb = -1
+    parts = None
+    for step in range(levels):
+        if step == retry:
+            wait = 1
+            if a >= 0:
+                if parts is None:
+                    dterms, parts = _slope_parts(terms, slo)
+                ea = pa << deg * (step - 1 - ta)
+                eb = pb << deg * (step - 1 - tb)
+                wait = _monotone_wait(parts, a, b, d, abs(eb - ea))
+            if not wait:
+                left = levels - step
+                i = _newton_cell(terms, dterms, a, b, d, ea, eb, left)
+                cell = i is not None and _read_cell(terms, slo, a, span, d, left, i)
+                if cell:
+                    return cell
+            elif step + wait <= last:
+                retry = step + wait
         mid, d = a + b, 2 * d
-        sm = _sign(_horner(cs, mid, d))
-        if sm == 0:
+        pm = _horner(terms, mid, d)
+        if not pm:
             root = Fraction(mid, d)
             return root, root
-        if sm == slo:
-            a, b = mid, 2 * b
+        if (pm > 0) == up:
+            a, b, pa, ta = mid, 2 * b, pm, step
         else:
-            a, b = 2 * a, mid
+            a, b, pb, tb = 2 * a, mid, pm, step
     return Fraction(a, d), Fraction(b, d)
+
+
+# A jump costs about as much as _JUMP_LEVELS bisection steps, plus fixed
+# work worth _JUMP_OVERHEAD terms; it is tried only while the levels left
+# beyond _JUMP_LEVELS, times the degree, cover that.
+_JUMP_LEVELS, _JUMP_OVERHEAD = 20, 24
+
+
+def _slope_parts(terms, slo: int):
+    """The terms of p', and f = -slo·p', the derivative signed to be
+    positive past a sign change from slo, split as F+ - F- into two parts
+    with nonnegative coefficients, each headed by f's degree so that the
+    two share one scale."""
+    dterms = tuple((e - 1, e * c) for e, c in terms if e)
+    top = dterms[0][0]
+    plus = tuple((e, -slo * c) for e, c in dterms if -slo * c > 0)
+    minus = tuple((e, slo * c) for e, c in dterms if -slo * c < 0)
+    plus, minus = (
+        part if part and part[0][0] == top else ((top, 0), *part)
+        for part in (plus, minus)
+    )
+    return dterms, (plus, minus)
+
+
+def _monotone_wait(parts, a: int, b: int, d: int, rise: int) -> int:
+    """0 if p is strictly monotone on [a/d, b/d], 0 <= a, with room for a
+    Newton step, else a guess at how many halvings the bracket needs.
+
+    F+ and F- both increase for x >= 0, so low = F+(lo) - F-(hi) bounds f
+    from below; low > 0 is the certificate.  Its mean over the bracket is
+    the secant slope rise/span, rise = |p(lo)| + |p(hi)| scaled as f is
+    once divided by the span.  The jump waits for low >= mean/2, so that a
+    Newton step from inside the bracket cannot overshoot far.  mean - low
+    halves with the bracket while the mean stays near f at the root, so
+    the bits by which it exceeds half the mean are the wait.
+    """
+    plus, minus = parts
+    low = (_horner(plus, a, d) - _horner(minus, b, d)) * (b - a)
+    if 2 * low >= rise:
+        return 0
+    return max(1, (rise - low).bit_length() - rise.bit_length() + 2)
+
+
+def _newton_cell(terms, dterms, a: int, b: int, d: int, pa: int, pb: int,
+                 levels: int) -> int | None:
+    """The index of the level-``levels`` cell of [a/d, b/d] that Newton's
+    iteration puts the root in, or None if it leaves the bracket; pa and
+    pb are p at the ends, scaled alike.
+
+    X/E runs on the grid E = d·2^g: H0 = E^deg p(X/E) and H1 = E^(deg-1)
+    p'(X/E) are integer Horner sums, and X - H0 // H1 is the Newton step
+    on that grid.  The start is the secant's zero through (lo, p(lo)) and
+    (hi, p(hi)), and the first step takes the secant's slope for p',
+    which is about as good there and costs no sum.  A grid that resolves
+    ``res`` bits of the bracket's width starts near the last halving of
+    levels + 2 above ``_NEWTON_START``.  The size of a step is the error
+    it removed, so after a step the bits known are twice those it started
+    from, up to the grid's; the next grid holds two bits more than twice
+    that, up to levels + 2, two bits below the cell width, where the
+    iteration stops once that doubling comes within two bits of it.
+    Nothing here is trusted; ``_read_cell`` checks the answer.
+    """
+    span, rise, deg = b - a, pb - pa, terms[0][0]
+    # a grid of E = d·2^g resolves g + shift bits of the bracket's width
+    shift = span.bit_length() - 1
+    final = res = levels + 2
+    while res > _NEWTON_START:
+        res = (res + 1) // 2
+    g = max(res - shift, 0)
+    x = ((a * pb - b * pa) << g) // rise
+    for n in range(_NEWTON_STEPS):
+        target = max(res - shift, 0)
+        x <<= target - g
+        g = target
+        res = g + shift
+        e = d << g
+        h0 = _horner(terms, x, e)
+        if n:
+            h1 = _horner(dterms, x, e)
+            if not h1:
+                return None
+            step = h0 // h1
+        else:
+            step = h0 * span // (rise << g * (deg - 1))
+        x -= step
+        if not a << g <= x <= b << g:
+            return None
+        known = res - abs(step).bit_length()
+        if res >= final and 2 * known + 2 >= final:
+            break
+        res = max(res, min(final, 2 * min(2 * known, res) + 2))
+    return ((x - (a << g)) << levels) // (span << g)
+
+
+# the first grid holds at most this many bits of the bracket, and no
+# more than this many Newton steps are taken
+_NEWTON_START, _NEWTON_STEPS = 18, 12
+
+
+def _read_cell(terms, slo: int, a: int, span: int, d: int, levels: int, i: int):
+    """Bisection's answer, if cell i or a neighbour of the level-``levels``
+    split of a monotone bracket [a/d, (a + span)/d] holds the root, else
+    None.
+
+    Cell i runs from (a·2^levels + i·span)/(d·2^levels) to the next such
+    point.  Where p reads slo at its left end and -slo at its right end,
+    the root is interior to it: no midpoint of any level is the root, and
+    every midpoint read below it has sign slo, so bisection ends there.
+    An end where p is 0 is the root, which bisection meets as a midpoint.
+    """
+    top = 1 << levels
+    base, scale = a << levels, d << levels
+
+    def sign(k: int) -> int:
+        if k <= 0:
+            return slo
+        if k >= top:
+            return -slo
+        return _sign(_horner(terms, base + k * span, scale))
+
+    i = min(max(i, 0), top - 1)
+    left, right = sign(i), sign(i + 1)
+    if left == -slo:
+        i, left, right = i - 1, sign(i - 1), left
+    elif right == slo:
+        i, left, right = i + 1, right, sign(i + 2)
+    if left == 0 or right == 0:
+        root = Fraction(base + (i if left == 0 else i + 1) * span, scale)
+        return root, root
+    if left == slo and right == -slo:
+        return Fraction(base + i * span, scale), Fraction(base + (i + 1) * span, scale)
+    return None
 
 
 # ---------------------------------------------------------------------------

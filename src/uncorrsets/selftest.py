@@ -158,7 +158,10 @@ def slope_line_threshold(box: int, width: Fraction) -> Section:
     the width, the exact three-point set at beta = 2, negative fourth-row
     differences, and the four-point set at the near-line ratio beta*(2, 9).
     The root counts that decide that set are audited against Sturm counts
-    on P and on every gcd(D, P) of degree >= 1 in the box."""
+    on P and on every gcd(D, P) of degree >= 1 in the box.  beta*(2, 9)
+    is also isolated to width 10^-100, where the jump to the bisection's
+    final cell does nearly all the work; a Sturm count confirms the one
+    root in the interval."""
     problems = []
     lo, hi = constructions.beta0(2, width)
     p = constructions.beta0_poly(2)
@@ -196,12 +199,17 @@ def slope_line_threshold(box: int, width: Fraction) -> Section:
     for q in [line.poly, *gcds]:
         if root_count(q, *line.interval) != sturm_root_count(q, *line.interval):
             problems.append(f"root count and Sturm count differ on {q}")
+    fine = Fraction(1, 10**100)
+    lo, hi = constructions.beta_star(2, 9, fine)
+    if not (lo < hi and hi - lo <= fine and sturm_root_count(line.poly, lo, hi) == 1):
+        problems.append(f"beta*(2, 9) at width {fine} is not one root of P")
     return Section(
         f"threshold interval of width {width}, exact three-point set at "
         f"beta=2, negative fourth-row differences for k <= {box}, the "
-        "near-line four-point set at the algebraic ratio, and root counts "
-        f"equal to Sturm counts on P and its {len(gcds)} gcds with D",
-        4 + len(gcds),
+        "near-line four-point set at the algebraic ratio, root counts "
+        f"equal to Sturm counts on P and its {len(gcds)} gcds with D, and "
+        "beta*(2, 9) isolated to width 1e-100 with one root by Sturm",
+        5 + len(gcds),
         tuple(problems),
     )
 

@@ -253,6 +253,16 @@ def test_algebraic_slopeline_other_orders():
     assert pts == [(1, 3), (2, 6), (3, 9), (4, 14)]
 
 
+def test_algebraic_slopeline_m4_k17_holds_a_fifth_point():
+    # P(4, 17) divides D(5, 28), so beta*(4, 17) puts (5, 28) on the set
+    # too; construct's four-point claim does not know it yet
+    line = slopeline_beta_star(4, 17)
+    assert line.contains(5, 28)
+    pts = line.enumerate_box(12, 34)
+    assert (5, 28) in pts
+    assert pts == [(1, 4), (2, 8), (3, 12), (4, 17), (5, 28)]
+
+
 def _per_cell(line, jmax, kmax):
     return [
         (j, kk)

@@ -1,9 +1,13 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from uncorrsets import polynomials
+from uncorrsets import constructions, polynomials
 from uncorrsets.polynomials import (
     ArityMismatch,
     IntPoly,
@@ -13,6 +17,9 @@ from uncorrsets.polynomials import (
     root_count,
     sturm_root_count,
 )
+from uncorrsets.slopeline import beta_star_poly
+
+from route_guard import reachable
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +170,190 @@ def _bisect_by_value(p, lo, hi, width):
         ([5, -7, 0, 3], Fraction(-7, 3), Fraction(1, 9)),
         # (3B - 2)(B^2 + 1): the second midpoint is the root 2/3
         ([-2, 3, -2, 3], Fraction(1, 3), Fraction(5, 3)),
+        # (B - 1)(B - 2)(B - 4): three roots in the bracket
+        ([-8, 14, -7, 1], 0, 5),
+        ([-8, 14, -7, 1], Fraction(1, 2), Fraction(9, 2)),
+        # 4(B + 5)(B - 1)(3B - 7): roots on both sides of 0; the enclosures
+        # of p' hold only for lo >= 0, and would certify this one wrongly
+        ([140, -172, 20, 12], Fraction(-23, 3), 3),
+        # (1024B - 1365)(B^2 + 1): a level-10 midpoint is the root, well
+        # after a jump can certify the bracket
+        ([-1365, 1024, -1365, 1024], 1, 2),
+        # P(m, k), sparse and of high degree, on (1 + 2^-i, 2)
+        *(
+            (beta_star_poly(m, k).coeffs, 1 + Fraction(1, 2**i), 2)
+            for m, k, i in ((2, 9, 2), (2, 19, 1), (3, 20, 2), (4, 17, 3), (4, 28, 2))
+        ),
     ],
 )
 def test_isolate_root_intervals_match_the_value_bisection(coeffs, lo, hi):
     p = IntPoly(coeffs)
-    for width in (Fraction(1, 10**12), Fraction(3, 7), Fraction(1, 10)):
+    widths = (Fraction(1, 10**12), Fraction(3, 7), Fraction(1, 10), Fraction(1, 10**40))
+    for width in widths:
         assert isolate_root(p, lo, hi, width) == _bisect_by_value(p, lo, hi, width)
+
+
+# sparse polynomials, times a factor 2^s B - t with the dyadic root t / 2^s,
+# which bisection may meet as a midpoint; where the bracket shows no sign
+# change, a linear factor with a root inside it gives one (degree <= 40)
+sparse_terms = st.dictionaries(
+    st.integers(0, 38), st.integers(-9, 9), min_size=1, max_size=8
+)
+dyadic_roots = st.tuples(st.integers(-64, 128), st.integers(0, 6))
+brackets = st.tuples(
+    st.fractions(min_value=-3, max_value=4, max_denominator=12),
+    st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12),
+    st.fractions(
+        min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100
+    ),
+)
+widths = st.integers(1, 60).map(lambda e: Fraction(1, 2**e)) | st.integers(1, 18).map(
+    lambda e: Fraction(3, 10**e)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_terms, st.none() | dyadic_roots, brackets, widths)
+def test_isolate_root_matches_the_value_bisection_on_sparse_polynomials(
+    terms, root, bracket, width
+):
+    p = IntPoly([terms.get(i, 0) for i in range(39)])
+    if root is not None:
+        t, s = root
+        p = p * IntPoly([-t, 2**s])
+    lo, step, inside = bracket
+    hi = lo + step
+    if p.sign_at(lo) * p.sign_at(hi) > 0:
+        c = lo + inside * step
+        p = p * IntPoly([-c.numerator, c.denominator])
+    assume(p.sign_at(lo) * p.sign_at(hi) < 0)
+    assert isolate_root(p, lo, hi, width) == _bisect_by_value(p, lo, hi, width)
+
+
+def _near_line_bracket(m, k):
+    """The bracket ``beta_star`` hands to ``isolate_root``: the first
+    1 + 2^-i below hi0 where P < 0, and hi0, the upper end of beta0(m) at
+    width 2^-20."""
+    p = beta_star_poly(m, k)
+    _, hi0 = constructions.beta0(m, Fraction(1, 2**20))
+    walk = (1 + Fraction(1, 2**i) for i in range(1, 65))
+    lo = next(lo for lo in walk if lo < hi0 and p.sign_at(lo) < 0)
+    return p, lo, hi0
+
+
+JUMP_CASES = [
+    _near_line_bracket(4, 28),
+    _near_line_bracket(2, 9),
+    (IntPoly([-1, -1, -1, 0, 0, 1]), Fraction(1), Fraction(2)),
+    (IntPoly([-1365, 1024, -1365, 1024]), Fraction(1), Fraction(2)),
+]
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda i: None, lambda i: 0, lambda i: i + 3, lambda i: i - 5, lambda i: 10**40],
+    ids=["none", "first-cell", "three-right", "five-left", "past-the-end"],
+)
+def test_isolate_root_keeps_its_interval_when_newton_names_a_wrong_cell(
+    monkeypatch, wrong
+):
+    newton, calls = polynomials._newton_cell, []
+
+    def broken(*args):
+        calls.append(args)
+        i = newton(*args)
+        return wrong(i)
+
+    monkeypatch.setattr(polynomials, "_newton_cell", broken)
+    for p, lo, hi in JUMP_CASES:
+        for width in (Fraction(1, 10**12), Fraction(1, 10**40)):
+            assert isolate_root(p, lo, hi, width) == _bisect_by_value(p, lo, hi, width)
+    # every case reached the jump, so every answer came from the fallback
+    # or from the cell check, never from the broken helper alone
+    assert len(calls) == 2 * len(JUMP_CASES)
+
+
+@pytest.fixture
+def horner_degrees(monkeypatch):
+    """The degree of every integer Horner sum run from now on."""
+    degrees = []
+    horner = polynomials._horner
+
+    def counted(terms, n, d):
+        degrees.append(terms[0][0] if terms else 0)
+        return horner(terms, n, d)
+
+    monkeypatch.setattr(polynomials, "_horner", counted)
+    return degrees
+
+
+def test_isolate_root_jumps_in_at_most_half_the_sums_of_bisection(horner_degrees):
+    # P(4, 28) has degree 33 and 8 nonzero terms.  On beta_star's bracket
+    # at the default width, bisection reads P at both ends and at 37
+    # midpoints, and beta_star reads it twice more to find the bracket:
+    # 41 sums on P, against 20 or fewer on P and P' with the jump.  The
+    # sums of degree below 32 are those on beta0's polynomial.
+    p, lo, hi = _near_line_bracket(4, 28)
+    want = _bisect_by_value(p, lo, hi, Fraction(1, 10**12))
+    horner_degrees.clear()
+    assert constructions.beta_star(4, 28) == want
+    assert sum(deg >= 32 for deg in horner_degrees) <= 41 // 2
+    horner_degrees.clear()
+    assert isolate_root(p, lo, hi) == want
+    assert len(horner_degrees) <= 39 // 2
+
+
+def test_beta_star_at_a_tiny_width_is_the_bisection_interval():
+    # about a thousand halvings, which the jump replaces by a few sums
+    width = Fraction(1, 10**300)
+    p, lo, hi = _near_line_bracket(2, 9)
+    assert constructions.beta_star(2, 9, width) == _bisect_by_value(p, lo, hi, width)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [],
+        [5],
+        [-3],
+        [0, 0, 7],
+        [1, -2, 0, 0, 5],
+        [0, 4, 0, 0, 0, 0, -1],
+        [2, 0, 0, 1, 0, 0, 0, 0, -9],
+    ],
+)
+def test_sparse_horner_is_the_dense_sum(coeffs):
+    terms = IntPoly(coeffs).terms
+    exponents = [i for i, c in enumerate(coeffs) if c]
+    assert [e for e, _ in terms] == exponents[::-1]
+    deg = max(exponents, default=0)
+    for n, d in ((0, 1), (1, 1), (-3, 1), (7, 1), (5, 3), (-11, 4), (2**70 + 1, 2**64)):
+        dense = sum(c * n**i * d ** (deg - i) for i, c in enumerate(coeffs) if c)
+        assert polynomials._horner(terms, n, d) == dense
+
+
+def test_root_isolation_reaches_no_float_and_no_sturm_count():
+    """From ``isolate_root`` no float, float literal or float-valued math
+    function is reachable, and neither is ``sturm_root_count``, the audit
+    route that must stay separate."""
+    tree = ast.parse(inspect.getsource(polynomials))
+    names = reachable(tree, "isolate_root")
+    assert "float" not in names
+    assert "sturm_root_count" not in names
+    int_valued = {"gcd", "lcm", "isqrt", "comb", "perm", "factorial", "prod"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                assert a.name != "math" or (a.asname or a.name) not in names
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            for a in node.names:
+                if (a.asname or a.name) in names:
+                    assert a.name in int_valued, f"math.{a.name} reachable"
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in names & funcs.keys() | {"isolate_root"}:
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), (name, node.value)
 
 
 def test_isolate_root_bisection():

@@ -178,6 +178,14 @@ def test_near_line_members_match_sympy(m, k):
     assert line.enumerate_box(10, 10) == want
 
 
+def test_p_4_17_divides_d_5_28():
+    """The fifth point (5, 28) of the slope line at beta*(4, 17): sympy's
+    gcd of P(4, 17) and D(5, 28) is P itself."""
+    p = _sym(slopeline_beta_star(4, 17).poly)
+    d = _sym(slopeline_d_poly(4, 5, 28))
+    assert _normal(sp.gcd(p, d)) == _normal(p)
+
+
 ORDERS = [(1, 3), (2, 3), (2, 5), (3, 4), (3, 6)]
 
 
