@@ -48,10 +48,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .engine import (
     ASequence,
     BOX_VERIFIED,
+    DEFAULT_MAX_EXP,
     GLOBAL_ANALYTIC,
     Point,
     SetDescriptor,
@@ -62,6 +64,7 @@ from .engine import (
     check_order,
     compare_claim,
     enumerate_box_offsets,
+    membership_rows,
     shape_offsets,
     verify_claim,
     witness_from_json,
@@ -214,11 +217,7 @@ def two_point_witness(seq: ASequence, p1: Point, p2: Point) -> OffsetVector:
             "points share a row or column; that forces the whole line, "
             "use a line witness instead"
         )
-    rows = []
-    for j, k in (p1, p2):
-        aj, ak = seq.value(j), seq.value(k)
-        rows.append([Fraction(1), aj, ak, aj * ak])
-    basis = linalg.nullspace(rows)
+    basis = linalg.nullspace(membership_rows(seq, (p1, p2)))
     if len(basis) != 2:
         raise DegenerateSystem(
             f"membership system of {p1}, {p2} has nullity {len(basis)}, not 2"
@@ -259,13 +258,20 @@ def _check_width(width) -> Fraction:
     return width
 
 
+@lru_cache(maxsize=DEFAULT_MAX_EXP)
+def _beta0_upper(m: int) -> Fraction:
+    """Upper end of beta0(m) isolated to width 2^-20, once per slope; the
+    callers have checked m against the exponent cap."""
+    return beta0(m, Fraction(1, 2**20))[1]
+
+
 def _near_line_interval(
     p: IntPoly, m: int, k: int, width: Fraction
 ) -> tuple[Fraction, Fraction]:
     """``beta_star`` on P = beta_star_poly(m, k), built by the caller; every
     sign is read from the integer Horner sum."""
     threshold = beta0_poly(m)
-    _, hi0 = beta0(m, Fraction(1, 2**20))
+    hi0 = _beta0_upper(m)
     step = Fraction(1, 2)
     for _ in range(64):
         lo = 1 + step

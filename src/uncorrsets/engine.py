@@ -261,6 +261,16 @@ def condition_lhs(x: OffsetVector, seq: ASequence, j: int, k: int) -> Scalar:
     return as_exact(x1 + aj * x2 + ak * x3 + aj * ak * x4)
 
 
+def membership_rows(seq: ASequence, points: Iterable[Point]) -> list[list[Scalar]]:
+    """The row (1, A_j, A_k, A_j A_k) of each point: x lies in its
+    nullspace exactly when (j, k) satisfies x's membership condition."""
+    rows = []
+    for j, k in points:
+        aj, ak = seq.value(j), seq.value(k)
+        rows.append([Fraction(1), aj, ak, aj * ak])
+    return rows
+
+
 def offsets_delta(
     x: OffsetVector, support_x: Support3, support_y: Support3, j: int, k: int
 ) -> Scalar:
@@ -775,10 +785,7 @@ def _analytic_two_point(x: OffsetVector, seq: ASequence, pts: Sequence[Point]) -
         return False
     if linalg.rank([rat, irr]) != 2:
         return False
-    rows = []
-    for j, k in pts:
-        aj, ak = seq.value(j), seq.value(k)
-        rows.append([Fraction(1), aj, ak, aj * ak])
+    rows = membership_rows(seq, pts)
     # the condition rows must be independent and both parts must solve them
     if linalg.rank(rows) != 2:
         return False

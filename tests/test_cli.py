@@ -103,6 +103,32 @@ def test_construct_singleton_and_two_point(capsys, tmp_path):
     assert code == 0 and report["found"] == [[2, 5], [4, 3]]
 
 
+def _quad(a, b):
+    return {"a": a, "b": b, "d": 2}
+
+
+@pytest.mark.parametrize(
+    "support, x",
+    [
+        (
+            ("--support", "1,2,3"),
+            [_quad("-43/15", "-26/15"), _quad("19/30", "-11/15"), "1", _quad("0", "1")],
+        ),
+        (
+            ("--alpha", "1", "--beta", "3/2"),
+            [_quad("-22/9", "-35/27"), _quad("3/5", "-2/3"), "1", _quad("0", "1")],
+        ),
+    ],
+)
+def test_two_point_witness_offsets(capsys, support, x):
+    # the reduced nullspace basis v1, v2 of the two membership rows, as
+    # v1 + sqrt(2) v2
+    code, doc = _run_json(
+        capsys, "construct", "two-point", "--points", "1,2;3,1", *support
+    )
+    assert code == 0 and doc["x"] == x
+
+
 def test_enumerate_csv_output(capsys, tmp_path):
     _, doc = _run_json(capsys, "construct", "cross", "--j", "2", "--k", "3")
     path = _write(tmp_path, "cross.json", doc)

@@ -6,7 +6,7 @@ from math import ceil, floor
 
 import pytest
 
-from uncorrsets import polynomials
+from uncorrsets import constructions, polynomials
 from uncorrsets.constructions import (
     AlgebraicSlopeLine,
     BetaTooSmall,
@@ -50,7 +50,7 @@ from uncorrsets.model import (
     rescale,
     table_from_offsets,
 )
-from uncorrsets.polynomials import IntPoly, sturm_root_count
+from uncorrsets.polynomials import IntPoly, isolate_root, sturm_root_count
 
 S123 = Support3.from_values(1, 2, 3)
 GEO = BetaSupport(1, 2)
@@ -155,6 +155,23 @@ def test_near_line_root_m2_k9():
     assert p(lo) < 0 < p(hi)
     # the whole interval sits strictly below the threshold root
     assert beta0_poly(2)(hi) < 0
+
+
+def test_beta0_bracket_is_isolated_once_per_slope(monkeypatch):
+    widths = []
+
+    def counting(p, lo, hi, width):
+        widths.append(width)
+        return isolate_root(p, lo, hi, width)
+
+    monkeypatch.setattr(constructions, "isolate_root", counting)
+    constructions._beta0_upper.cache_clear()
+    first = slopeline_beta_star(2, 9)
+    assert Fraction(1, 2**20) in widths
+    widths.clear()
+    slopeline_beta_star(2, 10)
+    assert widths and Fraction(1, 2**20) not in widths
+    assert first.interval == slopeline_beta_star(2, 9).interval
 
 
 @pytest.mark.parametrize("width", [0, -1])

@@ -7,8 +7,7 @@ from uncorrsets import linalg
 
 
 def test_rref_and_rank():
-    rows, pivots = linalg.rref([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    assert pivots == [0, 1]
+    assert linalg.rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
     assert linalg.rank([[1, 2], [3, 4]]) == 2
     assert linalg.rank([[1, 2], [2, 4]]) == 1
     assert linalg.rank([]) == 0
@@ -22,6 +21,21 @@ def test_nullspace_annihilates():
         for row in mat:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
     assert linalg.rank(basis) == 2
+    assert linalg.nullspace([]) == []
+    assert linalg.nullspace([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.nullspace([[1, 2], [3, 4]]) == []
+    with pytest.raises(ValueError):
+        linalg.nullspace([[1, 2], [3]])
+    # the reduced basis: 1 at the vector's own free column, 0 at the others
+    half = Fraction(1, 2)
+    mat = [[0, 1, half, 0, 3 * half], [0, 4, 2, 1, 1], [0, 0, 0, 1, -5]]
+    basis = linalg.nullspace(mat)
+    free = [0, 2, 4]
+    assert len(basis) == len(free)
+    for fc, v in zip(free, basis):
+        assert [v[c] for c in free] == [int(c == fc) for c in free]
+        for row in mat:
+            assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
 
 def test_det_values():

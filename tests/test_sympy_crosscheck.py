@@ -5,8 +5,8 @@ counts with their exact certificates on narrow intervals, the gcd
 and membership on the near-line slope line, the F and G determinants at
 rational points, a third route to their closed forms through Schur
 polynomials and the degree of G's, sparse products the size of the
-closed forms' old last step, the determinant and rank of rational
-matrices, the values of independence certificates, and the moment
+closed forms' old last step, the determinant, rank and nullspace of
+rational matrices, the values of independence certificates, and the moment
 route's box enumeration against E[X^j Y^k] - E[X^j] E[Y^k] in sympy's
 exact arithmetic."""
 
@@ -278,7 +278,7 @@ def _sym_matrix(mat, ncols):
     return sp.Matrix(len(mat), ncols, [_rat(v) for row in mat for v in row])
 
 
-def test_det_and_rank_match_sympy():
+def test_det_rank_and_nullspace_match_sympy():
     rng = random.Random(2024)
     for _ in range(400):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
@@ -287,6 +287,10 @@ def test_det_and_rank_match_sympy():
         mat = _rational_matrix(rng, nrows, ncols)
         want = _sym_matrix(mat, ncols)
         assert linalg.rank(mat) == want.rank(), mat
+        # sympy's basis is the reduced one too, vector for vector
+        assert linalg.nullspace(mat) == [
+            [Fraction(int(v.p), int(v.q)) for v in vec] for vec in want.nullspace()
+        ], mat
         if nrows == ncols:
             assert linalg.det(mat) == Fraction(int(want.det().p), int(want.det().q)), mat
     # the empty matrix: rank 0, and the empty product as its determinant
