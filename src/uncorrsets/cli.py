@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import constructions, engine, model
 from .constructions import Construction, SlopeLineParams
-from .engine import SetDescriptor
+from .engine import SetDescriptor, parse_point
 from .model import BetaSupport, JointTable, Support3
 from .numeric import format_rational, rational_from_json
 
@@ -35,13 +35,8 @@ def _parse_box(text: str) -> tuple[int, int]:
         raise ValueError(f"box must look like 12x12, got {text!r}") from None
 
 
-def _parse_point(text: str) -> tuple[int, int]:
-    j, k = text.split(",")
-    return int(j), int(k)
-
-
 def _parse_points(text: str) -> list[tuple[int, int]]:
-    return [_parse_point(chunk) for chunk in text.split(";") if chunk]
+    return [parse_point(chunk) for chunk in text.split(";") if chunk]
 
 
 def _rational(text: str) -> Fraction:
@@ -103,7 +98,7 @@ def _cmd_construct(args) -> int:
     elif family == "diagonal":
         built = constructions.make_diagonal(_support_from_args(args))
     elif family == "singleton":
-        j, k = _parse_point(_require(args.point, "--point"))
+        j, k = parse_point(_require(args.point, "--point"))
         built = constructions.make_singleton(_support_from_args(args), j, k)
     elif family == "two-point":
         pts = _parse_points(_require(args.points, "--points"))

@@ -55,6 +55,7 @@ from .engine import (
     BOX_VERIFIED,
     DEFAULT_MAX_EXP,
     GLOBAL_ANALYTIC,
+    LATTICE_NAMES,
     Point,
     SetDescriptor,
     SupportLike,
@@ -512,7 +513,7 @@ def make_lattice_union(alpha, names) -> Construction:
     support = Support3.symmetric(alpha)
     names = tuple(names)
     desc = SetDescriptor.lattice_union(names, GLOBAL_ANALYTIC)
-    want = {lat: Fraction(0 if lat in names else 1) for lat in ("ee", "eo", "oe", "oo")}
+    want = {lat: Fraction(0 if lat in names else 1) for lat in LATTICE_NAMES}
     x1 = want["ee"]
     x3 = (want["eo"] - want["ee"]) / 2
     x2 = (want["oe"] - want["ee"]) / 2

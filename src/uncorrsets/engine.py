@@ -22,14 +22,22 @@ holds the single k whose reduced (N_k, D_k) is the reduced (-U, V), if
 any.  One integer solve per column replaces one exact evaluation per
 cell, and ``condition_lhs`` stays as the per-cell oracle.
 
-An uncorrelatedness set inside a finite box is summarized by a
-``SetDescriptor`` (a shape claim such as "the column j = 2" or "the
-antidiagonal j + k = 7") together with a certificate level: a
-box-verified claim was checked by enumeration only, a global-analytic
+An uncorrelatedness set is claimed by a ``SetDescriptor``: a kind, the
+integer ``params`` that ``KINDS`` declares for it (JSON keys and least
+values), the ``points`` of a ``finite`` set or a ``slopeline`` (whose
+constructor lists (i, m i) for i = 1, 2, 3 and any extra points), the
+parity ``lattices`` of a ``lattice-union``, and a certificate level.  A
+box-verified claim was checked by enumeration only; a global-analytic
 claim additionally matches a witness pattern whose full zero set is
-known.  ``shape_offsets`` holds the one pattern of each closed-form
-kind; ``constructions`` builds its witnesses from it and
-``check_analytic`` certifies any nonzero multiple of it:
+known.  Each descriptor builds its set once, as a ``SetForm`` in one
+normal form: whole columns, whole rows, lines q k = p j + d, parity
+classes and finite points, with every finite set as points and the full
+grid as the four classes, so equal sets have equal forms.
+``points_in_box`` clips the form to a box; the text form
+``kind[:params][;points]`` and the JSON form are generic.
+``shape_offsets`` holds the one pattern of each closed-form kind;
+``constructions`` builds its witnesses from it and ``check_analytic``
+certifies any nonzero multiple of it:
 
     kind             offsets x, or power sums y = to_y(x)   support
     empty            x = (1, 0, 0, 0)                       any with b != -c
@@ -64,7 +72,7 @@ form vanishes, and ``offsets_delta`` stays as the per-cell oracle.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -441,55 +449,127 @@ def enumerate_box_table(table: JointTable, jmax: int, kmax: int) -> list[Point]:
 # ---------------------------------------------------------------------------
 # set descriptors
 
-KINDS = (
-    "empty",
-    "all",
-    "finite",
-    "vline",
-    "hline",
-    "cross",
-    "diagonal",
-    "antidiagonal",
-    "slopeline",
-    "lattice-union",
-)
+# each kind with the JSON keys of its integer parameters and their least
+# values; an antidiagonal ``sum`` of two orders may reach twice the cap
+KINDS: dict[str, dict[str, int]] = {
+    "empty": {},
+    "all": {},
+    "finite": {},
+    "vline": {"j": 1},
+    "hline": {"k": 1},
+    "cross": {"j": 1, "k": 1},
+    "diagonal": {},
+    "antidiagonal": {"sum": 2},
+    "slopeline": {"slope": 2},
+    "lattice-union": {},
+}
+# the kinds whose set is their listed points
+_POINT_KINDS = ("finite", "slopeline")
 
 GLOBAL_ANALYTIC = "global-analytic"
 BOX_VERIFIED = "box-verified"
-
-# the integer fields each kind needs, with their least values
-_KIND_FIELDS = {"vline": {"line_j": 1}, "hline": {"line_k": 1},
-                "cross": {"line_j": 1, "line_k": 1},
-                "antidiagonal": {"diag_sum": 2}, "slopeline": {"slope": 2}}
 
 LATTICE_NAMES = ("ee", "eo", "oe", "oo")
 # first (j, k) of each parity class; ee is even j, even k
 _LATTICE_START = {"ee": (2, 2), "eo": (2, 1), "oe": (1, 2), "oo": (1, 1)}
 
 
+def parse_point(text: str) -> Point:
+    """A point in its text form j,k."""
+    j, k = text.split(",")
+    return int(j), int(k)
+
+
+def _on_line(m: int) -> tuple[Point, ...]:
+    """The three points (i, m i) that every slope line m holds."""
+    return ((1, m), (2, 2 * m), (3, 3 * m))
+
+
+@dataclass(frozen=True)
+class SetForm:
+    """A subset of N^2 as the union of whole columns j, whole rows k,
+    lines q k = p j + d given as (q, p, d), parity classes and finite
+    points (the normal form of the module docstring)."""
+
+    cols: frozenset[int] = frozenset()
+    rows: frozenset[int] = frozenset()
+    lines: frozenset[tuple[int, int, int]] = frozenset()
+    classes: frozenset[str] = frozenset()
+    points: frozenset[Point] = frozenset()
+
+    def clip(self, jmax: int, kmax: int) -> set[Point]:
+        """The set clipped to 1 <= j <= jmax, 1 <= k <= kmax."""
+        out = {(j, k) for j, k in self.points if j <= jmax and k <= kmax}
+        out.update(product([j for j in self.cols if j <= jmax], range(1, kmax + 1)))
+        out.update(product(range(1, jmax + 1), [k for k in self.rows if k <= kmax]))
+        for q, p, d in self.lines:
+            for j in range(1, jmax + 1):
+                k, r = divmod(p * j + d, q)
+                if r == 0 and 1 <= k <= kmax:
+                    out.add((j, k))
+        for name in self.classes:
+            j0, k0 = _LATTICE_START[name]
+            out.update(product(range(j0, jmax + 1, 2), range(k0, kmax + 1, 2)))
+        return out
+
+
+def _form(
+    kind: str, params: tuple[int, ...], points: tuple[Point, ...], lattices: tuple[str, ...]
+) -> SetForm:
+    """The set a descriptor names, in the normal form: every finite set
+    as points, the full grid as the four classes.  Each kind reads only
+    its own fields, so a stray field never changes the set."""
+    if kind in _POINT_KINDS:
+        return SetForm(points=frozenset(points))
+    if kind == "all":
+        return SetForm(classes=frozenset(LATTICE_NAMES))
+    if kind == "lattice-union":
+        return SetForm(classes=frozenset(lattices))
+    if kind == "vline":
+        return SetForm(cols=frozenset(params))
+    if kind == "hline":
+        return SetForm(rows=frozenset(params))
+    if kind == "cross":
+        j, k = params
+        return SetForm(cols=frozenset((j,)), rows=frozenset((k,)))
+    if kind == "diagonal":
+        return SetForm(lines=frozenset({(1, 1, 0)}))
+    if kind == "antidiagonal":
+        (s,) = params
+        return SetForm(points=frozenset((j, s - j) for j in range(1, s)))
+    return SetForm()
+
+
 @dataclass(frozen=True)
 class SetDescriptor:
-    """Shape claim about an uncorrelatedness set plus its certificate."""
+    """Shape claim about an uncorrelatedness set plus its certificate.
+
+    ``params`` holds the kind's integer parameters in ``KINDS`` order;
+    ``form`` is the claimed set, built once from the other fields."""
 
     kind: str
     certificate: str = BOX_VERIFIED
+    params: tuple[int, ...] = ()
     points: tuple[Point, ...] = ()
-    line_j: int | None = None
-    line_k: int | None = None
-    diag_sum: int | None = None
-    slope: int | None = None
     lattices: tuple[str, ...] = ()
+    form: SetForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        # a kind that is not a string could be unhashable
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
         if self.certificate not in (GLOBAL_ANALYTIC, BOX_VERIFIED):
             raise ValueError(f"unknown certificate {self.certificate!r}")
-        for name, least in _KIND_FIELDS.get(self.kind, {}).items():
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < least:
-                raise ValueError(f"{self.kind} needs an integer {name} >= {least}: {value!r}")
-            check_order(value, terms=2 if name == "diag_sum" else 1)
+        least = KINDS[self.kind]
+        params = tuple(self.params)
+        if len(params) != len(least):
+            raise ValueError(f"{self.kind} takes the integer parameters "
+                             f"({', '.join(least)}), not {params!r}")
+        for (name, low), value in zip(least.items(), params):
+            if type(value) is not int or value < low:
+                raise ValueError(f"{self.kind} needs an integer {name} >= {low}: {value!r}")
+            check_order(value, terms=2 if name == "sum" else 1)
+        object.__setattr__(self, "params", params)
         pts = tuple(sorted((int(j), int(k)) for j, k in self.points))
         if any(j < 1 or k < 1 for j, k in pts):
             raise ValueError("points must have positive coordinates")
@@ -501,6 +581,7 @@ class SetDescriptor:
                for name in self.lattices):
             raise ValueError(f"unknown lattice names in {self.lattices!r}")
         object.__setattr__(self, "lattices", tuple(sorted(set(self.lattices))))
+        object.__setattr__(self, "form", _form(self.kind, params, pts, self.lattices))
 
     # constructors named after the shapes they describe
 
@@ -520,17 +601,17 @@ class SetDescriptor:
 
     @classmethod
     def vline(cls, j: int, certificate: str = GLOBAL_ANALYTIC) -> "SetDescriptor":
-        return cls("vline", certificate, line_j=int(j))
+        return cls("vline", certificate, (int(j),))
 
     @classmethod
     def hline(cls, k: int, certificate: str = GLOBAL_ANALYTIC) -> "SetDescriptor":
-        return cls("hline", certificate, line_k=int(k))
+        return cls("hline", certificate, (int(k),))
 
     @classmethod
     def cross(
         cls, j: int, k: int, certificate: str = GLOBAL_ANALYTIC
     ) -> "SetDescriptor":
-        return cls("cross", certificate, line_j=int(j), line_k=int(k))
+        return cls("cross", certificate, (int(j), int(k)))
 
     @classmethod
     def diagonal(cls, certificate: str = GLOBAL_ANALYTIC) -> "SetDescriptor":
@@ -540,7 +621,7 @@ class SetDescriptor:
     def antidiagonal(
         cls, total: int, certificate: str = GLOBAL_ANALYTIC
     ) -> "SetDescriptor":
-        return cls("antidiagonal", certificate, diag_sum=int(total))
+        return cls("antidiagonal", certificate, (int(total),))
 
     @classmethod
     def slopeline(
@@ -549,9 +630,8 @@ class SetDescriptor:
         extra: Iterable[Point] = (),
         certificate: str = GLOBAL_ANALYTIC,
     ) -> "SetDescriptor":
-        pts = [(i, slope * i) for i in (1, 2, 3)]
-        pts.extend(extra)
-        return cls("slopeline", certificate, points=tuple(pts), slope=int(slope))
+        pts = (*_on_line(slope), *extra)
+        return cls("slopeline", certificate, (int(slope),), pts)
 
     @classmethod
     def lattice_union(
@@ -566,135 +646,64 @@ class SetDescriptor:
 
     def points_in_box(self, jmax: int, kmax: int) -> set[Point]:
         """The claimed set clipped to 1 <= j <= jmax, 1 <= k <= kmax."""
-        if self.kind == "empty":
-            return set()
-        if self.kind == "all":
-            return set(product(range(1, jmax + 1), range(1, kmax + 1)))
-        if self.kind in ("finite", "slopeline"):
-            return {
-                (j, k) for j, k in self.points if j <= jmax and k <= kmax
-            }
-        if self.kind == "vline":
-            if self.line_j > jmax:
-                return set()
-            return {(self.line_j, k) for k in range(1, kmax + 1)}
-        if self.kind == "hline":
-            if self.line_k > kmax:
-                return set()
-            return {(j, self.line_k) for j in range(1, jmax + 1)}
-        if self.kind == "cross":
-            out = set()
-            if self.line_j <= jmax:
-                out.update((self.line_j, k) for k in range(1, kmax + 1))
-            if self.line_k <= kmax:
-                out.update((j, self.line_k) for j in range(1, jmax + 1))
-            return out
-        if self.kind == "diagonal":
-            return {(i, i) for i in range(1, min(jmax, kmax) + 1)}
-        if self.kind == "antidiagonal":
-            s = self.diag_sum
-            return {(j, s - j) for j in range(max(1, s - kmax), min(jmax, s - 1) + 1)}
-        if self.kind == "lattice-union":
-            out = set()
-            for name in self.lattices:
-                j0, k0 = _LATTICE_START[name]
-                out.update(product(range(j0, jmax + 1, 2), range(k0, kmax + 1, 2)))
-            return out
-        raise AssertionError(f"unhandled kind {self.kind}")
+        return self.form.clip(jmax, kmax)
 
     # -- text and JSON forms -------------------------------------------
 
     def format_spec(self) -> str:
-        if self.kind == "vline":
-            return f"vline:{self.line_j}"
-        if self.kind == "hline":
-            return f"hline:{self.line_k}"
-        if self.kind == "cross":
-            return f"cross:{self.line_j},{self.line_k}"
-        if self.kind == "antidiagonal":
-            return f"antidiagonal:{self.diag_sum}"
-        if self.kind == "finite":
-            return "finite:" + ";".join(f"{j},{k}" for j, k in self.points)
-        if self.kind == "slopeline":
-            extras = [p for p in self.points if p[1] != self.slope * p[0] or p[0] > 3]
-            head = f"slopeline:{self.slope}"
-            if extras:
-                return head + ";" + ";".join(f"{j},{k}" for j, k in extras)
-            return head
+        """The text form ``kind[:params][;points]`` that ``parse`` reads;
+        a slope line writes only its points off the line."""
         if self.kind == "lattice-union":
             return "lattices:" + ",".join(self.lattices)
-        return self.kind
+        chunks = [",".join(map(str, self.params))] if self.params else []
+        if self.kind in _POINT_KINDS:
+            line = _on_line(*self.params) if self.kind == "slopeline" else ()
+            chunks += [f"{j},{k}" for j, k in self.points if (j, k) not in line]
+        return self.kind + ":" + ";".join(chunks) if chunks else self.kind
 
     @classmethod
     def parse(cls, text: str) -> "SetDescriptor":
-        """Parse forms like empty, vline:2, cross:2,3, finite:1,1;2,3."""
-        text = text.strip()
-        head, _, rest = text.partition(":")
-        if head == "empty":
-            return cls.empty()
-        if head == "all":
-            return cls.all_points()
-        if head == "diagonal":
-            return cls.diagonal()
-        if head == "vline":
-            return cls.vline(int(rest))
-        if head == "hline":
-            return cls.hline(int(rest))
-        if head == "cross":
-            j, k = rest.split(",")
-            return cls.cross(int(j), int(k))
-        if head == "antidiagonal":
-            return cls.antidiagonal(int(rest))
-        if head == "finite":
-            pts = []
-            for chunk in rest.split(";"):
-                j, k = chunk.split(",")
-                pts.append((int(j), int(k)))
-            return cls.finite(pts)
-        if head == "slopeline":
-            chunks = rest.split(";")
-            slope = int(chunks[0])
-            extra = []
-            for chunk in chunks[1:]:
-                j, k = chunk.split(",")
-                extra.append((int(j), int(k)))
-            return cls.slopeline(slope, extra)
+        """Parse ``kind[:params][;points]``, such as empty, vline:2,
+        cross:2,3, finite:1,1;2,3 or slopeline:2;4,9, and a lattice union
+        as lattices:ee,oo.  A kind with neither parameters nor points
+        ignores what follows the colon."""
+        head, _, rest = text.strip().partition(":")
         if head == "lattices":
             return cls.lattice_union(rest.split(","))
-        raise ValueError(f"cannot parse descriptor {text!r}")
+        if head not in KINDS or head == "lattice-union":
+            raise ValueError(f"cannot parse descriptor {text!r}")
+        chunks = rest.split(";")
+        params = tuple(int(n) for n in chunks.pop(0).split(",")) if KINDS[head] else ()
+        points = [parse_point(c) for c in chunks] if head in _POINT_KINDS else []
+        if params and chunks and head not in _POINT_KINDS:
+            raise ValueError(f"{head} takes no points: {text!r}")
+        if head == "slopeline":
+            points[:0] = _on_line(params[0])
+        certificate = BOX_VERIFIED if head == "finite" else GLOBAL_ANALYTIC
+        return cls(head, certificate, params, tuple(points))
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind, "certificate": self.certificate}
         if self.points:
             out["points"] = [list(p) for p in self.points]
-        if self.line_j is not None:
-            out["j"] = self.line_j
-        if self.line_k is not None:
-            out["k"] = self.line_k
-        if self.diag_sum is not None:
-            out["sum"] = self.diag_sum
-        if self.slope is not None:
-            out["slope"] = self.slope
+        out.update(zip(KINDS[self.kind], self.params))
         if self.lattices:
             out["lattices"] = list(self.lattices)
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "SetDescriptor":
-        def order(key):
-            value = obj.get(key)
-            return None if value is None else int_from_json(value)
-
+        """Read a descriptor; a missing or non-integer parameter fails the
+        kind's check, and integer keys of other kinds are ignored."""
+        kind = obj["kind"]
+        keys = KINDS.get(kind, ()) if isinstance(kind, str) else ()
         return cls(
-            obj["kind"],
+            kind,
             obj.get("certificate", BOX_VERIFIED),
+            tuple(obj.get(key) for key in keys),
             points=tuple(
                 tuple(int_from_json(n) for n in p) for p in obj.get("points", ())
             ),
-            line_j=order("j"),
-            line_k=order("k"),
-            diag_sum=order("sum"),
-            slope=order("slope"),
             lattices=tuple(obj.get("lattices", ())),
         )
 
@@ -737,17 +746,18 @@ def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | N
             )
         beta = support.beta
         if kind == "antidiagonal":
-            return from_y(YVector.of(beta**desc.diag_sum, 0, 0, -1))
-        return from_y(YVector(tuple(p(beta) for p in slopeline_y_polys(desc.slope))))
+            return from_y(YVector.of(beta ** desc.params[0], 0, 0, -1))
+        ys = slopeline_y_polys(desc.params[0])
+        return from_y(YVector(tuple(p(beta) for p in ys)))
     seq = _positive_sequence(support, kind)
     if kind == "diagonal":
         return OffsetVector.of(0, 1, -1, 0)
     if kind == "vline":
-        return OffsetVector.of(0, 0, -seq.value(desc.line_j), 1)
+        return OffsetVector.of(0, 0, -seq.value(*desc.params), 1)
     if kind == "hline":
-        return OffsetVector.of(0, -seq.value(desc.line_k), 0, 1)
+        return OffsetVector.of(0, -seq.value(*desc.params), 0, 1)
     if kind == "cross":
-        aj, ak = seq.value(desc.line_j), seq.value(desc.line_k)
+        aj, ak = map(seq.value, desc.params)
         return OffsetVector.of(aj * ak, -ak, -aj, 1)
     raise AssertionError(f"unhandled kind {kind}")
 
@@ -829,9 +839,9 @@ def check_analytic(
         return False
     pattern = shape_offsets(desc, support)
     if kind == "slopeline":
-        m = desc.slope
+        (m,) = desc.params
         # extra points (the near-line fourth point) are never global claims
-        if set(desc.points) != {(1, m), (2, 2 * m), (3, 3 * m)}:
+        if set(desc.points) != set(_on_line(m)):
             return False
         if beta0_poly(m)(support.beta) < 0:
             return False
@@ -897,15 +907,6 @@ def verify_claim(
 # ---------------------------------------------------------------------------
 # symmetric-support classification
 
-# representative probe plus two consistency samples for each parity class
-_LATTICE_PROBES: dict[str, tuple[Point, tuple[Point, Point]]] = {
-    "ee": ((2, 2), ((4, 2), (2, 4))),
-    "eo": ((2, 1), ((4, 1), (2, 3))),
-    "oe": ((1, 2), ((1, 4), (3, 2))),
-    "oo": ((1, 1), ((3, 1), (1, 3))),
-}
-
-
 def _symmetric_lattices(x: OffsetVector) -> list[str]:
     """Parity classes on which the condition form vanishes identically.
 
@@ -925,8 +926,8 @@ def _symmetric_lattices(x: OffsetVector) -> list[str]:
 def classify_symmetric(table: JointTable) -> SetDescriptor:
     """Classify the uncorrelatedness set of a table on symmetric supports.
 
-    The moment route probes one representative of each parity class and
-    cross-checks two more samples per class; the condition route reads
+    The moment route probes the first cell of each parity class and
+    cross-checks the next cell of the class along each axis; the condition route reads
     the four linear forms off the deviations.  Any disagreement raises
     LatticeInconsistent, since both routes are exact.
     """
@@ -939,9 +940,9 @@ def classify_symmetric(table: JointTable) -> SetDescriptor:
 
     by_moments = []
     for name in LATTICE_NAMES:
-        rep, samples = _LATTICE_PROBES[name]
+        rep = j0, k0 = _LATTICE_START[name]
         member = is_uncorrelated(table, *rep)
-        for s in samples:
+        for s in ((j0 + 2, k0), (j0, k0 + 2)):
             if is_uncorrelated(table, *s) != member:
                 raise LatticeInconsistent(
                     f"samples of class {name} disagree with representative {rep}"

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uncorrsets import engine
 from uncorrsets.constructions import make_diagonal
@@ -13,6 +14,7 @@ from uncorrsets.engine import (
     ExponentCapExceeded,
     GLOBAL_ANALYTIC,
     IncompatibleDescriptor,
+    LATTICE_NAMES,
     LatticeInconsistent,
     MATCH,
     MISMATCH,
@@ -218,7 +220,7 @@ def test_box_guards(monkeypatch):
     with pytest.raises(ExponentCapExceeded):
         SetDescriptor.finite([(2, 9)])
     # an antidiagonal sum of two orders may reach twice the cap
-    assert SetDescriptor.antidiagonal(16).diag_sum == 16
+    assert SetDescriptor.antidiagonal(16).params == (16,)
     with pytest.raises(ExponentCapExceeded):
         SetDescriptor.antidiagonal(17)
     monkeypatch.setenv("UNCORRSET_MAX_EXP", "0")
@@ -278,6 +280,96 @@ def test_descriptor_points_in_box():
     }
 
 
+def _kind_cases():
+    """Descriptors of every kind, each with its membership predicate
+    written out; inside the 64x64 box no two of them name the same set
+    unless they are the same set."""
+    cases = [
+        (SetDescriptor.empty(), lambda j, k: False),
+        (SetDescriptor.all_points(), lambda j, k: True),
+        (SetDescriptor.diagonal(), lambda j, k: j == k),
+    ]
+    for n in (1, 2, 5, 13, 64):
+        cases += [
+            (SetDescriptor.vline(n), lambda j, k, n=n: j == n),
+            (SetDescriptor.hline(n), lambda j, k, n=n: k == n),
+            (SetDescriptor.cross(n, 3), lambda j, k, n=n: j == n or k == 3),
+        ]
+    for s in (2, 3, 7, 13, 64, 65, 127, 128):
+        cases.append((SetDescriptor.antidiagonal(s), lambda j, k, s=s: j + k == s))
+    for m in (2, 3, 21):
+        cases += [
+            (SetDescriptor.slopeline(m), lambda j, k, m=m: j <= 3 and k == m * j),
+            (SetDescriptor.slopeline(m, [(4, 2 * m + 1)]),
+             lambda j, k, m=m: (j <= 3 and k == m * j) or (j, k) == (4, 2 * m + 1)),
+        ]
+    for pts in ([(1, 1)], [(2, 5), (4, 3)], [(1, 64), (64, 1), (7, 7)]):
+        cases.append((SetDescriptor.finite(pts), lambda j, k, pts=pts: (j, k) in pts))
+    for mask in range(16):
+        names = [n for i, n in enumerate(LATTICE_NAMES) if mask >> i & 1]
+        cases.append((SetDescriptor.lattice_union(names),
+                      lambda j, k, names=names: "eo"[j % 2] + "eo"[k % 2] in names))
+    return cases
+
+
+def test_form_is_the_set():
+    cases = _kind_cases()
+    assert {d.kind for d, _ in cases} == set(engine.KINDS)
+    for d, member in cases:
+        for jmax, kmax in ((1, 1), (2, 5), (7, 3), (12, 12), (30, 64), (64, 64)):
+            want = {(j, k) for j in range(1, jmax + 1) for k in range(1, kmax + 1)
+                    if member(j, k)}
+            assert d.points_in_box(jmax, kmax) == want, (d, jmax, kmax)
+    # forms are equal exactly when the sets are
+    forms_of = {}
+    for d, _ in cases:
+        forms_of.setdefault(frozenset(d.points_in_box(64, 64)), set()).add(d.form)
+    assert all(len(forms) == 1 for forms in forms_of.values())
+    assert len({d.form for d, _ in cases}) == len(forms_of)
+
+
+def test_equal_sets_have_equal_forms():
+    parse, from_json = SetDescriptor.parse, SetDescriptor.from_json
+    assert parse("antidiagonal:3").form == parse("finite:1,2;2,1").form
+    assert SetDescriptor.slopeline(2).form == parse("finite:1,2;2,4;3,6").form
+    every = from_json({"kind": "lattice-union", "lattices": list(LATTICE_NAMES)})
+    assert every.kind == "lattice-union" and every.form == SetDescriptor.all_points().form
+    none = from_json({"kind": "lattice-union", "lattices": []})
+    assert none.kind == "lattice-union" and none.form == SetDescriptor.empty().form
+    assert parse("antidiagonal:3").form != parse("finite:1,2").form
+    # the form is derived: it takes no part in equality
+    assert parse("antidiagonal:3") != parse("finite:1,2;2,1")
+
+
+def test_stray_fields_never_change_the_set():
+    D = SetDescriptor
+    read = [
+        ({"kind": "empty", "points": [[1, 1]], "lattices": ["ee"]}, D.empty()),
+        ({"kind": "cross", "j": 2, "k": 3, "points": [[5, 5]], "lattices": ["oo"]},
+         D.cross(2, 3)),
+        ({"kind": "diagonal", "points": [[1, 2]], "lattices": ["eo"], "sum": 4},
+         D.diagonal()),
+        ({"kind": "lattice-union", "lattices": ["ee"], "points": [[1, 1]]},
+         D.lattice_union(["ee"])),
+        ({"kind": "finite", "points": [[1, 2]], "lattices": ["oo"], "j": 3},
+         D.finite([(1, 2)])),
+        ({"kind": "vline", "j": 2, "k": 5}, D.vline(2)),
+        # a slope line's set is its listed points, line points or not
+        ({"kind": "slopeline", "slope": 2, "points": [[4, 9]]}, D.finite([(4, 9)])),
+    ]
+    for doc, clean in read:
+        d = SetDescriptor.from_json(doc)
+        assert d.form == clean.form, doc
+        assert d.points_in_box(12, 12) == clean.points_in_box(12, 12), doc
+    # stray points and lattices are kept; integer keys of other kinds are not
+    assert SetDescriptor.from_json(read[0][0]).to_json()["points"] == [[1, 1]]
+    assert "k" not in SetDescriptor.from_json({"kind": "vline", "j": 2, "k": 5}).to_json()
+    for doc in ({"kind": "vline"}, {"kind": "cross", "j": 1}, {"kind": "slopeline"},
+                {"kind": ["vline"]}):
+        with pytest.raises(ValueError):
+            SetDescriptor.from_json(doc)
+
+
 def test_descriptor_text_forms():
     specs = [
         "empty",
@@ -299,8 +391,48 @@ def test_descriptor_text_forms():
     assert SetDescriptor.parse("vline:2").certificate == GLOBAL_ANALYTIC
     # naming all four parity classes is just the full grid
     assert SetDescriptor.parse("lattices:ee,eo,oe,oo").kind == "all"
-    with pytest.raises(ValueError):
-        SetDescriptor.parse("helix:3")
+    # a kind with neither parameters nor points ignores what follows
+    assert SetDescriptor.parse("empty:junk") == SetDescriptor.empty()
+    assert SetDescriptor.parse("all:1") == SetDescriptor.all_points()
+    assert SetDescriptor.parse("diagonal:3") == SetDescriptor.diagonal()
+    assert SetDescriptor.parse(" vline:2 ") == SetDescriptor.vline(2)
+    assert SetDescriptor.parse("lattices:oo,ee,ee") == SetDescriptor.lattice_union(["ee", "oo"])
+    for bad in ("finite:", "vline:2,3", "vline:2;3,4", "cross:2", "helix:3",
+                "slopeline:1", "slopeline:2,3", "lattice-union:ee"):
+        with pytest.raises(ValueError):
+            SetDescriptor.parse(bad)
+
+
+_ORDER = st.integers(1, engine.DEFAULT_MAX_EXP)
+
+
+@st.composite
+def _descriptors(draw):
+    """A descriptor of any kind, with the certificate its text form reads
+    back to and no stray fields."""
+    kind = draw(st.sampled_from(list(engine.KINDS)))
+    if kind == "finite":
+        return SetDescriptor.finite(draw(st.lists(st.tuples(_ORDER, _ORDER), min_size=1)))
+    if kind == "lattice-union":
+        names = st.lists(st.sampled_from(LATTICE_NAMES), min_size=1, max_size=3, unique=True)
+        return SetDescriptor.lattice_union(draw(names))
+    params = tuple(
+        draw(st.integers(least, 2 * engine.DEFAULT_MAX_EXP if key == "sum"
+                         else engine.DEFAULT_MAX_EXP))
+        for key, least in engine.KINDS[kind].items()
+    )
+    if kind == "slopeline":
+        m = params[0]
+        off_line = st.tuples(_ORDER, _ORDER).filter(lambda p: p[0] > 3 or p[1] != m * p[0])
+        return SetDescriptor.slopeline(m, draw(st.lists(off_line, max_size=3)))
+    return SetDescriptor(kind, GLOBAL_ANALYTIC, params)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_descriptors())
+def test_descriptor_round_trips(d):
+    assert SetDescriptor.parse(d.format_spec()) == d
+    assert SetDescriptor.from_json(d.to_json()) == d
 
 
 def test_verify_claim_match_and_mismatch():
