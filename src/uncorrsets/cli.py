@@ -6,6 +6,9 @@ is 0 for a positive verdict (match, identities equal, independent),
 1 for a negative verdict, 2 for unusable input and 3 for an internal
 error (an exception that is no fault of the input, such as
 ``LatticeInconsistent``), so a crash never reads as a negative verdict.
+
+Each handler imports the modules it runs, so ``det`` loads no set
+machinery and a table document never loads ``constructions``.
 """
 
 from __future__ import annotations
@@ -13,14 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from fractions import Fraction
 
-from . import constructions, engine, model
-from .constructions import Construction, SlopeLineParams
-from .engine import SetDescriptor, parse_point
-from .model import BetaSupport, JointTable, Support3
-from .numeric import format_rational, rational_from_json
+from .numeric import format_rational, parse_point, rational_from_json
 
 
 def _emit(obj) -> None:
@@ -59,24 +57,31 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
-def _support_from_args(args) -> Support3 | BetaSupport:
+def _support_from_args(args):
+    """The Support3 or BetaSupport that the flags name."""
+    from .model import BetaSupport, Support3
+
     if getattr(args, "beta", None) is not None:
         return BetaSupport(_rational(args.alpha), _rational(args.beta))
     a, b, c = (_rational(v) for v in args.support.split(","))
     return Support3.from_values(a, b, c)
 
 
-def _read_document(path: str) -> Construction | JointTable:
+def _read_document(path: str):
     """The document at path as a Construction, whose ``from_json``
     re-certifies an algebraic line, or as a JointTable.  A wrong type
     anywhere in the document is unusable input."""
+    from . import engine, model
+
     doc = _load_doc(path)
     schema = doc.get("schema")
     if schema != engine.WITNESS_SCHEMA and schema != model.TABLE_SCHEMA:
         raise ValueError("input is neither a witness nor a table document")
     try:
         if schema == model.TABLE_SCHEMA:
-            return JointTable.from_json(doc)
+            return model.JointTable.from_json(doc)
+        from .constructions import Construction
+
         return Construction.from_json(doc)
     except (TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed document: {exc}") from None
@@ -87,6 +92,8 @@ def _read_document(path: str) -> Construction | JointTable:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions
+
     family = args.family
     if family in ("antidiagonal", "slopeline") and args.beta is None and args.k is None:
         raise ValueError(f"{family} needs --beta (and --alpha) or, for the "
@@ -124,14 +131,14 @@ def _cmd_construct(args) -> int:
     elif family == "slopeline":
         m = _require(args.m, "--m")
         if args.k is not None:
-            params = SlopeLineParams(
+            params = constructions.SlopeLineParams(
                 m=m,
                 mode=constructions.MODE_BETA_STAR,
                 k=args.k,
                 width=_rational(args.width),
             )
         else:
-            params = SlopeLineParams(
+            params = constructions.SlopeLineParams(
                 m=m,
                 mode=constructions.MODE_AT_OR_ABOVE,
                 beta=_rational(_require(args.beta, "--beta")),
@@ -153,6 +160,9 @@ def _require(value, flag):
 
 
 def _cmd_enumerate(args) -> int:
+    from . import engine
+    from .model import JointTable
+
     jmax, kmax = _parse_box(args.box)
     doc = _read_document(args.witness)
     if isinstance(doc, JointTable):
@@ -169,17 +179,23 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import engine
+    from .model import JointTable
+
     jmax, kmax = _parse_box(args.box)
     doc = _read_document(args.witness)
     if isinstance(doc, JointTable):
         raise ValueError("verify needs a witness document, not a table")
-    desc = SetDescriptor.parse(args.descriptor) if args.descriptor else doc.descriptor
+    desc = engine.SetDescriptor.parse(args.descriptor) if args.descriptor else doc.descriptor
     report = doc.verify(desc, jmax, kmax)
     _emit(report.to_json())
     return 0 if report.verdict == engine.MATCH else 1
 
 
 def _cmd_classify(args) -> int:
+    from . import engine
+    from .model import JointTable
+
     doc = _read_document(args.table)
     table = doc if isinstance(doc, JointTable) else doc.table()
     _emit({"descriptor": engine.classify_symmetric(table).to_json()})
@@ -200,11 +216,15 @@ def _emit_root(lo: Fraction, hi: Fraction, **orders: int) -> int:
 
 
 def _cmd_beta0(args) -> int:
+    from . import constructions
+
     lo, hi = constructions.beta0(args.m, _rational(args.width))
     return _emit_root(lo, hi, m=args.m)
 
 
 def _cmd_betastar(args) -> int:
+    from . import constructions
+
     lo, hi = constructions.beta_star(args.m, args.k, _rational(args.width))
     return _emit_root(lo, hi, m=args.m, k=args.k)
 
@@ -224,6 +244,7 @@ def _cmd_det(args) -> int:
 
 def _cmd_indep_cert(args) -> int:
     from . import determinants
+    from .model import BetaSupport
 
     pts = _parse_points(args.points)
     support = BetaSupport(_rational(args.alpha), _rational(args.beta))
@@ -341,6 +362,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
+
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3

@@ -33,10 +33,11 @@ from operator import lshift
 from typing import Sequence
 
 from . import linalg
-from .engine import ExponentCapExceeded, Point, check_order
-from .model import BetaSupport
-from .numeric import format_rational
+from .numeric import ExponentCapExceeded, Point, check_order, format_rational
 from .polynomials import MultiPoly
+
+# BetaSupport (model) is named in annotations only, which are never
+# evaluated, so ``det`` loads neither model nor engine.
 
 # variable order throughout: x, y, z, t
 X, Y, Z, T = range(4)

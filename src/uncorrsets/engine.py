@@ -60,7 +60,8 @@ claim.  ``compare_claim`` is the one verdict rule, also for sets
 enumerated elsewhere (the algebraic slope line).  ``witness_from_json``
 is the one parser of offset witness documents, which
 ``constructions.Construction.from_json`` reads through it.  The
-slope-line polynomials come from ``slopeline``.
+slope-line polynomials come from ``slopeline``, imported inside the two
+slope-line branches only, so a table route loads no polynomial code.
 
 Symmetric supports (-v, 0, v) get their own classification: there A_j
 degenerates to 0 for even j and 2 for odd j, the box collapses onto the
@@ -71,7 +72,6 @@ form vanishes, and ``offsets_delta`` stays as the per-cell oracle.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -90,28 +90,27 @@ from .model import (
     support_from_json,
     to_y,
 )
+# the exponent cap and parse_point live in numeric, so that determinants
+# needs no engine; constructions and callers still read them from here
 from .numeric import (
+    DEFAULT_MAX_EXP,
+    ENV_MAX_EXP,
+    ExponentCapExceeded,
     MixedRadicand,
+    Point,
     QuadExt,
     Scalar,
     as_exact,
+    check_order,
     exact_sign,
     int_from_json,
+    max_exponent,
     over_one_denominator,
+    parse_point,
     sqrt_parts,
 )
-from .slopeline import beta0_poly, slopeline_y_polys
 
-Point = tuple[int, int]
 SupportLike = Union[Support3, BetaSupport]
-
-DEFAULT_MAX_EXP = 64
-ENV_MAX_EXP = "UNCORRSET_MAX_EXP"
-
-
-class ExponentCapExceeded(ValueError):
-    """A box, descriptor or construction asked for moments beyond the
-    exponent cap."""
 
 
 class IncompatibleDescriptor(ValueError):
@@ -120,25 +119,6 @@ class IncompatibleDescriptor(ValueError):
 
 class LatticeInconsistent(RuntimeError):
     """Parity-class samples disagreed; the classification is unsound."""
-
-
-def max_exponent() -> int:
-    raw = os.environ.get(ENV_MAX_EXP)
-    if raw is None:
-        return DEFAULT_MAX_EXP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"{ENV_MAX_EXP} must be a positive integer")
-    return cap
-
-
-def check_order(*orders: int, terms: int = 1) -> None:
-    """Reject an order above the exponent cap; a sum of ``terms`` orders
-    (an antidiagonal j + k) may reach ``terms`` times the cap."""
-    limit = terms * max_exponent()
-    for n in orders:
-        if n > limit:
-            raise ExponentCapExceeded(f"order {n} exceeds the exponent cap {limit}")
 
 
 def _check_box(jmax: int, kmax: int) -> None:
@@ -474,12 +454,6 @@ LATTICE_NAMES = ("ee", "eo", "oe", "oo")
 _LATTICE_START = {"ee": (2, 2), "eo": (2, 1), "oe": (1, 2), "oo": (1, 1)}
 
 
-def parse_point(text: str) -> Point:
-    """A point in its text form j,k."""
-    j, k = text.split(",")
-    return int(j), int(k)
-
-
 def _on_line(m: int) -> tuple[Point, ...]:
     """The three points (i, m i) that every slope line m holds."""
     return ((1, m), (2, 2 * m), (3, 3 * m))
@@ -570,7 +544,7 @@ class SetDescriptor:
                 raise ValueError(f"{self.kind} needs an integer {name} >= {low}: {value!r}")
             check_order(value, terms=2 if name == "sum" else 1)
         object.__setattr__(self, "params", params)
-        pts = tuple(sorted((int(j), int(k)) for j, k in self.points))
+        pts = tuple(sorted({(int(j), int(k)) for j, k in self.points}))
         if any(j < 1 or k < 1 for j, k in pts):
             raise ValueError("points must have positive coordinates")
         if self.kind == "finite":
@@ -747,6 +721,8 @@ def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | N
         beta = support.beta
         if kind == "antidiagonal":
             return from_y(YVector.of(beta ** desc.params[0], 0, 0, -1))
+        from .slopeline import slopeline_y_polys
+
         ys = slopeline_y_polys(desc.params[0])
         return from_y(YVector(tuple(p(beta) for p in ys)))
     seq = _positive_sequence(support, kind)
@@ -843,6 +819,8 @@ def check_analytic(
         # extra points (the near-line fourth point) are never global claims
         if set(desc.points) != set(_on_line(m)):
             return False
+        from .slopeline import beta0_poly
+
         if beta0_poly(m)(support.beta) < 0:
             return False
     return _nonzero_multiple(x, pattern)

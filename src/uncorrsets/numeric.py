@@ -16,10 +16,16 @@ with one radicand d and L the least common denominator of every rational
 and irrational part (``sqrt_parts``); ``quad_sign`` is the sign rule on
 those integers, and ``scalar_from_parts`` builds a scalar back.  Kernels
 that only add, scale and compare a fixed vector work on R and I alone.
+
+The exponent cap lives here too, as the bottom module every other one
+imports: ``max_exponent`` reads it (``UNCORRSET_MAX_EXP``, default 64)
+and ``check_order`` refuses a moment order above it, so a determinant
+check needs no set machinery to be refused.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from fractions import Fraction
 from functools import total_ordering
@@ -27,12 +33,40 @@ from math import isqrt, lcm
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction, "QuadExt"]
+Point = tuple[int, int]
+
+DEFAULT_MAX_EXP = 64
+ENV_MAX_EXP = "UNCORRSET_MAX_EXP"
 
 _PRIMES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class MixedRadicand(ValueError):
     """Arithmetic mixed two quadratic extensions with different radicands."""
+
+
+class ExponentCapExceeded(ValueError):
+    """A box, descriptor or construction asked for moments beyond the
+    exponent cap."""
+
+
+def max_exponent() -> int:
+    raw = os.environ.get(ENV_MAX_EXP)
+    if raw is None:
+        return DEFAULT_MAX_EXP
+    cap = int(raw)
+    if cap < 1:
+        raise ValueError(f"{ENV_MAX_EXP} must be a positive integer")
+    return cap
+
+
+def check_order(*orders: int, terms: int = 1) -> None:
+    """Reject an order above the exponent cap; a sum of ``terms`` orders
+    (an antidiagonal j + k) may reach ``terms`` times the cap."""
+    limit = terms * max_exponent()
+    for n in orders:
+        if n > limit:
+            raise ExponentCapExceeded(f"order {n} exceeds the exponent cap {limit}")
 
 
 def _is_squarefree(n: int) -> bool:
@@ -336,6 +370,12 @@ def scalar_to_json(v: Scalar):
             "d": v.d,
         }
     return format_rational(v)
+
+
+def parse_point(text: str) -> Point:
+    """A point in its text form j,k."""
+    j, k = text.split(",")
+    return int(j), int(k)
 
 
 def int_from_json(obj) -> int:

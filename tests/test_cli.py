@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uncorrsets
-from uncorrsets import engine, selftest
+from uncorrsets import engine, numeric, selftest
 from uncorrsets.cli import main
-from uncorrsets.constructions import Construction
+from uncorrsets.constructions import Construction, make_vline
 from uncorrsets.model import (
     JointTable,
     OffsetVector,
@@ -619,3 +619,78 @@ def test_internal_errors_exit_three(capsys, monkeypatch, tmp_path):
     code, out, err = _run(capsys, "classify", "--table", path)
     assert code == 3 and out == ""
     assert err.startswith("internal error: LatticeInconsistent")
+    assert "Traceback (most recent call last)" in err
+
+
+def test_det_above_its_order_sum_exits_two(capsys):
+    # the cap's exception is numeric's and still a ValueError, so unusable input
+    assert issubclass(numeric.ExponentCapExceeded, ValueError)
+    code, out, err = _run(capsys, "det", "g", "20", "20")
+    assert code == 2 and out == ""
+    assert err.startswith("error: order sum 20 + 20 exceeds the exponent cap")
+
+
+# ---------------------------------------------------------------------------
+# the modules each subcommand loads
+
+_LOADED = (
+    "import io, sys\n"
+    "from contextlib import redirect_stdout\n"
+    "from uncorrsets import cli\n"
+    "with redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(code, *(m for m in sys.modules if m.startswith('uncorrsets.')))\n"
+)
+
+
+def _loaded_modules(*argv) -> tuple[int, set[str]]:
+    """Exit status and the package modules of one CLI run, in a fresh
+    interpreter that compiles every module it imports."""
+    src = os.path.dirname(os.path.dirname(uncorrsets.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    code, *names = done.stdout.split()
+    return int(code), {name.split(".")[1] for name in names}
+
+
+_SET_MACHINERY = {"engine", "constructions", "slopeline"}
+_POLYNOMIAL_CODE = {"constructions", "polynomials", "slopeline"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent, present",
+    [
+        (["det", "f", "2", "3"], _SET_MACHINERY | {"model"}, {"determinants"}),
+        (["det", "g", "3", "5"], _SET_MACHINERY | {"model"}, {"determinants"}),
+        (
+            ["indep-cert", "--points", "1,2;2,4;3,6;4,8", "--beta", "2"],
+            _SET_MACHINERY,
+            {"determinants", "model"},
+        ),
+        (["enumerate", "--witness", "{table}", "--box", "5x5"], _POLYNOMIAL_CODE, {"engine"}),
+        (["classify", "--table", "{table}"], _POLYNOMIAL_CODE, {"engine"}),
+        (["construct", "vline", "--j", "2"], set(), {"constructions"}),
+        (["verify", "--witness", "{witness}"], set(), {"constructions"}),
+    ],
+    ids=["det-f", "det-g", "indep-cert", "enumerate-table", "classify-table",
+         "construct", "verify"],
+)
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, absent, present):
+    sym = Support3.symmetric(1)
+    table = table_from_offsets(rescale(OffsetVector.of(0, 1, 1, 0)), sym, sym)
+    witness = make_vline(Support3.from_values(1, 2, 3), 2)
+    files = {
+        "table": _write(tmp_path, "table.json", table.to_json()),
+        "witness": _write(tmp_path, "vline.json", witness.to_json()),
+    }
+    code, loaded = _loaded_modules(*(arg.format(**files) for arg in argv))
+    assert code == 0
+    assert not loaded & absent, sorted(loaded & absent)
+    assert present <= loaded, sorted(present - loaded)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uncorrsets import engine
-from uncorrsets.constructions import make_diagonal
+from uncorrsets.constructions import make_diagonal, make_singleton
 from uncorrsets.engine import (
     ASequence,
     BOX_VERIFIED,
@@ -251,8 +251,20 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         SetDescriptor.slopeline(1)
     # points are sorted and deduplicated into a canonical order
-    d = SetDescriptor.finite([(3, 1), (1, 2)])
+    d = SetDescriptor.finite([(3, 1), (1, 2), (3, 1)])
     assert d.points == ((1, 2), (3, 1))
+
+
+def test_a_repeated_point_is_one_point():
+    twice = SetDescriptor.finite([(1, 1), (1, 1)], GLOBAL_ANALYTIC)
+    once = SetDescriptor.finite([(1, 1)], GLOBAL_ANALYTIC)
+    assert twice == once and hash(twice) == hash(once)
+    # the claim is a singleton, so it goes to the singleton check and not
+    # to the two-point check, which refuses two points in one column
+    built = make_singleton(Support3.from_values(1, 2, 3), 1, 1)
+    for claim in (twice, once):
+        report = built.verify(claim, 6, 6)
+        assert report.verdict == MATCH and report.analytic_ok is True
 
 
 def test_descriptor_points_in_box():

@@ -3,13 +3,21 @@ nothing outside the standard library.
 
 Imports inside functions count too: a lazy import hides a cycle or a
 runtime dependency from the interpreter, not from the design.
+
+The package itself resolves its public names on first access, so
+importing it loads no submodule.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import uncorrsets
+from uncorrsets import engine, numeric
 
 PACKAGE = Path(uncorrsets.__file__).parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -82,6 +90,8 @@ def test_graph_sees_the_package():
     assert {"engine", "constructions", "slopeline", "cli"} <= set(graph)
     assert "slopeline" in graph["engine"] and "engine" in graph["constructions"]
     assert graph["slopeline"] == {"polynomials"}
+    # det and indep-cert load no set machinery
+    assert not graph["determinants"] & {"engine", "model"}
 
 
 def test_no_import_cycle():
@@ -112,3 +122,47 @@ def test_outside_import_finder_catches_a_lazy_import():
         "    from uncorrsets.model import rescale\n    import os.path\n"
     )
     assert _outside_imports(tree) == {"sympy", "hypothesis"}
+
+
+# ---------------------------------------------------------------------------
+# the package's names resolve on first access
+
+
+def test_package_names_are_their_definitions():
+    star = {}
+    exec("from uncorrsets import *", star)
+    for name in uncorrsets.__all__:
+        value = getattr(uncorrsets, name)
+        assert star[name] is value
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert value.__module__.startswith("uncorrsets.")
+    assert set(uncorrsets.__all__) <= set(dir(uncorrsets))
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        uncorrsets.no_such_name
+    assert not hasattr(uncorrsets, "engine_")
+
+
+def _loaded_by(statement: str) -> list[str]:
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; {statement}; "
+         "print(*sorted(m for m in sys.modules if m.startswith('uncorrsets.')))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_by("import uncorrsets") == []
+    assert _loaded_by("import uncorrsets.cli") == ["uncorrsets.cli", "uncorrsets.numeric"]
+
+
+def test_engine_reads_the_exponent_cap_of_numeric():
+    for name in ("max_exponent", "check_order", "ExponentCapExceeded",
+                 "DEFAULT_MAX_EXP", "ENV_MAX_EXP", "parse_point"):
+        assert getattr(engine, name) is getattr(numeric, name)
