@@ -1,26 +1,29 @@
 """Membership testing, enumeration and verification of uncorrelatedness sets.
 
-For X, Y uniform on a common positive ordered support, E[X^j Y^k] equals
-E[X^j] E[Y^k] exactly when
+X and Y are uniform on a common support of three distinct points.  The
+moment route tests E[X^j Y^k] = E[X^j] E[Y^k] on the joint table itself,
+the condition route on the four offsets; they are kept independent so
+one can audit the other.
 
-    x1 + A_j x2 + A_k x3 + A_j A_k x4 = 0,
+The condition route is one column law for every support.  With the
+support over one denominator as pa < pb < pc, set P_j = pc^j - pa^j and
+Q_j = pc^j - pb^j.  Summed against the powers with no division, the
+deviation table of ``model`` makes E[X^j Y^k] - E[X^j] E[Y^k] a positive
+multiple of
 
-where A_j = (c^j - a^j) / (c^j - b^j) is a strictly decreasing sequence
-of rationals larger than 1.  The engine exposes both routes to the same
-fact: the moment route tests the definition on the joint table itself,
-the condition route evaluates the linear form above.  They are kept
-independent so one can audit the other.
+    Q_k U + P_k V,   U = Q_j x1 + P_j x2,   V = Q_j x3 + P_j x4,
 
-Box enumeration on such supports uses the column law, in integers.
-With the support over one denominator as pa < pb < pc, A_j = N_j / D_j
-where N_j = pc^j - pa^j and D_j = pc^j - pb^j; with the offsets over one
-denominator as (R + I sqrt(d)) / L, column j needs D_k U + N_k V = 0 for
-U = D_j P1 + N_j P2 and V = D_j P3 + N_j P4, once for P = R and once for
-P = I.  Since A is injective, a column is either whole (every U and V is
-0), empty (some part has V = 0 but U != 0, or two parts disagree), or
-holds the single k whose reduced (N_k, D_k) is the reduced (-U, V), if
-any.  One integer solve per column replaces one exact evaluation per
-cell, and ``condition_lhs`` stays as the per-cell oracle.
+which must vanish for x = R and x = I separately when the offsets are
+(R + I sqrt(d)) / L, since sqrt(d) is irrational.  (P_k, Q_k) != (0, 0),
+as three distinct numbers cannot share one k-th power.  So column j is
+whole when every part has U = V = 0, empty when two parts disagree, and
+otherwise holds the k whose ratio (P_k : Q_k) is the (-U : V) of its
+nonzero parts: one k on a positive ordered support, where A_j = P_j / Q_j
+is larger than 1 and strictly decreasing; a parity class on (-v, 0, v),
+where the ratio is 0 : 1 for even k and 2 : 1 for odd k; every even k,
+where Q_k = 0, when b = -c.  ``offsets_delta`` (the deviation form) and,
+on positive ordered supports, ``condition_lhs`` (x1 + A_j x2 + A_k x3 +
+A_j A_k x4, the form over Q_j Q_k) stay as the per-cell oracles.
 
 An uncorrelatedness set is claimed by a ``SetDescriptor``: a kind, the
 integer ``params`` that ``KINDS`` declares for it (JSON keys and least
@@ -63,11 +66,11 @@ is the one parser of offset witness documents, which
 slope-line polynomials come from ``slopeline``, imported inside the two
 slope-line branches only, so a table route loads no polynomial code.
 
-Symmetric supports (-v, 0, v) get their own classification: there A_j
-degenerates to 0 for even j and 2 for odd j, the box collapses onto the
-four parity classes, and membership is decided by four linear forms in
-the offsets.  Box enumeration there emits the cells of the classes whose
-form vanishes, and ``offsets_delta`` stays as the per-cell oracle.
+Symmetric supports (-v, 0, v) get their own classification: there
+P_j / Q_j is 0 for even j and 2 for odd j, so membership is constant on
+the four parity classes and decided by four linear forms in the offsets
+(``_symmetric_lattices``), which ``classify_symmetric`` checks against
+moment probes on the table.
 """
 
 from __future__ import annotations
@@ -280,54 +283,33 @@ def offsets_delta(
 def enumerate_box_offsets(
     x: OffsetVector, support: SupportLike, jmax: int, kmax: int
 ) -> list[Point]:
-    """All uncorrelated (j, k) with 1 <= j <= jmax, 1 <= k <= kmax.
-
-    Positive ordered supports are solved one column at a time in
-    integers: with A_j = N_j / D_j and the offsets written as
-    (R + I sqrt(d)) / L, column j is whole, empty, or holds the one k
-    whose reduced (N_k, D_k) equals the column's key (the column law of
-    the module docstring).  Symmetric supports (-v, 0, v) answer
-    with the parity classes whose form ``_symmetric_lattices`` finds
-    zero.  General-ordered supports evaluate the deviation bilinear form
-    per cell from hoisted power tables.  Points come out sorted by j,
-    then k; ``condition_lhs`` and ``offsets_delta`` remain the per-cell
-    oracles.
-    """
+    """All uncorrelated (j, k) with 1 <= j <= jmax, 1 <= k <= kmax, sorted
+    by j, then k: one integer solve per column on every support, by the
+    column law of the module docstring."""
     _check_box(jmax, kmax)
-    s3 = support.to_support3()
-    if s3.kind is SupportKind.POSITIVE_ORDERED:
-        ratios = _ratio_terms(s3, max(jmax, kmax))
-        return _solve_columns(_offset_parts(x), ratios[:jmax], ratios[:kmax])
-    if s3.kind is SupportKind.SYMMETRIC_ZERO:
-        return _parity_cells(x, jmax, kmax)
-    return _bilinear_cells(x, s3, jmax, kmax)
-
-
-# The condition route in integers (the column law of the module
-# docstring).  Times the positive number D_j D_k L, the condition
-# x1 + A_j x2 + A_k x3 + A_j A_k x4 = 0 reads D_k U + N_k V = 0 for
-# P = R and for P = I separately, since sqrt(d) is irrational.  A part
-# with U = V = 0 holds on the whole column, one with V = 0 only holds
-# nowhere (D_k > 0), any other exactly where A_k = -U / V; reduced integer
-# pairs compare those ratios with no Fraction or QuadExt.
+    terms = _ratio_terms(support.to_support3(), max(jmax, kmax))
+    return _solve_columns(_offset_parts(x), terms[:jmax], terms[:kmax])
 
 
 def _ratio_terms(s3: Support3, n: int) -> list[tuple[int, int]]:
-    """(N_j, D_j) for j = 1..n, with A_j = N_j / D_j.  Like
-    ``ASequence.value``, raises ArithmeticError unless every A_j > 1 and
-    the sequence strictly decreases, so a corrupted support cannot hand
-    out a non-injective sequence silently."""
+    """(P_j, Q_j) = (pc^j - pa^j, pc^j - pb^j) for j = 1..n.  On a
+    positive ordered support A_j = P_j / Q_j, and, like
+    ``ASequence.value``, this raises ArithmeticError unless every A_j > 1
+    and the sequence strictly decreases, so a corrupted support cannot
+    hand out a non-injective sequence silently."""
     (pa, pb, pc), _ = over_one_denominator(s3.points)
+    audit = s3.kind is SupportKind.POSITIVE_ORDERED
     out: list[tuple[int, int]] = []
     a = b = c = 1
     for j in range(1, n + 1):
         a, b, c = a * pa, b * pb, c * pc
-        num, den = c - a, c - b
-        if not num > den > 0:
-            raise ArithmeticError(f"A_{j} = {num}/{den} fell to 1 or below")
-        if out and not out[-1][0] * den > num * out[-1][1]:
-            raise ArithmeticError(f"A_{j - 1} <= A_{j}: sequence not decreasing")
-        out.append((num, den))
+        p, q = c - a, c - b
+        if audit:
+            if not p > q > 0:
+                raise ArithmeticError(f"A_{j} = {p}/{q} fell to 1 or below")
+            if out and not out[-1][0] * q > p * out[-1][1]:
+                raise ArithmeticError(f"A_{j - 1} <= A_{j}: sequence not decreasing")
+        out.append((p, q))
     return out
 
 
@@ -347,63 +329,34 @@ def _solve_columns(
     cols: Sequence[tuple[int, int]],
     rows: Sequence[tuple[int, int]],
 ) -> list[Point]:
-    """The members of the box whose columns take (N_j, D_j) from cols and
-    whose rows take (N_k, D_k) from rows, sorted by j, then k."""
-    row_of = {}
-    for k, (n, d) in enumerate(rows, 1):
-        g = gcd(n, d)
-        row_of[n // g, d // g] = k
+    """The members of the box whose columns take (P_j, Q_j) from cols and
+    whose rows take (P_k, Q_k) from rows, sorted by j, then k.  A ratio
+    (p : q) is keyed by its reduced pair with q > 0, or q = 0 and p > 0,
+    so equal ratios meet in one dict with no Fraction or QuadExt."""
+    rows_of: dict[tuple[int, int], list[int]] = {}
+    for k, (p, q) in enumerate(rows, 1):
+        if q < 0 or q == 0 and p < 0:
+            p, q = -p, -q
+        g = gcd(p, q)  # never 0: the points are distinct
+        rows_of.setdefault((p // g, q // g), []).append(k)
+    whole = range(1, len(rows) + 1)
     out: list[Point] = []
-    for j, (nj, dj) in enumerate(cols, 1):
-        keys = set()
+    for j, (pj, qj) in enumerate(cols, 1):
+        key = None
         for p1, p2, p3, p4 in parts:
-            u, v = dj * p1 + nj * p2, dj * p3 + nj * p4
-            if v == 0:
-                if u != 0:
-                    break  # this part holds nowhere: the column is empty
-                continue
-            if v < 0:
+            # the ratio (-u : v), keyed as the rows are
+            u, v = qj * p1 + pj * p2, qj * p3 + pj * p4
+            if v < 0 or v == 0 and u > 0:
                 u, v = -u, -v
             g = gcd(u, v)
-            keys.add((-u // g, v // g))
+            if g == 0:
+                continue  # this part holds on the whole column
+            if key is None:
+                key = (-u // g, v // g)
+            elif key != (-u // g, v // g):
+                break  # the parts disagree: the column is empty
         else:
-            if not keys:
-                out.extend((j, k) for k in range(1, len(rows) + 1))
-            elif len(keys) == 1 and (k := row_of.get(keys.pop())) is not None:
-                out.append((j, k))
-    return out
-
-
-def _parity_cells(x: OffsetVector, jmax: int, kmax: int) -> list[Point]:
-    """The box on (-v, 0, v), where for j, k >= 1 the deviation form is
-    v^(j+k) times the form of the parity class of (j, k)."""
-    zero = set(_symmetric_lattices(x))
-    out: list[Point] = []
-    for j in range(1, jmax + 1):
-        # class names read "e" for an even order, "o" for an odd one
-        starts = [k0 for k0 in (1, 2) if "eo"[j % 2] + "eo"[k0 % 2] in zero]
-        if starts:
-            step = 1 if len(starts) == 2 else 2
-            out.extend((j, k) for k in range(starts[0], kmax + 1, step))
-    return out
-
-
-def _bilinear_cells(
-    x: OffsetVector, s3: Support3, jmax: int, kmax: int
-) -> list[Point]:
-    # delta(j, k) = sum_r U_r(j) s_r^k with U_r(j) = sum_c dev[r][c] s_c^j
-    dev = x.deviations()
-    pts = s3.points
-    powers = [tuple(p**n for p in pts) for n in range(max(jmax, kmax) + 1)]
-    out: list[Point] = []
-    for j in range(1, jmax + 1):
-        pj = powers[j]
-        u0, u1, u2 = (
-            dev[r][0] * pj[0] + dev[r][1] * pj[1] + dev[r][2] * pj[2] for r in range(3)
-        )
-        for k in range(1, kmax + 1):
-            p0, p1, p2 = powers[k]
-            if exact_sign(u0 * p0 + u1 * p1 + u2 * p2) == 0:
+            for k in whole if key is None else rows_of.get(key, ()):
                 out.append((j, k))
     return out
 

@@ -94,6 +94,13 @@ class Support3:
             pts[1] != 0 or pts[0] != -pts[2]
         ):
             raise ValueError(f"symmetric support must be (-v, 0, v): {pts}")
+        if self.kind is SupportKind.GENERAL_ORDERED and (
+            pts[0] > 0 or (pts[1] == 0 and pts[0] == -pts[2])
+        ):
+            raise ValueError(
+                f"general-ordered support must start at or below zero and not "
+                f"be (-v, 0, v): {pts}"
+            )
         object.__setattr__(self, "points", pts)
 
     @classmethod

@@ -1,15 +1,16 @@
 """Seeded audit of the package's guarantees, one section function each.
 
 A section takes its inputs and returns a ``Section``: the two membership
-routes and the per-cell condition form agree, every golden construction
-reproduces its expected set, the F and G determinant identities hold,
-the slope line behaves at and near its threshold, four collinear orders
-are independent, parity unions on symmetric supports classify back to
-themselves and enumerate as the per-cell form says, and every enumerated
-set obeys transposition, line closure and cross maximality.  ``run`` calls
-the sections on seeded inputs at self-test scale; the acceptance tests
-call the same sections on their own, larger inputs.  Everything is
-exact; a single FAIL means broken arithmetic, not bad luck.
+routes and the per-cell form agree on positive and general supports,
+every golden construction reproduces its expected set, the F and G
+determinant identities hold, the slope line behaves at and near its
+threshold, four collinear orders are independent, parity unions on
+symmetric supports classify back to themselves and enumerate as the
+per-cell form says, and every enumerated set obeys transposition, line
+closure and cross maximality.  ``run`` calls the sections on seeded
+inputs at self-test scale; the acceptance tests call the same sections
+on their own, larger inputs.  Everything is exact; a single FAIL means
+broken arithmetic, not bad luck.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from . import constructions, determinants, engine, model
+from . import constructions, determinants, engine, linalg, model
 from .engine import ASequence, SetDescriptor
-from .model import BetaSupport, OffsetVector, Support3
+from .model import BetaSupport, OffsetVector, Support3, SupportKind
 from .numeric import QuadExt
 from .polynomials import IntPoly, root_count, sturm_root_count
 
@@ -45,30 +46,36 @@ def route_agreement(pairs: list, box: int) -> Section:
     """Five sides, for each (support, offsets) pair: the moment route's and
     the condition route's box enumerations on the offsets rescaled into a
     table, as the CLI runs them; the condition route's and the per-cell
-    condition form's on the offsets as given; and the moment route's on a
-    table of the offsets times a rational factor.  ``rescale``'s factor
-    lies in Q(sqrt(d)) and mixes the rational and sqrt(d) parts, so only
-    the unscaled and rationally scaled sides show a route that drops a
-    part."""
+    form's on the offsets as given; and the moment route's on a table of
+    the offsets times a rational factor.  The per-cell form is the
+    condition form on a positive ordered support and the deviation form
+    ``offsets_delta`` on any other, where no ``ASequence`` exists.
+    ``rescale``'s factor lies in Q(sqrt(d)) and mixes the rational and
+    sqrt(d) parts, so only the unscaled and rationally scaled sides show a
+    route that drops a part."""
     problems = []
     cells = list(product(range(1, box + 1), repeat=2))
     for support, x in pairs:
         scaled, s3 = model.rescale(x), support.to_support3()
         table = model.table_from_offsets(scaled, s3, s3)
         rational = model.table_from_offsets(x.scaled(_rational_scale(x)), s3, s3)
-        seq = ASequence(support)
+        if s3.kind is SupportKind.POSITIVE_ORDERED:
+            seq = ASequence(support)
+            per_cell = {p for p in cells if engine.condition_lhs(x, seq, *p) == 0}
+        else:
+            per_cell = {p for p in cells if engine.offsets_delta(x, s3, s3, *p) == 0}
         sides = (
             set(engine.enumerate_box_table(table, box, box)),
             set(engine.enumerate_box_offsets(scaled, support, box, box)),
             set(engine.enumerate_box_offsets(x, support, box, box)),
-            {p for p in cells if engine.condition_lhs(x, seq, *p) == 0},
+            per_cell,
             set(engine.enumerate_box_table(rational, box, box)),
         )
         for j, k in sorted(set.union(*sides) - set.intersection(*sides)):
             problems.append(f"{s3.points} {x.x} at ({j}, {k})")
     supports = len({support for support, _ in pairs})
     return Section(
-        "moment route, box enumeration and per-cell condition form matched "
+        "moment route, box enumeration and per-cell form matched "
         f"for {len(pairs)} offset vectors on {supports} supports over the "
         f"{box}x{box} box, rescaled, unscaled and rationally scaled",
         len(pairs),
@@ -321,6 +328,22 @@ def _random_offsets(rng: random.Random) -> OffsetVector:
             return x
 
 
+def _planted_offsets(rng: random.Random, s3: Support3, box: int) -> OffsetVector:
+    """Offsets whose form vanishes on one or two random cells of the box:
+    a nonzero combination of the nullspace of their ``offsets_delta`` rows."""
+    units = [OffsetVector(tuple(int(i == n) for i in range(4))) for n in range(4)]
+    cells = [(rng.randint(1, box), rng.randint(1, box)) for _ in range(rng.randint(1, 2))]
+    rows = [[engine.offsets_delta(e, s3, s3, *p) for e in units] for p in cells]
+    basis = linalg.nullspace(rows)
+    while True:
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        x = OffsetVector(
+            tuple(sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(4))
+        )
+        if not x.is_zero:
+            return x
+
+
 def _golden_cases(box: int):
     s = Support3.from_values(1, 2, 3)
     line = range(1, box + 1)
@@ -367,12 +390,16 @@ def run(seed: int = 20250817, fast: bool = False, out=print) -> int:
     # the golden witnesses give both routes members to agree on; random
     # offsets almost never vanish on a cell
     pairs = random_pairs + [(built.support, built.x) for built, _ in golden]
+    # general supports, one with b = -c, have no A_j; structural_invariants
+    # holds only on positive ones, so these pairs audit the routes alone
+    general = [Support3.from_values(-3, 1, 2), Support3.from_values(-2, -1, 1)]
+    planted = [(s, _planted_offsets(rng, s, box)) for s in general for _ in range(2)]
     names = engine.LATTICE_NAMES
     subsets = [
         tuple(n for i, n in enumerate(names) if mask & (1 << i)) for mask in range(16)
     ]
     sections = (
-        lambda: route_agreement(pairs, box),
+        lambda: route_agreement(pairs + planted, box),
         lambda: golden_witnesses(golden, box),
         lambda: determinant_identities(orders, [(1, 2), (2, 3), (3, 4)], samples),
         lambda: power_sum_identities(

@@ -496,6 +496,42 @@ def test_documents_of_the_wrong_form_exit_two(capsys, monkeypatch, argv, make):
     assert out == "" and err.startswith("error:")
 
 
+
+def _relabelled(construct_argv, kind):
+    def make(capsys):
+        code, doc = _run_json(capsys, "construct", *construct_argv)
+        assert code == 0 and doc["support"]["kind"] == kind
+        doc["support"]["kind"] = "general-ordered"
+        return doc
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _relabelled(["vline", "--j", "2"], "positive-ordered"),
+        _relabelled(["lattice-union", "--lattices", "ee,oo"], "symmetric-zero"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--witness", "-", "--box", "3x3"],
+        ["enumerate", "--witness", "-", "--box", "3x3"],
+        ["classify", "--table", "-"],
+    ],
+)
+def test_a_support_kind_that_contradicts_its_points_exits_two(
+    capsys, monkeypatch, argv, make
+):
+    # a positive or symmetric support relabelled general-ordered
+    doc = make(capsys)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "general-ordered support must start" in err
+
 @pytest.mark.parametrize(
     "argv", [["enumerate", "--witness", "-", "--box", "3x3"], ["classify", "--table", "-"]]
 )

@@ -178,6 +178,29 @@ def test_condition_route_stays_independent_of_the_moment_route():
     assert not moment_route & reachable(tree, "enumerate_box_offsets")
 
 
+def test_column_law_stays_independent_of_the_per_cell_oracles():
+    # box enumeration is audited against the per-cell forms and the
+    # parity forms, so it must decide every support without them
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    oracles = {
+        "condition_lhs",
+        "offsets_delta",
+        "ASequence",
+        "exact_sign",
+        "deviations",
+        "_symmetric_lattices",
+        "moment",
+        "_moment_cells",
+    }
+    assert not oracles & reachable(tree, "enumerate_box_offsets")
+    # the guard sees a reference through a helper
+    planted = ast.parse(
+        "def enumerate_box_offsets(x):\n    return h(x)\n"
+        "def h(x):\n    return exact_sign(x)\n"
+    )
+    assert "exact_sign" in reachable(planted, "enumerate_box_offsets")
+
+
 def test_delta_route_on_general_support():
     s = Support3.from_values(-3, 1, 2)
     rng = random.Random(77)

@@ -6,7 +6,9 @@ rows, and the witness is drawn from their nullspace (rational, or with a
 sqrt(2) part).  The golden constructions add whole columns, crosses, the
 full box and Q(sqrt(2)) singletons and pairs on random positive
 supports.  Unplanted small offsets, often zero, test boxes up to 64
-against the per-cell forms alone.
+against the per-cell forms alone: the condition form on positive
+supports, the deviation form on symmetric and general ones, b = -c
+included.
 """
 
 from fractions import Fraction
@@ -63,11 +65,13 @@ positive_supports = st.one_of(
         _positive.map(lambda q: 1 + q),
     ),
 )
-# general-ordered supports start at or below zero but are not (-v, 0, v)
-general_supports = (
+# general-ordered supports start at or below zero but are not (-v, 0, v);
+# on (-c - s, -c, c) every even k carries the ratio Q_k = 0
+general_supports = st.one_of(
     _three(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3)))
     .filter(lambda p: p[0] <= 0 and not (p[1] == 0 and p[0] == -p[2]))
-    .map(lambda p: Support3.from_values(*p))
+    .map(lambda p: Support3.from_values(*p)),
+    st.builds(lambda c, s: Support3.from_values(-c - s, -c, c), _positive, _positive),
 )
 symmetric_supports = _positive.map(Support3.symmetric)
 supports = st.one_of(positive_supports, general_supports, symmetric_supports)
@@ -232,6 +236,24 @@ def test_parity_cells_are_the_deviation_form(x, alpha, jmax, kmax):
     cells = [(j, k) for j in range(1, jmax + 1) for k in range(1, kmax + 1)]
     want = [p for p in cells if offsets_delta(x, s, s, *p) == 0]
     assert enumerate_box_offsets(x, s, jmax, kmax) == want
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(offsets, general_supports, BIG_BOX, BIG_BOX)
+def test_column_law_is_the_deviation_form_on_general_supports(x, s, jmax, kmax):
+    cells = [(j, k) for j in range(1, jmax + 1) for k in range(1, kmax + 1)]
+    want = [p for p in cells if offsets_delta(x, s, s, *p) == 0]
+    assert enumerate_box_offsets(x, s, jmax, kmax) == want
+
+
+def test_column_law_where_b_is_minus_c():
+    # on (-2, -1, 1) the form of (1, 0, 0, 0) is Q_j Q_k, and Q_j = 1 - (-1)^j
+    # vanishes at every even order: the cells with j or k even
+    s = Support3.from_values(-2, -1, 1)
+    found = _three_routes(OffsetVector.of(1, 0, 0, 0), s, 5, 5)
+    assert len(found) == 16
+    cells = [(j, k) for j in range(1, 6) for k in range(1, 6)]
+    assert found == [(j, k) for j, k in cells if j % 2 == 0 or k % 2 == 0]
 
 
 def test_parity_cells_tell_the_classes_apart():

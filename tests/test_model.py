@@ -45,6 +45,21 @@ def test_support_kinds_and_validation():
     )
 
 
+
+@pytest.mark.parametrize(
+    "points", [(1, 2, 3), (Fraction(1, 2), 2, 7), (-1, 0, 1), (-2, 0, 2)]
+)
+def test_a_general_kind_on_positive_or_symmetric_points_is_refused(points):
+    # the routes that need a positive or symmetric support read the kind,
+    # so a kind that contradicts the points would send them astray
+    pts = tuple(Fraction(p) for p in points)
+    with pytest.raises(ValueError, match="general-ordered support must start"):
+        Support3(pts, SupportKind.GENERAL_ORDERED)
+    assert Support3.from_values(*pts).kind is not SupportKind.GENERAL_ORDERED
+    for general in ((-3, 1, 2), (0, 1, 2), (-2, -1, 1), (-2, 0, 1)):
+        s = Support3(tuple(Fraction(p) for p in general), SupportKind.GENERAL_ORDERED)
+        assert s == Support3.from_values(*general)
+
 def test_beta_support():
     bs = BetaSupport(1, 2)
     assert bs.to_support3().points == (1, 2, 4)
