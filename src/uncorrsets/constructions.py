@@ -7,11 +7,10 @@ the three-point slope line take the one pattern ``engine.shape_offsets``
 gives their descriptor (the table is in the ``engine`` docstring), so
 builder and checker cannot drift apart.  The families built here are:
 
-* one prescribed point, via an offset in Q(sqrt(2)) whose zero line has
-  irrational slope and therefore meets the rational condition lattice
-  in exactly one point;
-* two prescribed points in general position, via a sqrt(2)-combination
-  of a rational nullspace basis of the two membership conditions;
+* one or two prescribed points (two on distinct rows and columns), as
+  -(n1 + sqrt(2) n2) and n1 + sqrt(2) n2 for the basis n1, n2 that
+  ``engine.finite_parts`` takes from the nullspace of their membership
+  rows, the pattern space ``check_analytic`` certifies them against;
 * unions of parity classes on a symmetric support (-alpha, 0, alpha);
 * the near-line slope line, which adds a fourth point (4, k) at an
   algebraic ratio beta_star(m, k).
@@ -65,12 +64,11 @@ from .engine import (
     check_order,
     compare_claim,
     enumerate_box_offsets,
-    membership_rows,
+    finite_parts,
     shape_offsets,
     verify_claim,
     witness_from_json,
 )
-from . import linalg
 from .model import (
     BetaSupport,
     JointTable,
@@ -97,10 +95,6 @@ from .slopeline import (
     slopeline_d_terms,
     slopeline_y_polys,
 )
-
-
-class DegenerateSystem(RuntimeError):
-    """A membership system lost rank; valid supports cannot do that."""
 
 
 class BetaTooSmall(ValueError):
@@ -147,7 +141,8 @@ class Construction:
     @classmethod
     def from_json(cls, doc: dict) -> "Construction":
         """The witness of a document: offsets through
-        ``engine.witness_from_json``, an algebraic line re-certified.
+        ``engine.witness_from_json``, an algebraic line re-certified, with
+        its power sums ``y_polys``, when present, slopeline_y_polys(m).
         The inverse of ``to_json`` on every document it writes."""
         name = doc.get("name", "")
         if "algebraic" not in doc:
@@ -156,8 +151,14 @@ class Construction:
             return cls(name, desc, support, x, to_y(x) if "y" in doc else None)
         if doc.get("schema") != WITNESS_SCHEMA:
             raise ValueError("not a witness document")
-        line = AlgebraicSlopeLine.from_json(doc["algebraic"])
+        alg = doc["algebraic"]
+        line = AlgebraicSlopeLine.from_json(alg)
         line.certify()
+        # checked after certify, whose P bounds m
+        if "y_polys" in alg:
+            ys = tuple(map(IntPoly.from_json, alg["y_polys"]))
+            if ys != slopeline_y_polys(line.m):
+                raise ValueError(f"y_polys are not slopeline_y_polys({line.m})")
         return cls(name, SetDescriptor.from_json(doc["descriptor"]), algebraic=line)
 
     def enumerate_box(self, jmax: int, kmax: int) -> list[Point]:
@@ -190,41 +191,27 @@ class Construction:
 
 
 def singleton_witness(seq: ASequence, j0: int, k0: int) -> OffsetVector:
-    """lhs = (A_j0 - A_j) + sqrt(2) (A_k0 - A_k).
+    """-(n1 + sqrt(2) n2) for the basis n1, n2 of ``finite_parts``.
 
-    Both parts are rational, so the sum vanishes only when both do,
-    which pins down (j, k) = (j0, k0) by injectivity of the ratios.
+    That is lhs = (A_j0 - A_j) + sqrt(2) (A_k0 - A_k): both parts are
+    rational, so the sum vanishes only when both do, which pins down
+    (j, k) = (j0, k0) by injectivity of the ratios.
     """
-    aj, ak = seq.value(j0), seq.value(k0)
-    return OffsetVector.of(QuadExt(aj, ak, 2), -1, QuadExt(0, -1, 2), 0)
+    n1, n2 = finite_parts(seq, [(j0, k0)])
+    return OffsetVector(tuple(QuadExt(-a, -b, 2) for a, b in zip(n1, n2)))
 
 
 def two_point_witness(seq: ASequence, p1: Point, p2: Point) -> OffsetVector:
-    """Offsets whose zero set is exactly {p1, p2}.
+    """n1 + sqrt(2) n2 for the basis n1, n2 of ``finite_parts``.
 
-    The two membership conditions span a rank-2 system; any rational
-    basis v1, v2 of its nullspace gives the witness v1 + sqrt(2) v2.
-    An order (j, k) then satisfies the condition only if its row
+    An order (j, k) satisfies the condition only if its row
     (1, A_j, A_k, A_j A_k) lies in the span of the rows of p1 and p2,
     which collinearity of the bilinear pattern forbids except at the
     two points themselves.  Needs distinct rows and distinct columns;
     a shared line would force that whole line in.
     """
-    (j1, k1), (j2, k2) = p1, p2
-    if p1 == p2:
-        raise ValueError("two-point witness needs two distinct points")
-    if j1 == j2 or k1 == k2:
-        raise ValueError(
-            "points share a row or column; that forces the whole line, "
-            "use a line witness instead"
-        )
-    basis = linalg.nullspace(membership_rows(seq, (p1, p2)))
-    if len(basis) != 2:
-        raise DegenerateSystem(
-            f"membership system of {p1}, {p2} has nullity {len(basis)}, not 2"
-        )
-    v1, v2 = basis
-    return OffsetVector(tuple(QuadExt(a, b, 2) for a, b in zip(v1, v2)))
+    n1, n2 = finite_parts(seq, (p1, p2))
+    return OffsetVector(tuple(QuadExt(a, b, 2) for a, b in zip(n1, n2)))
 
 
 # ---------------------------------------------------------------------------

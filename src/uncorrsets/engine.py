@@ -31,16 +31,15 @@ values), the ``points`` of a ``finite`` set or a ``slopeline`` (whose
 constructor lists (i, m i) for i = 1, 2, 3 and any extra points), the
 parity ``lattices`` of a ``lattice-union``, and a certificate level.  A
 box-verified claim was checked by enumeration only; a global-analytic
-claim additionally matches a witness pattern whose full zero set is
-known.  Each descriptor builds its set once, as a ``SetForm`` in one
-normal form: whole columns, whole rows, lines q k = p j + d, parity
-classes and finite points, with every finite set as points and the full
-grid as the four classes, so equal sets have equal forms.
+claim is also proved for every (j, k) by its witness (below).  Each
+descriptor builds its set once, as a ``SetForm`` in one normal form:
+whole columns, whole rows, lines q k = p j + d, parity classes and
+finite points, with every finite set as points and the full grid as the
+four classes, so equal sets have equal forms.
 ``points_in_box`` clips the form to a box; the text form
 ``kind[:params][;points]`` and the JSON form are generic.
-``shape_offsets`` holds the one pattern of each closed-form kind;
-``constructions`` builds its witnesses from it and ``check_analytic``
-certifies any nonzero multiple of it:
+``shape_offsets`` holds the one pattern of each closed-form kind, and
+``constructions`` builds its witnesses from it:
 
     kind             offsets x, or power sums y = to_y(x)   support
     empty            x = (1, 0, 0, 0)                       any with b != -c
@@ -56,15 +55,31 @@ The x patterns make the condition form A_j - A_k, A_k (A_j - A_j0),
 A_j (A_k - A_k0) or (A_j - A_j0)(A_k - A_k0), which vanish exactly on
 the shape because A is injective; the antidiagonal's y makes the power
 sum beta^m - beta^(j+k), and the slope line's ``slopeline_d_poly``.
-Singletons, two points and parity-lattice unions are families of
-witnesses with checks of their own.  ``verify_claim`` re-derives both
-sides and reports missing and extra points instead of trusting the
-claim.  ``compare_claim`` is the one verdict rule, also for sets
-enumerated elsewhere (the algebraic slope line).  ``witness_from_json``
-is the one parser of offset witness documents, which
-``constructions.Construction.from_json`` reads through it.  The
-slope-line polynomials come from ``slopeline``, imported inside the two
-slope-line branches only, so a table route loads no polynomial code.
+
+One rule certifies a global claim.  (j, k) is a member exactly when its
+rational row, (Q_j Q_k, P_j Q_k, Q_j P_k, P_j P_k) by the column law, is
+orthogonal to both parts R and I of x = (R + I sqrt(d)) / L, so the set
+of x depends only on span(R, I).  ``check_analytic`` proves a claim when
+that span is the claim's pattern space, by two integer ``linalg.rank``
+calls.  The space is {0} for ``all``; the line of the pattern for the
+other closed forms, so every nonzero Q(sqrt(d)) multiple of it is
+proved; and for one or two ``finite`` points the plane of
+``finite_parts``, the first two vectors of the reduced nullspace basis of
+their rows.  For one point (j0, k0) that plane is where x4 = 0, and the
+condition reads x2 (A_j - A_j0) + x3 (A_k - A_k0), whose only zero is
+(j0, k0) when x3 / x2 is irrational; for two points on distinct rows and
+columns it is the whole nullspace.  Three points, or two on one row or
+column, are never proved; a lattice union is checked on its parity forms
+(below).
+
+``verify_claim`` re-derives both sides and reports missing and extra
+points instead of trusting the claim.  ``compare_claim`` is the one
+verdict rule, also for sets enumerated elsewhere (the algebraic slope
+line).  ``witness_from_json`` is the one parser of offset witness
+documents, which ``constructions.Construction.from_json`` reads through
+it.  The slope-line polynomials come from ``slopeline``, imported inside
+the two slope-line branches only, so a table route loads no polynomial
+code.
 
 Symmetric supports (-v, 0, v) get their own classification: there
 P_j / Q_j is 0 for even j and 2 for odd j, so membership is constant on
@@ -99,9 +114,7 @@ from .numeric import (
     DEFAULT_MAX_EXP,
     ENV_MAX_EXP,
     ExponentCapExceeded,
-    MixedRadicand,
     Point,
-    QuadExt,
     Scalar,
     as_exact,
     check_order,
@@ -122,6 +135,10 @@ class IncompatibleDescriptor(ValueError):
 
 class LatticeInconsistent(RuntimeError):
     """Parity-class samples disagreed; the classification is unsound."""
+
+
+class DegenerateSystem(RuntimeError):
+    """A membership system lost rank; valid supports cannot do that."""
 
 
 def _check_box(jmax: int, kmax: int) -> None:
@@ -315,11 +332,6 @@ def _ratio_terms(s3: Support3, n: int) -> list[tuple[int, int]]:
 
 def _offset_parts(x: OffsetVector) -> list[list[int]]:
     """R, and I when it is not zero, with x = (R + I sqrt(d)) / L."""
-    radicands = sorted({v.d for v in x.x if isinstance(v, QuadExt)})
-    if len(radicands) > 1:
-        raise MixedRadicand(
-            f"cannot combine sqrt({radicands[0]}) with sqrt({radicands[1]})"
-        )
     rat, irr, _, _ = sqrt_parts(x.x)
     return [rat, irr] if any(irr) else [rat]
 
@@ -691,48 +703,31 @@ def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | N
     raise AssertionError(f"unhandled kind {kind}")
 
 
-def _nonzero_multiple(x: OffsetVector, pattern: OffsetVector) -> bool:
-    """x = c * pattern for some c != 0; for the zero pattern, x = 0."""
-    if pattern.is_zero:
-        return x.is_zero
-    # pattern entries are rational; cross products avoid dividing by them
-    i = next(n for n, v in enumerate(pattern.x) if exact_sign(v) != 0)
-    xi, pi = x.x[i], pattern.x[i]
-    return exact_sign(xi) != 0 and all(
-        exact_sign(as_exact(v * pi - xi * p)) == 0 for v, p in zip(x.x, pattern.x)
-    )
-
-
-def _analytic_singleton(x: OffsetVector, seq: ASequence, p: Point) -> bool:
-    x1, x2, x3, x4 = x.x
-    if exact_sign(x4) != 0 or exact_sign(x2) == 0 or exact_sign(x3) == 0:
-        return False
-    ratio = as_exact(x2 / x3)
-    if not isinstance(ratio, QuadExt):
-        return False
-    return exact_sign(condition_lhs(x, seq, p[0], p[1])) == 0
-
-
-def _analytic_two_point(x: OffsetVector, seq: ASequence, pts: Sequence[Point]) -> bool:
-    (j1, k1), (j2, k2) = pts
-    if j1 == j2 or k1 == k2:
-        return False
-    # the integer parts of x = (rat + irr sqrt(d)) / L; neither test
-    # below depends on the scale L
-    rat, irr, _, _ = sqrt_parts(x.x)
-    if not any(rat) or not any(irr):
-        return False
-    if linalg.rank([rat, irr]) != 2:
-        return False
-    rows = membership_rows(seq, pts)
-    # the condition rows must be independent and both parts must solve them
-    if linalg.rank(rows) != 2:
-        return False
-    for part in (rat, irr):
-        for row in rows:
-            if sum(r * v for r, v in zip(row, part)) != 0:
-                return False
-    return True
+def finite_parts(seq: ASequence, points: Sequence[Point]) -> list[list[Fraction]]:
+    """n1 and n2, the first two vectors of the reduced nullspace basis of
+    the membership rows of one or two points: the pattern space of a
+    ``finite`` claim.  Raises ValueError for any other number of points
+    or for two points on one row or column, whose condition forces that
+    whole line in, and DegenerateSystem when the nullity is not 4 - |P|."""
+    pts = tuple(points)
+    if len(pts) == 2:
+        (j1, k1), (j2, k2) = pts
+        if pts[0] == pts[1]:
+            raise ValueError("two-point witness needs two distinct points")
+        if j1 == j2 or k1 == k2:
+            raise ValueError(
+                "points share a row or column; that forces the whole line, "
+                "use a line witness instead"
+            )
+    elif len(pts) != 1:
+        raise ValueError(f"a finite witness holds one or two points, not {len(pts)}")
+    basis = linalg.nullspace(membership_rows(seq, pts))
+    if len(basis) != 4 - len(pts):
+        raise DegenerateSystem(
+            f"membership system of {', '.join(map(str, pts))} has nullity "
+            f"{len(basis)}, not {4 - len(pts)}"
+        )
+    return basis[:2]
 
 
 def _analytic_lattice_union(
@@ -746,13 +741,14 @@ def _analytic_lattice_union(
 def check_analytic(
     x: OffsetVector, support: SupportLike, desc: SetDescriptor
 ) -> bool | None:
-    """Does the witness match a pattern whose global zero set is known?
+    """Does the witness prove the claim for every (j, k)?
 
     Returns None when the descriptor only claims box verification, True
-    when the global-analytic pattern holds, False when it was claimed
-    but does not hold.  A closed-form kind holds when x is a nonzero
-    multiple of ``shape_offsets`` (x = 0 for ``all``); a slope line
-    also needs exactly its three line points and beta >= beta0(m).
+    when it holds, False when it was claimed but does not hold.  Every
+    kind but ``lattice-union`` holds by the span rule of the module
+    docstring: the parts R and I of x = (R + I sqrt(d)) / L span the
+    claim's pattern space.  A slope line also needs exactly its three
+    line points and beta >= beta0(m).
     """
     if desc.certificate != GLOBAL_ANALYTIC:
         return None
@@ -761,22 +757,24 @@ def check_analytic(
         return _analytic_lattice_union(x, support, desc.lattices)
     if kind == "finite":
         seq = _positive_sequence(support, kind)
-        if len(desc.points) == 1:
-            return _analytic_singleton(x, seq, desc.points[0])
-        if len(desc.points) == 2:
-            return _analytic_two_point(x, seq, desc.points)
-        return False
-    pattern = shape_offsets(desc, support)
-    if kind == "slopeline":
-        (m,) = desc.params
-        # extra points (the near-line fourth point) are never global claims
-        if set(desc.points) != set(_on_line(m)):
+        try:
+            space = finite_parts(seq, desc.points)
+        except (ValueError, DegenerateSystem):
             return False
-        from .slopeline import beta0_poly
+    else:
+        pattern = shape_offsets(desc, support).x
+        if kind == "slopeline":
+            (m,) = desc.params
+            # extra points (the near-line fourth point) are never global claims
+            if set(desc.points) != set(_on_line(m)):
+                return False
+            from .slopeline import beta0_poly
 
-        if beta0_poly(m)(support.beta) < 0:
-            return False
-    return _nonzero_multiple(x, pattern)
+            if beta0_poly(m)(support.beta) < 0:
+                return False
+        space = [pattern] if any(pattern) else []
+    parts = _offset_parts(x)
+    return linalg.rank(parts) == len(space) == linalg.rank(parts + space)
 
 
 # ---------------------------------------------------------------------------

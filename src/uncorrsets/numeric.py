@@ -39,6 +39,8 @@ DEFAULT_MAX_EXP = 64
 ENV_MAX_EXP = "UNCORRSET_MAX_EXP"
 
 _PRIMES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the square-free test trial-divides up to sqrt(d), about 10^6 steps here
+MAX_RADICAND = 10**12
 
 
 class MixedRadicand(ValueError):
@@ -104,6 +106,8 @@ class QuadExt:
         r = isqrt(d)
         if r * r == d:
             raise ValueError(f"radicand must not be a perfect square, got {d}")
+        if d > MAX_RADICAND:
+            raise ValueError(f"radicand {d} exceeds the bound {MAX_RADICAND}")
         if not _is_squarefree(d):
             raise ValueError(f"radicand must be square-free, got {d}")
         self._a = Fraction(a)

@@ -364,6 +364,8 @@ def _three_point_claim(doc):
         lambda d: d["algebraic"].update(poly=[str(c) for c in d["algebraic"]["poly"]]),
         lambda d: d["algebraic"].update(interval=[1.5823, 1.5824]),
         lambda d: d["algebraic"].update(m=2.0),
+        # power sums that are not slopeline_y_polys(2)
+        lambda d: d["algebraic"].update(y_polys=[[7], [7], [7], [7]]),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
@@ -544,7 +546,7 @@ def test_table_documents_with_float_points_exit_two(capsys, monkeypatch, argv):
     assert out == "" and "error:" in err
 
 
-@pytest.mark.parametrize("d", [1, 4, 8, 12, "2", True])
+@pytest.mark.parametrize("d", [1, 4, 8, 12, "2", True, 10**20 + 39])
 def test_table_entries_with_a_bad_radicand_exit_two(capsys, monkeypatch, d):
     # arithmetic results skip the radicand checks; a document never does
     doc = JointTable.independent(Support3.symmetric(1), Support3.symmetric(1)).to_json()

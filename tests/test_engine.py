@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uncorrsets import engine
+from uncorrsets import engine, linalg
 from uncorrsets.constructions import make_diagonal, make_singleton
 from uncorrsets.engine import (
     ASequence,
@@ -26,8 +26,10 @@ from uncorrsets.engine import (
     cross_maximality_violations,
     enumerate_box_offsets,
     enumerate_box_table,
+    finite_parts,
     is_uncorrelated,
     max_exponent,
+    membership_rows,
     moment,
     offsets_delta,
     shape_offsets,
@@ -43,7 +45,7 @@ from uncorrsets.model import (
     rescale,
     table_from_offsets,
 )
-from uncorrsets.numeric import MixedRadicand, QuadExt
+from uncorrsets.numeric import MixedRadicand, QuadExt, sqrt_parts
 
 from route_guard import reachable
 
@@ -97,6 +99,13 @@ def test_box_enumeration_refuses_mixed_radicands(support):
     x = OffsetVector.of(QuadExt(0, 1, 2), 0, QuadExt(0, 1, 3), 0)
     with pytest.raises(MixedRadicand):
         enumerate_box_offsets(x, support, 3, 3)
+    # named as sqrt_parts names it: the first radicand met, then the other
+    swapped = OffsetVector.of(QuadExt(0, 1, 3), 0, QuadExt(0, 1, 2), 0)
+    with pytest.raises(MixedRadicand) as parts:
+        sqrt_parts(swapped.x)
+    with pytest.raises(MixedRadicand) as box:
+        enumerate_box_offsets(swapped, support, 3, 3)
+    assert str(box.value) == str(parts.value) == "cannot combine sqrt(3) with sqrt(2)"
 
 
 def test_marginal_and_joint_moments():
@@ -555,7 +564,7 @@ _PATTERNS = [
 )
 def test_check_analytic_certifies_exactly_the_nonzero_multiples(desc, support, pattern):
     x = OffsetVector(pattern)
-    for factor in (Fraction(-3, 7), QuadExt(1, 1, 2)):
+    for factor in (Fraction(-3, 7), QuadExt(1, 1, 2), QuadExt(0, -5, 2)):
         assert check_analytic(x.scaled(factor), support, desc) is True
     for i in range(4):
         if desc.kind == "empty" and i == 0:
@@ -565,6 +574,76 @@ def test_check_analytic_certifies_exactly_the_nonzero_multiples(desc, support, p
         assert check_analytic(OffsetVector(tuple(bumped)), support, desc) is False
     zero = OffsetVector.of(0, 0, 0, 0)
     assert check_analytic(zero, support, desc) is (desc.kind == "all")
+
+
+_SQRT2 = QuadExt(0, 1, 2)
+_FINITE_SUPPORTS = [S123, BetaSupport(1, Fraction(3, 2)), Support3.from_values(Fraction(1, 2), 2, 7)]
+
+
+def _combination(vectors, coefficients):
+    """sum c_i v_i over Q(sqrt(2))."""
+    return OffsetVector(tuple(
+        sum((c * v[i] for c, v in zip(coefficients, vectors)), Fraction(0))
+        for i in range(4)
+    ))
+
+
+@pytest.mark.parametrize("support", _FINITE_SUPPORTS)
+def test_span_rule_certifies_irrational_combinations_of_the_finite_basis(support):
+    # c1 / c2 is irrational in each pair, so R and I span span(n1, n2)
+    coefficients = [(1, _SQRT2), (QuadExt(1, 1, 2), Fraction(-2, 3)),
+                    (QuadExt(3, -1, 2), QuadExt(1, 2, 2))]
+    for points in ([(2, 3)], [(1, 2), (3, 5)], [(4, 1), (1, 6)]):
+        desc = SetDescriptor.finite(points, GLOBAL_ANALYTIC)
+        basis = finite_parts(ASequence(support), points)
+        for c in coefficients:
+            assert check_analytic(_combination(basis, c), support, desc) is True
+
+
+def test_span_rule_refuses_witnesses_that_do_not_span_the_pattern_space():
+    seq = ASequence(S123)
+    single = SetDescriptor.finite([(2, 3)], GLOBAL_ANALYTIC)
+    pair = SetDescriptor.finite([(1, 2), (3, 5)], GLOBAL_ANALYTIC)
+    zero = OffsetVector.of(0, 0, 0, 0)
+    for desc in (single, pair):
+        basis = finite_parts(seq, desc.points)
+        assert check_analytic(_combination(basis, (1, _SQRT2)), S123, desc) is True
+        # a rational ratio c1 / c2: the parts span one line of the plane,
+        # and when c1, c2 are both rational (or both in sqrt(2) Q) the
+        # irrational (or rational) part is zero
+        for c in ((1, 2), (_SQRT2, 3 * _SQRT2), (QuadExt(1, 1, 2), QuadExt(-2, -2, 2))):
+            assert check_analytic(_combination(basis, c), S123, desc) is False
+        assert check_analytic(zero, S123, desc) is False
+    # n3 of the singleton's rows has x4 = 1, outside the pattern space
+    n1, n2, n3 = linalg.nullspace(membership_rows(seq, [(2, 3)]))
+    assert n3[3] == 1
+    assert check_analytic(_combination((n1, n2, n3), (1, _SQRT2, 1)), S123, single) is False
+    # two points in one column or row, and three points, are never proved
+    for points in ([(2, 3), (2, 5)], [(1, 4), (3, 4)], [(1, 2), (3, 5), (4, 7)]):
+        basis = linalg.nullspace(membership_rows(seq, points))
+        x = _combination(basis[:2], (1, _SQRT2)[:len(basis)])
+        desc = SetDescriptor.finite(points, GLOBAL_ANALYTIC)
+        assert check_analytic(x, S123, desc) is False
+    for points in ([], [(1, 2), (3, 5), (4, 7)]):
+        with pytest.raises(ValueError, match="one or two points"):
+            finite_parts(seq, points)
+
+
+def test_span_rule_uses_no_per_cell_oracle_or_field_arithmetic():
+    # the span rule decides every offset claim with integer ranks; the
+    # parity forms of a lattice union are its one exception
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    tree.body = [n for n in tree.body if getattr(n, "name", "") != "_analytic_lattice_union"]
+    forbidden = {"exact_sign", "as_exact", "condition_lhs", "QuadExt"}
+    reached = reachable(tree, "check_analytic")
+    assert {"finite_parts", "shape_offsets", "rank"} <= reached
+    assert not forbidden & reached
+    # the guard sees a reference through a helper
+    planted = ast.parse(
+        "def check_analytic(x):\n    return h(x)\n"
+        "def h(x):\n    return as_exact(x)\n"
+    )
+    assert "as_exact" in reachable(planted, "check_analytic")
 
 
 def test_shape_offsets_refuses_supports_that_cannot_carry_the_shape():

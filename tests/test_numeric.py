@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
 from uncorrsets.numeric import (
+    MAX_RADICAND,
     MixedRadicand,
     QuadExt,
     as_exact,
@@ -30,6 +32,17 @@ def test_radicand_validation():
         QuadExt(1, 1, -2)
     QuadExt(1, 1, 2)
     QuadExt(0, 1, 30)
+
+
+def test_radicand_bound():
+    # a prime far above the bound is refused before the trial division,
+    # which would take about 10^10 steps
+    start = perf_counter()
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        QuadExt(0, 1, 10**20 + 39)
+    assert perf_counter() - start < 0.1
+    assert QuadExt(0, 1, 999_999_999_989).d == 999_999_999_989  # a prime
+    assert MAX_RADICAND == 10**12
 
 
 def test_arithmetic_against_square():

@@ -37,7 +37,13 @@ from uncorrsets.determinants import (  # noqa: E402
     independence_certificate,
     vandermonde_factor,
 )
-from uncorrsets.engine import enumerate_box_table, offsets_delta  # noqa: E402
+from uncorrsets.engine import (  # noqa: E402
+    ASequence,
+    enumerate_box_table,
+    finite_parts,
+    membership_rows,
+    offsets_delta,
+)
 from uncorrsets.model import (  # noqa: E402
     BetaSupport,
     JointTable,
@@ -297,6 +303,24 @@ def test_det_rank_and_nullspace_match_sympy():
     assert linalg.rank([]) == 0 and linalg.det([]) == 1
     assert linalg.rank([[], []]) == 0
     assert linalg.rank([[0, 0, 0], [0, 0, 0]]) == 0
+
+
+@pytest.mark.parametrize(
+    "support", [Support3.from_values(1, 2, 3), BetaSupport(1, Fraction(3, 2)),
+                Support3.from_values(Fraction(1, 2), 2, 7)],
+)
+def test_finite_parts_are_sympys_first_two_nullspace_vectors(support):
+    seq, rng = ASequence(support), random.Random(30)
+    sets = [[(rng.randint(1, 12), rng.randint(1, 12))] for _ in range(10)]
+    while len(sets) < 20:
+        p1, p2 = [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(2)]
+        if p1[0] != p2[0] and p1[1] != p2[1]:
+            sets.append([p1, p2])
+    for points in sets:
+        want = _sym_matrix(membership_rows(seq, points), 4).nullspace()[:2]
+        assert finite_parts(seq, points) == [
+            [Fraction(int(v.p), int(v.q)) for v in vec] for vec in want
+        ], points
 
 
 CERT_BETAS = (Fraction(3, 2), Fraction(2), Fraction(5, 3), Fraction(7, 4))
