@@ -9,8 +9,9 @@ builder and checker cannot drift apart.  The families built here are:
 
 * one or two prescribed points (two on distinct rows and columns), as
   -(n1 + sqrt(2) n2) and n1 + sqrt(2) n2 for the basis n1, n2 that
-  ``engine.finite_parts`` takes from the nullspace of their membership
-  rows, the pattern space ``check_analytic`` certifies them against;
+  ``engine.finite_parts`` takes from the nullspace of their integer
+  membership rows, the pattern space ``check_analytic`` certifies them
+  against;
 * unions of parity classes on a symmetric support (-alpha, 0, alpha);
 * the near-line slope line, which adds a fourth point (4, k) at an
   algebraic ratio beta_star(m, k).
@@ -50,7 +51,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .engine import (
-    ASequence,
     BOX_VERIFIED,
     DEFAULT_MAX_EXP,
     GLOBAL_ANALYTIC,
@@ -184,34 +184,6 @@ class Construction:
         s3 = self.support.to_support3()
         x = self.x if self.x.is_zero else rescale(self.x)
         return table_from_offsets(x, s3, s3)
-
-
-# ---------------------------------------------------------------------------
-# prescribed-point witnesses
-
-
-def singleton_witness(seq: ASequence, j0: int, k0: int) -> OffsetVector:
-    """-(n1 + sqrt(2) n2) for the basis n1, n2 of ``finite_parts``.
-
-    That is lhs = (A_j0 - A_j) + sqrt(2) (A_k0 - A_k): both parts are
-    rational, so the sum vanishes only when both do, which pins down
-    (j, k) = (j0, k0) by injectivity of the ratios.
-    """
-    n1, n2 = finite_parts(seq, [(j0, k0)])
-    return OffsetVector(tuple(QuadExt(-a, -b, 2) for a, b in zip(n1, n2)))
-
-
-def two_point_witness(seq: ASequence, p1: Point, p2: Point) -> OffsetVector:
-    """n1 + sqrt(2) n2 for the basis n1, n2 of ``finite_parts``.
-
-    An order (j, k) satisfies the condition only if its row
-    (1, A_j, A_k, A_j A_k) lies in the span of the rows of p1 and p2,
-    which collinearity of the bilinear pattern forbids except at the
-    two points themselves.  Needs distinct rows and distinct columns;
-    a shared line would force that whole line in.
-    """
-    n1, n2 = finite_parts(seq, (p1, p2))
-    return OffsetVector(tuple(QuadExt(a, b, 2) for a, b in zip(n1, n2)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +446,31 @@ def make_cross(support: SupportLike, j: int, k: int) -> Construction:
     return _closed_form(SetDescriptor.cross(j, k), support)
 
 
+def _prescribed(
+    name: str, support: SupportLike, points: tuple[Point, ...], sign: int
+) -> Construction:
+    """sign (n1 + sqrt(2) n2) for the basis n1, n2 of ``finite_parts``;
+    the points are checked by the descriptor before the rows are built."""
+    desc = SetDescriptor.finite(points, GLOBAL_ANALYTIC)
+    n1, n2 = finite_parts(support, points)
+    x = OffsetVector(tuple(QuadExt(sign * a, sign * b, 2) for a, b in zip(n1, n2)))
+    return Construction(name, desc, support, x)
+
+
 def make_singleton(support: SupportLike, j0: int, k0: int) -> Construction:
-    desc = SetDescriptor.finite([(j0, k0)], GLOBAL_ANALYTIC)
-    x = singleton_witness(ASequence(support), j0, k0)
-    return Construction("singleton", desc, support, x)
+    """At -(n1 + sqrt(2) n2) the condition form x1 + A_j x2 + A_k x3 +
+    A_j A_k x4 is (A_j0 - A_j) + sqrt(2) (A_k0 - A_k): both parts are
+    rational, so it vanishes only when both do, which pins down (j0, k0)
+    since A is injective."""
+    return _prescribed("singleton", support, ((j0, k0),), -1)
 
 
 def make_two_point(support: SupportLike, p1: Point, p2: Point) -> Construction:
-    desc = SetDescriptor.finite([p1, p2], GLOBAL_ANALYTIC)
-    x = two_point_witness(ASequence(support), p1, p2)
-    return Construction("two-point", desc, support, x)
+    """n1 + sqrt(2) n2 vanishes at (j, k) only if its row lies in the span
+    of the rows of p1 and p2, which the bilinear pattern forbids except at
+    the two points.  Needs distinct rows and distinct columns; a shared
+    line would force that whole line in."""
+    return _prescribed("two-point", support, (p1, p2), 1)
 
 
 def make_antidiagonal(support: BetaSupport, m: int) -> Construction:

@@ -57,20 +57,22 @@ the shape because A is injective; the antidiagonal's y makes the power
 sum beta^m - beta^(j+k), and the slope line's ``slopeline_d_poly``.
 
 One rule certifies a global claim.  (j, k) is a member exactly when its
-rational row, (Q_j Q_k, P_j Q_k, Q_j P_k, P_j P_k) by the column law, is
-orthogonal to both parts R and I of x = (R + I sqrt(d)) / L, so the set
-of x depends only on span(R, I).  ``check_analytic`` proves a claim when
-that span is the claim's pattern space, by two integer ``linalg.rank``
-calls.  The space is {0} for ``all``; the line of the pattern for the
-other closed forms, so every nonzero Q(sqrt(d)) multiple of it is
-proved; and for one or two ``finite`` points the plane of
-``finite_parts``, the first two vectors of the reduced nullspace basis of
-their rows.  For one point (j0, k0) that plane is where x4 = 0, and the
-condition reads x2 (A_j - A_j0) + x3 (A_k - A_k0), whose only zero is
-(j0, k0) when x3 / x2 is irrational; for two points on distinct rows and
-columns it is the whole nullspace.  Three points, or two on one row or
-column, are never proved; a lattice union is checked on its parity forms
-(below).
+integer row, (Q_j Q_k, P_j Q_k, Q_j P_k, P_j P_k) by the column law
+(``membership_rows``), is orthogonal to both parts R and I of
+x = (R + I sqrt(d)) / L, so the set of x depends only on span(R, I).
+``check_analytic`` proves a claim when that span is the claim's pattern
+space, by two integer ``linalg.rank`` calls.  The space is {0} for
+``all``; the line of the pattern for the other closed forms, so every
+nonzero Q(sqrt(d)) multiple of it is proved; and for one or two
+``finite`` points the plane of ``finite_parts``, the first two vectors
+of the reduced nullspace basis of their rows.  For one point (j0, k0)
+that plane is where x4 = 0, and the condition reads
+x2 (A_j - A_j0) + x3 (A_k - A_k0), whose only zero is (j0, k0) when
+x3 / x2 is irrational; for two points on distinct rows and columns it is
+the whole nullspace.  Three points, or two on one row or column, are
+never proved.  The rows and the vline, hline and cross patterns read
+the integer (P_j, Q_j) of ``_ratio_terms``, the one production source of
+A_j; ``ASequence`` stays only as the per-cell oracle of ``condition_lhs``.
 
 ``verify_claim`` re-derives both sides and reports missing and extra
 points instead of trusting the claim.  ``compare_claim`` is the one
@@ -81,11 +83,12 @@ it.  The slope-line polynomials come from ``slopeline``, imported inside
 the two slope-line branches only, so a table route loads no polynomial
 code.
 
-Symmetric supports (-v, 0, v) get their own classification: there
-P_j / Q_j is 0 for even j and 2 for odd j, so membership is constant on
-the four parity classes and decided by four linear forms in the offsets
-(``_symmetric_lattices``), which ``classify_symmetric`` checks against
-moment probes on the table.
+On symmetric supports (-v, 0, v), (P_j : Q_j) is (0 : 1) for even j and
+(2 : 1) for odd j, so membership is constant on the four parity classes
+and the column law on the 2x2 box decides them (``_parity_classes``).
+``check_analytic`` proves a lattice-union claim when those classes are
+the claimed ones, and ``classify_symmetric`` checks them against moment
+probes on the table.
 """
 
 from __future__ import annotations
@@ -118,7 +121,6 @@ from .numeric import (
     Scalar,
     as_exact,
     check_order,
-    exact_sign,
     int_from_json,
     max_exponent,
     over_one_denominator,
@@ -269,13 +271,16 @@ def condition_lhs(x: OffsetVector, seq: ASequence, j: int, k: int) -> Scalar:
     return as_exact(x1 + aj * x2 + ak * x3 + aj * ak * x4)
 
 
-def membership_rows(seq: ASequence, points: Iterable[Point]) -> list[list[Scalar]]:
-    """The row (1, A_j, A_k, A_j A_k) of each point: x lies in its
-    nullspace exactly when (j, k) satisfies x's membership condition."""
+def membership_rows(
+    terms: Sequence[tuple[int, int]], points: Iterable[Point]
+) -> list[list[int]]:
+    """The integer row (Q_j Q_k, P_j Q_k, Q_j P_k, P_j P_k) of each point,
+    with (P_j, Q_j) = terms[j - 1]: x lies in its nullspace exactly when
+    (j, k) satisfies x's membership condition."""
     rows = []
     for j, k in points:
-        aj, ak = seq.value(j), seq.value(k)
-        rows.append([Fraction(1), aj, ak, aj * ak])
+        (pj, qj), (pk, qk) = terms[j - 1], terms[k - 1]
+        rows.append([qj * qk, pj * qk, qj * pk, pj * pk])
     return rows
 
 
@@ -417,6 +422,7 @@ BOX_VERIFIED = "box-verified"
 LATTICE_NAMES = ("ee", "eo", "oe", "oo")
 # first (j, k) of each parity class; ee is even j, even k
 _LATTICE_START = {"ee": (2, 2), "eo": (2, 1), "oe": (1, 2), "oo": (1, 1)}
+_CLASS_AT = {start: name for name, start in _LATTICE_START.items()}
 
 
 def _on_line(m: int) -> tuple[Point, ...]:
@@ -651,15 +657,16 @@ class SetDescriptor:
 # closed-form shape patterns and the analytic check
 
 
-def _positive_sequence(support: SupportLike, kind: str) -> ASequence:
-    # lines, the diagonal and prescribed points rely on A_j being
-    # injective, which only the strictly decreasing sequence of a
-    # positive ordered support gives
-    if support.to_support3().kind is not SupportKind.POSITIVE_ORDERED:
+def _positive_terms(support: SupportLike, kind: str, n: int) -> list[tuple[int, int]]:
+    """(P_j, Q_j) for j = 1..n.  Lines, the diagonal and prescribed points
+    rely on A_j being injective, which only the strictly decreasing
+    sequence of a positive ordered support gives."""
+    s3 = support.to_support3()
+    if s3.kind is not SupportKind.POSITIVE_ORDERED:
         raise IncompatibleDescriptor(
             f"a global {kind} claim needs a positive ordered support"
         )
-    return ASequence(support)
+    return _ratio_terms(s3, n)
 
 
 def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | None:
@@ -690,26 +697,29 @@ def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | N
 
         ys = slopeline_y_polys(desc.params[0])
         return from_y(YVector(tuple(p(beta) for p in ys)))
-    seq = _positive_sequence(support, kind)
+    terms = _positive_terms(support, kind, max(desc.params, default=0))
+    a = [Fraction(*terms[i - 1]) for i in desc.params]
     if kind == "diagonal":
         return OffsetVector.of(0, 1, -1, 0)
     if kind == "vline":
-        return OffsetVector.of(0, 0, -seq.value(*desc.params), 1)
+        return OffsetVector.of(0, 0, -a[0], 1)
     if kind == "hline":
-        return OffsetVector.of(0, -seq.value(*desc.params), 0, 1)
+        return OffsetVector.of(0, -a[0], 0, 1)
     if kind == "cross":
-        aj, ak = map(seq.value, desc.params)
+        aj, ak = a
         return OffsetVector.of(aj * ak, -ak, -aj, 1)
     raise AssertionError(f"unhandled kind {kind}")
 
 
-def finite_parts(seq: ASequence, points: Sequence[Point]) -> list[list[Fraction]]:
+def finite_parts(support: SupportLike, points: Sequence[Point]) -> list[list[Fraction]]:
     """n1 and n2, the first two vectors of the reduced nullspace basis of
     the membership rows of one or two points: the pattern space of a
-    ``finite`` claim.  Raises ValueError for any other number of points
-    or for two points on one row or column, whose condition forces that
+    ``finite`` claim.  Raises IncompatibleDescriptor unless the support is
+    positive ordered, then ValueError for any other number of points or
+    for two points on one row or column, whose condition forces that
     whole line in, and DegenerateSystem when the nullity is not 4 - |P|."""
     pts = tuple(points)
+    terms = _positive_terms(support, "finite", max(map(max, pts), default=0))
     if len(pts) == 2:
         (j1, k1), (j2, k2) = pts
         if pts[0] == pts[1]:
@@ -721,21 +731,13 @@ def finite_parts(seq: ASequence, points: Sequence[Point]) -> list[list[Fraction]
             )
     elif len(pts) != 1:
         raise ValueError(f"a finite witness holds one or two points, not {len(pts)}")
-    basis = linalg.nullspace(membership_rows(seq, pts))
+    basis = linalg.nullspace(membership_rows(terms, pts))
     if len(basis) != 4 - len(pts):
         raise DegenerateSystem(
             f"membership system of {', '.join(map(str, pts))} has nullity "
             f"{len(basis)}, not {4 - len(pts)}"
         )
     return basis[:2]
-
-
-def _analytic_lattice_union(
-    x: OffsetVector, support: SupportLike, names: Sequence[str]
-) -> bool:
-    if support.to_support3().kind is not SupportKind.SYMMETRIC_ZERO:
-        raise IncompatibleDescriptor("parity lattices need a symmetric support")
-    return set(names) == set(_symmetric_lattices(x))
 
 
 def check_analytic(
@@ -754,11 +756,15 @@ def check_analytic(
         return None
     kind = desc.kind
     if kind == "lattice-union":
-        return _analytic_lattice_union(x, support, desc.lattices)
+        s3 = support.to_support3()
+        if s3.kind is not SupportKind.SYMMETRIC_ZERO:
+            raise IncompatibleDescriptor("parity lattices need a symmetric support")
+        return set(desc.lattices) == set(_parity_classes(x, s3))
     if kind == "finite":
-        seq = _positive_sequence(support, kind)
         try:
-            space = finite_parts(seq, desc.points)
+            space = finite_parts(support, desc.points)
+        except IncompatibleDescriptor:
+            raise  # the support, checked before the points
         except (ValueError, DegenerateSystem):
             return False
     else:
@@ -836,29 +842,22 @@ def verify_claim(
 # ---------------------------------------------------------------------------
 # symmetric-support classification
 
-def _symmetric_lattices(x: OffsetVector) -> list[str]:
-    """Parity classes on which the condition form vanishes identically.
-
-    On (-v, 0, v) the ratios A_j collapse to 0 (even j) or 2 (odd j), so
-    membership of a whole parity class is one linear form in the offsets.
-    """
-    x1, x2, x3, x4 = x.x
-    forms = {
-        "ee": x1,
-        "eo": x1 + 2 * x3,
-        "oe": x1 + 2 * x2,
-        "oo": x1 + 2 * x2 + 2 * x3 + 4 * x4,
-    }
-    return [name for name in LATTICE_NAMES if exact_sign(as_exact(forms[name])) == 0]
+def _parity_classes(x: OffsetVector, s3: Support3) -> list[str]:
+    """The parity classes x's set holds on a support (-v, 0, v), sorted:
+    the column law on the 2x2 box.  There (P_j : Q_j) is (2 : 1) at odd j
+    and (0 : 1) at even j, whatever v, so each cell of the box decides its
+    whole class."""
+    terms = _ratio_terms(s3, 2)
+    return sorted(_CLASS_AT[p] for p in _solve_columns(_offset_parts(x), terms, terms))
 
 
 def classify_symmetric(table: JointTable) -> SetDescriptor:
     """Classify the uncorrelatedness set of a table on symmetric supports.
 
     The moment route probes the first cell of each parity class and
-    cross-checks the next cell of the class along each axis; the condition route reads
-    the four linear forms off the deviations.  Any disagreement raises
-    LatticeInconsistent, since both routes are exact.
+    cross-checks the next cell of the class along each axis; the column
+    law decides the classes on the 2x2 box from the deviations.  Any
+    disagreement raises LatticeInconsistent, since both routes are exact.
     """
     sx, sy = table.support_x, table.support_y
     if (
@@ -881,60 +880,12 @@ def classify_symmetric(table: JointTable) -> SetDescriptor:
 
     dev = [[table.entries[r][c] - Fraction(1, 9) for c in range(3)] for r in range(3)]
     x = OffsetVector((dev[1][1], dev[1][0], dev[0][1], dev[0][0]))
-    by_forms = _symmetric_lattices(x)
-    if by_forms != by_moments:
+    by_law = _parity_classes(x, sx)
+    if by_law != by_moments:
         raise LatticeInconsistent(
-            f"moment probes found {by_moments} but the linear forms say {by_forms}"
+            f"moment probes found {by_moments} but the column law says {by_law}"
         )
     return SetDescriptor.lattice_union(by_moments, GLOBAL_ANALYTIC)
-
-
-# ---------------------------------------------------------------------------
-# structural invariants of uncorrelatedness sets on positive supports
-
-def column_closure_violations(
-    points: Iterable[Point], jmax: int, kmax: int
-) -> list[str]:
-    """Columns or rows with two members that are not fully contained.
-
-    On a positive ordered support, two uncorrelated points in a column
-    force the whole column (likewise rows), so any violation means the
-    point set cannot be an uncorrelatedness set.
-    """
-    pts = set(points)
-    out = []
-    for j in range(1, jmax + 1):
-        hits = [k for k in range(1, kmax + 1) if (j, k) in pts]
-        if len(hits) >= 2 and len(hits) < kmax:
-            out.append(f"column j={j} has {len(hits)} of {kmax} points")
-    for k in range(1, kmax + 1):
-        hits = [j for j in range(1, jmax + 1) if (j, k) in pts]
-        if len(hits) >= 2 and len(hits) < jmax:
-            out.append(f"row k={k} has {len(hits)} of {jmax} points")
-    return out
-
-
-def cross_maximality_violations(
-    points: Iterable[Point], jmax: int, kmax: int
-) -> list[str]:
-    """A full cross plus any point off it must already be the whole box."""
-    pts = set(points)
-    full = jmax * kmax
-    if len(pts) == full:
-        return []
-    out = []
-    for j0 in range(1, jmax + 1):
-        for k0 in range(1, kmax + 1):
-            col = all((j0, k) in pts for k in range(1, kmax + 1))
-            row = all((j, k0) in pts for j in range(1, jmax + 1))
-            if col and row:
-                off = [p for p in pts if p[0] != j0 and p[1] != k0]
-                if off:
-                    out.append(
-                        f"cross at ({j0}, {k0}) plus off-point {off[0]} "
-                        f"but only {len(pts)} of {full} points present"
-                    )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,14 @@ def test_diagonal_claim_needs_a_positive_support(capsys, support):
     assert "needs a positive ordered support" in err
 
 
+def test_finite_builders_refuse_a_non_positive_support(capsys):
+    # the support is refused before any membership row is built
+    for argv in (("singleton", "--point", "1,1"), ("two-point", "--points", "1,2;2,1")):
+        code, out, err = _run(capsys, "construct", *argv, "--support=-1,0,1")
+        assert code == 2 and out == ""
+        assert err == "error: a global finite claim needs a positive ordered support\n"
+
+
 @pytest.mark.parametrize("text", ["[1,2]", '"x"', "null"])
 @pytest.mark.parametrize(
     "argv",

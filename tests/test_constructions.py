@@ -35,10 +35,8 @@ from uncorrsets.constructions import (
     slopeline_d_poly,
     slopeline_d_terms,
     slopeline_y_polys,
-    two_point_witness,
 )
 from uncorrsets.engine import (
-    ASequence,
     MATCH,
     classify_symmetric,
     enumerate_box_offsets,
@@ -89,13 +87,12 @@ def test_two_point_golden_sets():
 
 
 def test_two_point_rejects_shared_lines():
-    seq = ASequence(S123)
-    with pytest.raises(ValueError):
-        two_point_witness(seq, (2, 3), (2, 3))
-    with pytest.raises(ValueError):
-        two_point_witness(seq, (2, 3), (2, 5))
-    with pytest.raises(ValueError):
-        two_point_witness(seq, (1, 4), (3, 4))
+    with pytest.raises(ValueError, match="two distinct points"):
+        make_two_point(S123, (2, 3), (2, 3))
+    with pytest.raises(ValueError, match="share a row or column"):
+        make_two_point(S123, (2, 3), (2, 5))
+    with pytest.raises(ValueError, match="share a row or column"):
+        make_two_point(S123, (1, 4), (3, 4))
 
 
 def test_antidiagonal_golden_sets():

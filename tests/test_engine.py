@@ -21,9 +21,7 @@ from uncorrsets.engine import (
     SetDescriptor,
     check_analytic,
     classify_symmetric,
-    column_closure_violations,
     condition_lhs,
-    cross_maximality_violations,
     enumerate_box_offsets,
     enumerate_box_table,
     finite_parts,
@@ -46,6 +44,7 @@ from uncorrsets.model import (
     table_from_offsets,
 )
 from uncorrsets.numeric import MixedRadicand, QuadExt, sqrt_parts
+from uncorrsets.selftest import obeys_shape_law
 
 from route_guard import reachable
 
@@ -197,7 +196,6 @@ def test_column_law_stays_independent_of_the_per_cell_oracles():
         "ASequence",
         "exact_sign",
         "deviations",
-        "_symmetric_lattices",
         "moment",
         "_moment_cells",
     }
@@ -595,18 +593,18 @@ def test_span_rule_certifies_irrational_combinations_of_the_finite_basis(support
                     (QuadExt(3, -1, 2), QuadExt(1, 2, 2))]
     for points in ([(2, 3)], [(1, 2), (3, 5)], [(4, 1), (1, 6)]):
         desc = SetDescriptor.finite(points, GLOBAL_ANALYTIC)
-        basis = finite_parts(ASequence(support), points)
+        basis = finite_parts(support, points)
         for c in coefficients:
             assert check_analytic(_combination(basis, c), support, desc) is True
 
 
 def test_span_rule_refuses_witnesses_that_do_not_span_the_pattern_space():
-    seq = ASequence(S123)
+    terms = engine._ratio_terms(S123, 7)
     single = SetDescriptor.finite([(2, 3)], GLOBAL_ANALYTIC)
     pair = SetDescriptor.finite([(1, 2), (3, 5)], GLOBAL_ANALYTIC)
     zero = OffsetVector.of(0, 0, 0, 0)
     for desc in (single, pair):
-        basis = finite_parts(seq, desc.points)
+        basis = finite_parts(S123, desc.points)
         assert check_analytic(_combination(basis, (1, _SQRT2)), S123, desc) is True
         # a rational ratio c1 / c2: the parts span one line of the plane,
         # and when c1, c2 are both rational (or both in sqrt(2) Q) the
@@ -615,29 +613,33 @@ def test_span_rule_refuses_witnesses_that_do_not_span_the_pattern_space():
             assert check_analytic(_combination(basis, c), S123, desc) is False
         assert check_analytic(zero, S123, desc) is False
     # n3 of the singleton's rows has x4 = 1, outside the pattern space
-    n1, n2, n3 = linalg.nullspace(membership_rows(seq, [(2, 3)]))
+    n1, n2, n3 = linalg.nullspace(membership_rows(terms, [(2, 3)]))
     assert n3[3] == 1
     assert check_analytic(_combination((n1, n2, n3), (1, _SQRT2, 1)), S123, single) is False
     # two points in one column or row, and three points, are never proved
     for points in ([(2, 3), (2, 5)], [(1, 4), (3, 4)], [(1, 2), (3, 5), (4, 7)]):
-        basis = linalg.nullspace(membership_rows(seq, points))
+        basis = linalg.nullspace(membership_rows(terms, points))
         x = _combination(basis[:2], (1, _SQRT2)[:len(basis)])
         desc = SetDescriptor.finite(points, GLOBAL_ANALYTIC)
         assert check_analytic(x, S123, desc) is False
     for points in ([], [(1, 2), (3, 5), (4, 7)]):
         with pytest.raises(ValueError, match="one or two points"):
-            finite_parts(seq, points)
+            finite_parts(S123, points)
 
 
 def test_span_rule_uses_no_per_cell_oracle_or_field_arithmetic():
-    # the span rule decides every offset claim with integer ranks; the
-    # parity forms of a lattice union are its one exception
+    # the span rule decides every offset claim with integer ranks, and a
+    # lattice union by the column law on the 2x2 box; the patterns and
+    # the finite basis come from the integer (P_j, Q_j)
     tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
-    tree.body = [n for n in tree.body if getattr(n, "name", "") != "_analytic_lattice_union"]
-    forbidden = {"exact_sign", "as_exact", "condition_lhs", "QuadExt"}
+    forbidden = {"exact_sign", "as_exact", "condition_lhs", "QuadExt", "ASequence"}
     reached = reachable(tree, "check_analytic")
-    assert {"finite_parts", "shape_offsets", "rank"} <= reached
+    assert {"finite_parts", "shape_offsets", "rank", "_parity_classes"} <= reached
     assert not forbidden & reached
+    for name in ("finite_parts", "shape_offsets"):
+        reached = reachable(tree, name)
+        assert "_ratio_terms" in reached, name
+        assert not forbidden & reached, name
     # the guard sees a reference through a helper
     planted = ast.parse(
         "def check_analytic(x):\n    return h(x)\n"
@@ -685,6 +687,15 @@ def test_check_analytic_support_compatibility():
             OffsetVector.of(1, 0, 0, 0), Support3.from_values(-2, -1, 1),
             SetDescriptor.empty(),
         )
+    # the support is checked before the points: a claim no points could
+    # make true is still refused on the support, not judged False
+    for points in ([(1, 1)], [(2, 3), (2, 5)], [(1, 2), (3, 5), (4, 7)]):
+        for support in (sym, Support3.from_values(-3, 1, 2)):
+            with pytest.raises(IncompatibleDescriptor):
+                check_analytic(
+                    OffsetVector.of(0, 1, 1, 0), support,
+                    SetDescriptor.finite(points, GLOBAL_ANALYTIC),
+                )
 
 
 def test_classify_symmetric_single_class():
@@ -696,6 +707,51 @@ def test_classify_symmetric_single_class():
     assert d.lattices == ("ee",)
     pts = enumerate_box_offsets(x, sym, 6, 6)
     assert set(pts) == d.points_in_box(6, 6)
+
+
+def _planted_parity_offsets(rng):
+    """Random Q(sqrt(2)) offsets on (-v, 0, v) whose set holds a random
+    subset of the parity classes: the inverse of the class values
+    (x1, x1 + 2 x3, x1 + 2 x2, x1 + 2 x2 + 2 x3 + 4 x4) at ee, eo, oe, oo."""
+    def scalar():
+        return QuadExt(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                       Fraction(rng.randint(-6, 6), rng.randint(1, 4)), 2)
+
+    ee, eo, oe, oo = (Fraction(0) if rng.random() < 0.5 else scalar() for _ in range(4))
+    return OffsetVector.of(ee, (oe - ee) / 2, (eo - ee) / 2, (oo - oe - eo + ee) / 4)
+
+
+@pytest.mark.parametrize("v", [1, 2, Fraction(1, 3), Fraction(7, 2)])
+def test_parity_classes_match_the_deviation_form_at_the_representatives(v):
+    sym, rng = Support3.symmetric(v), random.Random(32)
+    for _ in range(60):
+        x = _planted_parity_offsets(rng)
+        want = [name for name in LATTICE_NAMES
+                if offsets_delta(x, sym, sym, *engine._LATTICE_START[name]) == 0]
+        assert engine._parity_classes(x, sym) == want, x
+        desc = SetDescriptor.lattice_union(want)
+        if desc.kind == "lattice-union":
+            assert check_analytic(x, sym, desc) is True
+
+
+def test_parity_classes_read_neither_the_moment_route_nor_a_per_cell_oracle():
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    others = {
+        "condition_lhs",
+        "offsets_delta",
+        "ASequence",
+        "exact_sign",
+        "as_exact",
+        "deviations",
+        "moment",
+        "_moment_cells",
+        "is_uncorrelated",
+        "enumerate_box_table",
+        "entries",
+    }
+    reached = reachable(tree, "_parity_classes")
+    assert {"_solve_columns", "_ratio_terms"} <= reached
+    assert not others & reached
 
 
 def test_classify_symmetric_rejects_other_supports():
@@ -724,17 +780,21 @@ def test_classify_symmetric_detects_inconsistency():
 
 
 def test_structural_invariants_helpers():
-    assert column_closure_violations([(1, 1), (1, 2), (1, 3)], 3, 3) == []
-    bad = column_closure_violations([(1, 1), (1, 2)], 3, 3)
-    assert len(bad) == 1 and "column j=1" in bad[0]
-    bad = column_closure_violations([(1, 2), (3, 2)], 3, 3)
-    assert len(bad) == 1 and "row k=2" in bad[0]
+    # a partial column, a partial row, and a cross with a point off it
+    # break the shape law
+    assert obeys_shape_law([(1, 1), (1, 2), (1, 3)], 3, 3)
+    assert not obeys_shape_law([(1, 1), (1, 2)], 3, 3)
+    assert not obeys_shape_law([(1, 2), (3, 2)], 3, 3)
 
     cross = {(2, k) for k in (1, 2, 3)} | {(j, 2) for j in (1, 2, 3)}
-    assert cross_maximality_violations(cross, 3, 3) == []
-    assert cross_maximality_violations(cross | {(1, 1)}, 3, 3) != []
+    assert obeys_shape_law(cross, 3, 3)
+    assert not obeys_shape_law(cross | {(1, 1)}, 3, 3)
     full = {(j, k) for j in (1, 2, 3) for k in (1, 2, 3)}
-    assert cross_maximality_violations(full, 3, 3) == []
+    assert obeys_shape_law(full, 3, 3)
+    # the third shape: at most one point in each row and each column
+    assert obeys_shape_law([], 3, 3)
+    assert obeys_shape_law([(1, 2), (2, 3), (3, 1)], 3, 3)
+    assert not obeys_shape_law([(1, 2), (2, 2), (3, 1)], 3, 3)
 
 
 def test_enumerated_sets_respect_invariants():
@@ -743,8 +803,7 @@ def test_enumerated_sets_respect_invariants():
         vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(4)]
         x = OffsetVector.of(*vals)
         pts = enumerate_box_offsets(x, S123, 7, 7)
-        assert column_closure_violations(pts, 7, 7) == []
-        assert cross_maximality_violations(pts, 7, 7) == []
+        assert obeys_shape_law(pts, 7, 7)
         flipped = enumerate_box_offsets(x.transpose(), S123, 7, 7)
         assert sorted(flipped) == sorted((k, j) for j, k in pts)
 

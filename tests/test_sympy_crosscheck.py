@@ -41,7 +41,6 @@ from uncorrsets.engine import (  # noqa: E402
     ASequence,
     enumerate_box_table,
     finite_parts,
-    membership_rows,
     offsets_delta,
 )
 from uncorrsets.model import (  # noqa: E402
@@ -310,6 +309,8 @@ def test_det_rank_and_nullspace_match_sympy():
                 Support3.from_values(Fraction(1, 2), 2, 7)],
 )
 def test_finite_parts_are_sympys_first_two_nullspace_vectors(support):
+    # sympy's rows (1, A_j, A_k, A_j A_k) come from the per-cell oracle's
+    # Fractions, not from the integer rows that finite_parts reads
     seq, rng = ASequence(support), random.Random(30)
     sets = [[(rng.randint(1, 12), rng.randint(1, 12))] for _ in range(10)]
     while len(sets) < 20:
@@ -317,8 +318,9 @@ def test_finite_parts_are_sympys_first_two_nullspace_vectors(support):
         if p1[0] != p2[0] and p1[1] != p2[1]:
             sets.append([p1, p2])
     for points in sets:
-        want = _sym_matrix(membership_rows(seq, points), 4).nullspace()[:2]
-        assert finite_parts(seq, points) == [
+        rows = [[1, seq[j], seq[k], seq[j] * seq[k]] for j, k in points]
+        want = _sym_matrix(rows, 4).nullspace()[:2]
+        assert finite_parts(support, points) == [
             [Fraction(int(v.p), int(v.q)) for v in vec] for vec in want
         ], points
 

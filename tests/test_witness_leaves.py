@@ -1,13 +1,13 @@
-"""Every leaf of five witness documents replaced by junk, through ``cli.main``.
+"""Every leaf of six witness documents replaced by junk, through ``cli.main``.
 
-A Q(sqrt(2)) two-point witness, a singleton, an antidiagonal that
-carries its power sums ``y``, a lattice union and the algebraic slope
-line at m = 2, k = 9 each have every leaf (or key) swapped for each junk
-value of ``leaf_runs.JUNK`` and for a huge radicand that is not a
-square, then read by ``verify`` and ``enumerate`` (and the lattice union
-by ``classify`` too).  Each run must exit 0, 1 or 2, print nothing on
-stdout when it exits 2, take under 2 s, and print exactly what the
-committed outcome list records.
+A Q(sqrt(2)) two-point witness, a singleton, a cross on (1/2, 2, 7),
+an antidiagonal that carries its power sums ``y``, a lattice union and
+the algebraic slope line at m = 2, k = 9 each have every leaf (or key)
+swapped for each junk value of ``leaf_runs.JUNK`` and for a huge
+radicand that is not a square, then read by ``verify`` and
+``enumerate`` (and the lattice union by ``classify`` too).  Each run
+must exit 0, 1 or 2, print nothing on stdout when it exits 2, take
+under 2 s, and print exactly what the committed outcome list records.
 
 The list, ``data/witness_leaf_outcomes.json``, fixes the verdict and
 message of every bad document, so a change to how witnesses are read or
@@ -27,6 +27,7 @@ from uncorrsets.constructions import (
     MODE_BETA_STAR,
     SlopeLineParams,
     make_antidiagonal,
+    make_cross,
     make_lattice_union,
     make_singleton,
     make_slopeline,
@@ -51,6 +52,7 @@ def _documents():
     built = {
         "two-point": make_two_point(s123, (1, 2), (2, 3)),
         "singleton": make_singleton(s123, 2, 3),
+        "cross": make_cross(Support3.from_values(Fraction(1, 2), 2, 7), 2, 3),
         "antidiagonal": make_antidiagonal(BetaSupport(1, Fraction(3, 2)), 5),
         "lattice-union": make_lattice_union(1, ["ee", "oo"]),
         "slopeline": make_slopeline(SlopeLineParams(2, MODE_BETA_STAR, k=9)),
