@@ -95,8 +95,10 @@ def _cmd_construct(args) -> int:
     from . import constructions
 
     family = args.family
-    if family in ("antidiagonal", "slopeline") and args.beta is None and args.k is None:
-        raise ValueError(f"{family} needs --beta (and --alpha) or, for the "
+    if family == "antidiagonal" and args.beta is None:
+        raise ValueError("antidiagonal needs --beta (and --alpha)")
+    if family == "slopeline" and args.beta is None and args.k is None:
+        raise ValueError("slopeline needs --beta (and --alpha) or, for the "
                          "near-line variant, --k")
     if family == "empty":
         built = constructions.make_empty(_support_from_args(args))

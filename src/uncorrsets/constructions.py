@@ -23,10 +23,11 @@ beta_star(m, k) the root in (1, beta0) of
 
 beta_star is irrational, so the fourth-point construction cannot hand
 out a rational support; instead ``AlgebraicSlopeLine`` keeps P together
-with a certified isolating interval and decides membership of (j, k)
-exactly, through the gcd of P with the corresponding difference
-polynomial D(j, k) and ``polynomials.root_count``, whose monotonicity
-certificates decide a narrow interval without a Sturm chain; ``certify``
+with an isolating interval certified to hold one root (the interval
+``beta_star`` returns) and decides membership of (j, k) exactly, through
+the gcd of P with the corresponding difference polynomial D(j, k) and
+``polynomials.root_count``, whose monotonicity certificates decide a
+narrow interval without a Sturm chain; ``certify``
 re-derives a line read from a document, with a Sturm count.  Its
 ``enumerate_box`` puts a cheap filter in front of that exact test: with
 D = c0 + B^k c1, monotone interval enclosures of c0 and c1 on (lo, hi)
@@ -52,7 +53,6 @@ from functools import lru_cache
 
 from .engine import (
     BOX_VERIFIED,
-    DEFAULT_MAX_EXP,
     GLOBAL_ANALYTIC,
     LATTICE_NAMES,
     Point,
@@ -61,7 +61,6 @@ from .engine import (
     UncorrReport,
     WITNESS_SCHEMA,
     _check_box,
-    check_order,
     compare_claim,
     enumerate_box_offsets,
     finite_parts,
@@ -79,7 +78,14 @@ from .model import (
     table_from_offsets,
     to_y,
 )
-from .numeric import QuadExt, format_rational, int_from_json, rational_from_json
+from .numeric import (
+    DEFAULT_MAX_EXP,
+    QuadExt,
+    check_order,
+    format_rational,
+    int_from_json,
+    rational_from_json,
+)
 from .polynomials import (
     IntPoly,
     _enclosure,
@@ -91,6 +97,7 @@ from .polynomials import (
 from .slopeline import (
     beta0_poly,
     beta_star_poly,
+    check_slope,
     slopeline_d_poly,
     slopeline_d_terms,
     slopeline_y_polys,
@@ -190,32 +197,16 @@ class Construction:
 # threshold and near-line roots
 
 
-def beta0(m: int, width=Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
+def beta0(m: int, width=DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
     """Isolating interval for the threshold root beta0(m) in (1, 2)."""
     check_order(m)
     return isolate_root(beta0_poly(m), 1, 2, width)
 
 
 def beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
-    """Isolating interval for the near-line root, kept inside (1, beta0).
-
-    P vanishes at 1 and tends positive before beta0, so a bracket is
-    found by walking 1 + 2^-i until P goes negative; ``isolate_root``
-    then narrows it to the width, and it is halved further until its
-    upper end provably sits below beta0 (checked through the sign of the
-    threshold polynomial, no root comparison needed).  A width that is
-    not positive raises ValueError.
-    """
-    width = _check_width(width)
-    check_order(m, k)
-    return _near_line_interval(beta_star_poly(m, k), m, k, width)
-
-
-def _check_width(width) -> Fraction:
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    return width
+    """The certified isolating interval of ``slopeline_beta_star``: it
+    holds exactly one root of P and lies inside (1, beta0)."""
+    return slopeline_beta_star(m, k, width).interval
 
 
 @lru_cache(maxsize=DEFAULT_MAX_EXP)
@@ -223,31 +214,6 @@ def _beta0_upper(m: int) -> Fraction:
     """Upper end of beta0(m) isolated to width 2^-20, once per slope; the
     callers have checked m against the exponent cap."""
     return beta0(m, Fraction(1, 2**20))[1]
-
-
-def _near_line_interval(
-    p: IntPoly, m: int, k: int, width: Fraction
-) -> tuple[Fraction, Fraction]:
-    """``beta_star`` on P = beta_star_poly(m, k), built by the caller; every
-    sign is read from the integer Horner sum."""
-    threshold = beta0_poly(m)
-    hi0 = _beta0_upper(m)
-    step = Fraction(1, 2)
-    for _ in range(64):
-        lo = 1 + step
-        if lo < hi0 and p.sign_at(lo) < 0:
-            break
-        step /= 2
-    else:
-        raise BracketNotFound(
-            f"P stayed nonnegative on 1 + 2^-i for i <= 64 with m={m}, k={k}"
-        )
-    if p.sign_at(hi0) <= 0:
-        raise BracketNotFound(f"P({hi0}) <= 0; no sign change before beta0")
-    lo, hi = isolate_root(p, lo, hi0, width)
-    while lo < hi and threshold.sign_at(hi) >= 0:
-        lo, hi = isolate_root(p, lo, hi, (hi - lo) / 2)
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -267,8 +233,7 @@ class SlopeLineParams:
     width: Fraction = DEFAULT_WIDTH
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("slope must be an integer >= 2")
+        check_slope(self.m)
         check_order(self.m)
         if self.mode not in (MODE_AT_OR_ABOVE, MODE_BETA_STAR):
             raise ValueError(f"unknown slope-line mode {self.mode!r}")
@@ -400,11 +365,30 @@ class AlgebraicSlopeLine:
 
 
 def slopeline_beta_star(m: int, k: int, width=DEFAULT_WIDTH) -> AlgebraicSlopeLine:
-    """Isolate beta_star(m, k) and certify the interval holds one root."""
-    width = _check_width(width)
+    """The line at beta_star(m, k), with P built once.  A bracket is found
+    by walking 1 + 2^-i until P goes negative (P vanishes at 1 and is
+    positive before beta0); ``isolate_root`` narrows it to the width, then
+    it is halved until the threshold polynomial is negative at its upper
+    end, and until ``root_count`` finds exactly one root of P in it."""
     check_order(m, k)
     p = beta_star_poly(m, k)
-    lo, hi = _near_line_interval(p, m, k, width)
+    threshold = beta0_poly(m)
+    hi0 = _beta0_upper(m)
+    step = Fraction(1, 2)
+    for _ in range(64):
+        lo = 1 + step
+        if lo < hi0 and p.sign_at(lo) < 0:
+            break
+        step /= 2
+    else:
+        raise BracketNotFound(
+            f"P stayed nonnegative on 1 + 2^-i for i <= 64 with m={m}, k={k}"
+        )
+    if p.sign_at(hi0) <= 0:
+        raise BracketNotFound(f"P({hi0}) <= 0; no sign change before beta0")
+    lo, hi = isolate_root(p, lo, hi0, width)
+    while lo < hi and threshold.sign_at(hi) >= 0:
+        lo, hi = isolate_root(p, lo, hi, (hi - lo) / 2)
     while root_count(p, lo, hi) != 1:
         lo, hi = isolate_root(p, lo, hi, (hi - lo) / 4)
     return AlgebraicSlopeLine(m=m, k=k, poly=p, interval=(lo, hi))

@@ -108,14 +108,11 @@ from .model import (
     SupportKind,
     YVector,
     from_y,
+    offsets_of,
     support_from_json,
     to_y,
 )
-# the exponent cap and parse_point live in numeric, so that determinants
-# needs no engine; constructions and callers still read them from here
 from .numeric import (
-    DEFAULT_MAX_EXP,
-    ENV_MAX_EXP,
     ExponentCapExceeded,
     Point,
     Scalar,
@@ -154,7 +151,8 @@ def _check_box(jmax: int, kmax: int) -> None:
 
 
 class ASequence:
-    """Cached moment ratios A_j of a positive ordered support.
+    """Cached moment ratios A_j of a positive ordered support, geometric
+    ones included, each (c^j - a^j) / (c^j - b^j) of the three points.
 
     Values are exact rationals; every access re-checks strict decrease
     against the cached neighbours, so a corrupted support cannot hand
@@ -162,14 +160,10 @@ class ASequence:
     """
 
     def __init__(self, support: SupportLike):
-        if isinstance(support, BetaSupport):
-            self._beta: Fraction | None = support.beta
-            self._points = support.to_support3().points
-        else:
-            if support.kind is not SupportKind.POSITIVE_ORDERED:
-                raise ValueError("moment ratios need a positive ordered support")
-            self._beta = None
-            self._points = support.points
+        s3 = support.to_support3()
+        if s3.kind is not SupportKind.POSITIVE_ORDERED:
+            raise ValueError("moment ratios need a positive ordered support")
+        self._points = s3.points
         self._cache: dict[int, Fraction] = {}
 
     def value(self, j: int) -> Fraction:
@@ -178,11 +172,8 @@ class ASequence:
         got = self._cache.get(j)
         if got is not None:
             return got
-        if self._beta is not None:
-            a = 1 + self._beta ** (-j)
-        else:
-            pa, pb, pc = self._points
-            a = (pc**j - pa**j) / (pc**j - pb**j)
+        pa, pb, pc = self._points
+        a = (pc**j - pa**j) / (pc**j - pb**j)
         if a <= 1:
             raise ArithmeticError(f"A_{j} = {a} fell to 1 or below")
         lower = [i for i in self._cache if i < j]
@@ -878,9 +869,7 @@ def classify_symmetric(table: JointTable) -> SetDescriptor:
         if member:
             by_moments.append(name)
 
-    dev = [[table.entries[r][c] - Fraction(1, 9) for c in range(3)] for r in range(3)]
-    x = OffsetVector((dev[1][1], dev[1][0], dev[0][1], dev[0][0]))
-    by_law = _parity_classes(x, sx)
+    by_law = _parity_classes(offsets_of(table), sx)
     if by_law != by_moments:
         raise LatticeInconsistent(
             f"moment probes found {by_moments} but the column law says {by_law}"

@@ -13,6 +13,8 @@ Y = a, b, c; columns are X = a, b, c):
 Offsets may be rational or quadratic irrationals; probabilities must be
 nonnegative, which ``rescale`` arranges by shrinking any offset vector
 to the canonical scale 1/(18M) where M is the largest absolute deviation.
+``offsets_of`` reads the offsets back off a table.  A ``Support3`` reads
+its kind off its points; a document's kind label must agree with them.
 
 Building and checking a table runs on integers.  The offsets are written
 once as (R + I sqrt(d)) / L (``numeric.sqrt_parts``), so each deviation
@@ -31,7 +33,7 @@ power sum; ``to_y`` and ``from_y`` convert between the two charts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -75,12 +77,23 @@ class SupportKind(enum.Enum):
     GENERAL_ORDERED = "general-ordered"
 
 
+# why the points refuse each label but their own kind
+_CONTRADICTED = {
+    SupportKind.POSITIVE_ORDERED: "positive-ordered support must start above zero",
+    SupportKind.SYMMETRIC_ZERO: "symmetric support must be (-v, 0, v): {}",
+    SupportKind.GENERAL_ORDERED: "general-ordered support must start at or "
+    "below zero and not be (-v, 0, v): {}",
+}
+
+
 @dataclass(frozen=True)
 class Support3:
-    """Three strictly increasing rational support points."""
+    """Three strictly increasing rational support points, and the kind
+    they fix: (-v, 0, v) is symmetric, a first point above 0 is positive,
+    anything else is general."""
 
     points: tuple[Fraction, Fraction, Fraction]
-    kind: SupportKind
+    kind: SupportKind = field(init=False)
 
     def __post_init__(self):
         pts = tuple(Fraction(p) for p in self.points)
@@ -88,38 +101,25 @@ class Support3:
             raise ValueError("support needs exactly three points")
         if not (pts[0] < pts[1] < pts[2]):
             raise ValueError(f"support points must increase strictly: {pts}")
-        if self.kind is SupportKind.POSITIVE_ORDERED and pts[0] <= 0:
-            raise ValueError("positive-ordered support must start above zero")
-        if self.kind is SupportKind.SYMMETRIC_ZERO and (
-            pts[1] != 0 or pts[0] != -pts[2]
-        ):
-            raise ValueError(f"symmetric support must be (-v, 0, v): {pts}")
-        if self.kind is SupportKind.GENERAL_ORDERED and (
-            pts[0] > 0 or (pts[1] == 0 and pts[0] == -pts[2])
-        ):
-            raise ValueError(
-                f"general-ordered support must start at or below zero and not "
-                f"be (-v, 0, v): {pts}"
-            )
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def from_values(cls, a, b, c) -> "Support3":
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        if b == 0 and a == -c:
+        if pts[1] == 0 and pts[0] == -pts[2]:
             kind = SupportKind.SYMMETRIC_ZERO
-        elif a > 0:
+        elif pts[0] > 0:
             kind = SupportKind.POSITIVE_ORDERED
         else:
             kind = SupportKind.GENERAL_ORDERED
-        return cls((a, b, c), kind)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "kind", kind)
+
+    @classmethod
+    def from_values(cls, a, b, c) -> "Support3":
+        return cls((a, b, c))
 
     @classmethod
     def symmetric(cls, alpha) -> "Support3":
         alpha = Fraction(alpha)
         if alpha <= 0:
             raise ValueError("symmetric support needs alpha > 0")
-        return cls((-alpha, Fraction(0), alpha), SupportKind.SYMMETRIC_ZERO)
+        return cls((-alpha, Fraction(0), alpha))
 
     def to_support3(self) -> "Support3":
         """Itself; lets code take a Support3 or a BetaSupport alike."""
@@ -133,8 +133,14 @@ class Support3:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Support3":
+        """The support of a document, whose ``kind`` label must be the
+        kind its points fix."""
         pts = [rational_from_json(p) for p in obj["points"]]
-        return cls(tuple(pts), SupportKind(obj["kind"]))
+        label = SupportKind(obj["kind"])
+        support = cls(tuple(pts))
+        if support.kind is not label:
+            raise ValueError(_CONTRADICTED[label].format(support.points))
+        return support
 
 
 @dataclass(frozen=True)
@@ -154,9 +160,7 @@ class BetaSupport:
 
     def to_support3(self) -> Support3:
         a = self.alpha
-        return Support3(
-            (a, a * self.beta, a * self.beta**2), SupportKind.POSITIVE_ORDERED
-        )
+        return Support3((a, a * self.beta, a * self.beta**2))
 
     def to_json(self) -> dict:
         return {
@@ -408,3 +412,10 @@ def table_from_offsets(
         for row_r, row_i in zip(_deviation_table(*rat), _deviation_table(*irr))
     )
     return JointTable(entries, support_x, support_y)
+
+
+def offsets_of(table: JointTable) -> OffsetVector:
+    """The inverse of ``table_from_offsets``: the offsets at their places in
+    the deviation layout, for any object with 3x3 ``entries``."""
+    (x4, x3, _), (x2, x1, _), _ = table.entries
+    return OffsetVector((x1 - NINTH, x2 - NINTH, x3 - NINTH, x4 - NINTH))

@@ -14,18 +14,22 @@ from __future__ import annotations
 from .polynomials import IntPoly
 
 
-def beta0_poly(m: int) -> IntPoly:
-    """B^(m+1) - B^2 - B - 1, strictly increasing on [1, oo) for m >= 2."""
+def check_slope(m: int) -> None:
+    """Refuse a slope below 2, where beta0(m) has no root in (1, 2)."""
     if m < 2:
         raise ValueError("slope must be an integer >= 2")
+
+
+def beta0_poly(m: int) -> IntPoly:
+    """B^(m+1) - B^2 - B - 1, strictly increasing on [1, oo) for m >= 2."""
+    check_slope(m)
     p = IntPoly.monomial(m + 1)
     return p + IntPoly([-1, -1, -1])
 
 
 def beta_star_poly(m: int, k: int) -> IntPoly:
     """P(B) whose root in (1, beta0) realizes the fourth point (4, k)."""
-    if m < 2:
-        raise ValueError("slope must be an integer >= 2")
+    check_slope(m)
     if k <= 4 * m:
         raise ValueError(
             f"fourth-point column must exceed 4m = {4 * m}; P only dips "
@@ -68,8 +72,7 @@ def slopeline_y_polys(m: int) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
     y1 = (B^m - B) B^(2m+2),  y2 = (1 - B^(m+1)) B^(2m),
     y3 = (B^(m+1) - 1) B^2,   y4 = B - B^m.
     """
-    if m < 2:
-        raise ValueError("slope must be an integer >= 2")
+    check_slope(m)
     return (
         _binomial(3 * m + 2, 2 * m + 3),
         _binomial(2 * m, 3 * m + 1),
@@ -88,8 +91,7 @@ def slopeline_d_terms(m: int, j: int) -> tuple[dict[int, int], dict[int, int]]:
     c1 = (B^(m+1) - 1) B^2 - (B^m - B) B^j
        = B^(m+3) - B^2 - B^(j+m) + B^(j+1).
     """
-    if m < 2:
-        raise ValueError("slope must be an integer >= 2")
+    check_slope(m)
     if j < 1:
         raise ValueError("orders must be >= 1")
     c0 = _add_terms(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_model
 import uncorrsets
 from uncorrsets import engine, numeric, selftest
 from uncorrsets.cli import main
@@ -417,7 +418,7 @@ def test_orders_above_the_cap_exit_two(argv):
     # line check compute A_j at the claimed order
     src = os.path.dirname(os.path.dirname(uncorrsets.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop(engine.ENV_MAX_EXP, None)
+    env.pop(numeric.ENV_MAX_EXP, None)
     done = subprocess.run(
         [sys.executable, "-m", "uncorrsets.cli", *argv],
         input=json.dumps(dict(_EMPTY_WITNESS, x=["0", "0", "-8/5", "1"])),
@@ -541,6 +542,37 @@ def test_a_support_kind_that_contradicts_its_points_exits_two(
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == "" and "general-ordered support must start" in err
+
+
+@pytest.mark.parametrize("points, label, message", test_model.CONTRADICTED)
+@pytest.mark.parametrize("document", ["witness", "table"])
+def test_each_contradicted_label_exits_two_with_its_message(
+    capsys, monkeypatch, document, points, label, message
+):
+    s3 = Support3.from_values(*points)
+    if document == "witness":
+        doc = Construction("all", engine.SetDescriptor.all_points(), s3,
+                           OffsetVector.of(0, 0, 0, 0)).to_json()
+        doc["support"]["kind"] = label.value
+        argv = ["verify", "--witness", "-", "--box", "3x3"]
+    else:
+        doc = JointTable.independent(s3, s3).to_json()
+        doc["support_y"]["kind"] = label.value
+        argv = ["enumerate", "--witness", "-", "--box", "3x3"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_antidiagonal_without_beta_names_beta_even_with_k(capsys):
+    # --k is the slope line's near-line flag; it makes no antidiagonal
+    for extra in ((), ("--k", "5")):
+        code, out, err = _run(capsys, "construct", "antidiagonal", "--m", "3", *extra)
+        assert (code, out, err) == (2, "", "error: antidiagonal needs --beta (and --alpha)\n")
+    code, out, err = _run(capsys, "construct", "slopeline", "--m", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: slopeline needs --beta (and --alpha) or, for the "
+                   "near-line variant, --k\n")
+
 
 @pytest.mark.parametrize(
     "argv", [["enumerate", "--witness", "-", "--box", "3x3"], ["classify", "--table", "-"]]

@@ -179,6 +179,49 @@ def test_root_isolation_rejects_nonpositive_width(width):
         beta_star(2, 9, width)
 
 
+def _uncertified_interval(m, k, width):
+    """The near-line interval before ``root_count`` certifies it: the
+    first 1 + 2^-i below beta0's upper end where P < 0, narrowed to the
+    width, then halved until its upper end is below beta0."""
+    p, threshold = beta_star_poly(m, k), beta0_poly(m)
+    hi0 = constructions._beta0_upper(m)
+    walk = (1 + Fraction(1, 2**i) for i in range(1, 65))
+    lo = next(lo for lo in walk if lo < hi0 and p.sign_at(lo) < 0)
+    lo, hi = isolate_root(p, lo, hi0, width)
+    while lo < hi and threshold.sign_at(hi) >= 0:
+        lo, hi = isolate_root(p, lo, hi, (hi - lo) / 2)
+    return lo, hi
+
+
+def _refusal(f, *args):
+    """The type and message of the ValueError that f(*args) raises."""
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    return info.type, str(info.value)
+
+
+NEAR_LINE_WIDTHS = [Fraction(1, 10**12), Fraction(1, 50), Fraction(1, 4),
+                    Fraction(3, 7), Fraction(1, 10**100)]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_beta_star_is_the_certified_interval(m):
+    # beta_star is slopeline_beta_star's interval; on these 120 lines per
+    # slope the certificate narrows nothing, so it is also the interval
+    # that beta_star gave before it was certified
+    for k in range(4 * m + 1, 4 * m + 25):
+        for width in NEAR_LINE_WIDTHS:
+            got = beta_star(m, k, width)
+            assert got == slopeline_beta_star(m, k, width).interval
+            assert got == _uncertified_interval(m, k, width)
+    # a column at 4m, a width that is not positive, a column above the cap
+    # and a slope below 2 are refused alike
+    for mm, k, width in ((m, 4 * m, DEFAULT_WIDTH), (m, 4 * m + 1, 0),
+                         (m, 4 * m + 1, -1), (m, 65, 1), (1, 9, DEFAULT_WIDTH)):
+        assert _refusal(beta_star, mm, k, width) == _refusal(
+            slopeline_beta_star, mm, k, width)
+
+
 def test_difference_polynomial_factorizations():
     b2_minus_1 = IntPoly([-1, 0, 1])
     b_minus_1 = IntPoly([-1, 1])
@@ -236,7 +279,7 @@ def test_slopeline_rejects_small_ratio():
 
 
 def test_slopeline_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slope must be an integer >= 2"):
         SlopeLineParams(m=1, mode=MODE_AT_OR_ABOVE, beta=2)
     with pytest.raises(ValueError):
         SlopeLineParams(m=2, mode="guess", beta=2)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uncorrsets import engine, linalg
+from uncorrsets import engine, linalg, numeric
 from uncorrsets.constructions import make_diagonal, make_singleton
 from uncorrsets.engine import (
     ASequence,
@@ -63,12 +63,14 @@ def test_moment_ratios_on_123():
 
 
 def test_moment_ratios_beta_fast_path():
-    bs = BetaSupport(1, 2)
-    seq = ASequence(bs)
-    direct = ASequence(bs.to_support3())
-    for j in range(1, 9):
-        assert seq.value(j) == 1 + Fraction(1, 2**j)
-        assert seq.value(j) == direct.value(j)
+    # a geometric support's A_j, read off its three points, is 1 + beta^-j
+    for bs in (BetaSupport(1, 2), BetaSupport(Fraction(1, 3), Fraction(3, 2)),
+               BetaSupport(5, Fraction(7, 3))):
+        seq = ASequence(bs)
+        direct = ASequence(bs.to_support3())
+        for j in range(1, 41):
+            assert seq.value(j) == 1 + bs.beta**-j
+            assert seq.value(j) == direct.value(j)
 
 
 def test_moment_ratio_audit_catches_corruption():
@@ -445,7 +447,7 @@ def test_descriptor_text_forms():
             SetDescriptor.parse(bad)
 
 
-_ORDER = st.integers(1, engine.DEFAULT_MAX_EXP)
+_ORDER = st.integers(1, numeric.DEFAULT_MAX_EXP)
 
 
 @st.composite
@@ -459,8 +461,8 @@ def _descriptors(draw):
         names = st.lists(st.sampled_from(LATTICE_NAMES), min_size=1, max_size=3, unique=True)
         return SetDescriptor.lattice_union(draw(names))
     params = tuple(
-        draw(st.integers(least, 2 * engine.DEFAULT_MAX_EXP if key == "sum"
-                         else engine.DEFAULT_MAX_EXP))
+        draw(st.integers(least, 2 * numeric.DEFAULT_MAX_EXP if key == "sum"
+                         else numeric.DEFAULT_MAX_EXP))
         for key, least in engine.KINDS[kind].items()
     )
     if kind == "slopeline":

@@ -15,12 +15,18 @@ from uncorrsets.model import (
     YVector,
     ZeroVector,
     from_y,
+    offsets_of,
     rescale,
     support_from_json,
     table_from_offsets,
     to_y,
 )
 from uncorrsets.numeric import MixedRadicand, QuadExt, as_exact, exact_sign
+
+
+def _labelled(points, kind):
+    """The support of a document that labels the points with kind."""
+    return Support3.from_json({"points": [str(p) for p in points], "kind": kind.value})
 
 
 def test_support_kinds_and_validation():
@@ -35,9 +41,9 @@ def test_support_kinds_and_validation():
     with pytest.raises(ValueError):
         Support3.from_values(3, 2, 1)
     with pytest.raises(ValueError):
-        Support3((Fraction(0), Fraction(1), Fraction(2)), SupportKind.POSITIVE_ORDERED)
+        _labelled((0, 1, 2), SupportKind.POSITIVE_ORDERED)
     with pytest.raises(ValueError):
-        Support3((Fraction(-1), Fraction(1), Fraction(2)), SupportKind.SYMMETRIC_ZERO)
+        _labelled((-1, 1, 2), SupportKind.SYMMETRIC_ZERO)
     assert Support3.symmetric(Fraction(3, 2)).points == (
         Fraction(-3, 2),
         Fraction(0),
@@ -54,11 +60,83 @@ def test_a_general_kind_on_positive_or_symmetric_points_is_refused(points):
     # so a kind that contradicts the points would send them astray
     pts = tuple(Fraction(p) for p in points)
     with pytest.raises(ValueError, match="general-ordered support must start"):
-        Support3(pts, SupportKind.GENERAL_ORDERED)
+        _labelled(pts, SupportKind.GENERAL_ORDERED)
     assert Support3.from_values(*pts).kind is not SupportKind.GENERAL_ORDERED
     for general in ((-3, 1, 2), (0, 1, 2), (-2, -1, 1), (-2, 0, 1)):
-        s = Support3(tuple(Fraction(p) for p in general), SupportKind.GENERAL_ORDERED)
+        s = _labelled(general, SupportKind.GENERAL_ORDERED)
         assert s == Support3.from_values(*general)
+
+# the three labels, each on points that fix another kind, and the message
+# that names what the label needs
+CONTRADICTED = [
+    ((0, 1, 2), SupportKind.POSITIVE_ORDERED,
+     "positive-ordered support must start above zero"),
+    ((1, 2, 3), SupportKind.SYMMETRIC_ZERO,
+     "symmetric support must be (-v, 0, v): "
+     "(Fraction(1, 1), Fraction(2, 1), Fraction(3, 1))"),
+    ((-1, 0, 1), SupportKind.GENERAL_ORDERED,
+     "general-ordered support must start at or below zero and not be "
+     "(-v, 0, v): (Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1))"),
+]
+
+
+@pytest.mark.parametrize("points, label, message", CONTRADICTED)
+def test_a_label_the_points_contradict_is_refused_by_name(points, label, message):
+    with pytest.raises(ValueError) as info:
+        _labelled(points, label)
+    assert str(info.value) == message
+
+
+def test_the_kind_is_not_an_argument():
+    pts = (Fraction(1), Fraction(2), Fraction(3))
+    with pytest.raises(TypeError):
+        Support3(pts, SupportKind.POSITIVE_ORDERED)
+    with pytest.raises(TypeError):
+        Support3(points=pts, kind=SupportKind.POSITIVE_ORDERED)
+
+
+_SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def _increasing_triples(draw):
+    """Three increasing rationals: any, with 0 among them, or (-v, 0, v)."""
+    shape = draw(st.sampled_from(("any", "with-zero", "symmetric")))
+    if shape == "symmetric":
+        v = draw(_SMALL.filter(lambda q: q > 0))
+        return (-v, Fraction(0), v)
+    if shape == "with-zero":
+        return tuple(sorted(draw(st.sets(_SMALL.filter(bool), min_size=2, max_size=2))
+                            | {Fraction(0)}))
+    return tuple(sorted(draw(st.sets(_SMALL, min_size=3, max_size=3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_increasing_triples())
+def test_the_kind_is_read_off_the_points(pts):
+    a, b, c = pts
+    if b == 0 and a == -c:
+        want = SupportKind.SYMMETRIC_ZERO
+    elif a > 0:
+        want = SupportKind.POSITIVE_ORDERED
+    else:
+        want = SupportKind.GENERAL_ORDERED
+    s = Support3(pts)
+    assert s.kind is want
+    assert Support3.from_values(*pts) == s
+    assert Support3.from_json(s.to_json()) == s
+    assert s.to_json()["kind"] == want.value
+
+
+def test_offsets_of_inverts_table_from_offsets():
+    for x, s in (
+        (OffsetVector.of(0, 1, 1, 0), Support3.symmetric(1)),
+        (OffsetVector.of(QuadExt(1, 1, 2), -1, QuadExt(0, -1, 2), 0),
+         Support3.from_values(1, 2, 3)),
+    ):
+        x = rescale(x)
+        assert offsets_of(table_from_offsets(x, s, s)) == x
+
 
 def test_beta_support():
     bs = BetaSupport(1, 2)

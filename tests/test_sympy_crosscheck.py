@@ -10,6 +10,7 @@ rational matrices, the values of independence certificates, and the moment
 route's box enumeration against E[X^j Y^k] - E[X^j] E[Y^k] in sympy's
 exact arithmetic."""
 
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 sp = pytest.importorskip("sympy")
 
+from uncorrsets.cli import main  # noqa: E402
 from uncorrsets.constructions import (  # noqa: E402
     make_cross,
     make_lattice_union,
@@ -189,6 +191,35 @@ def test_p_4_17_divides_d_5_28():
     p = _sym(slopeline_beta_star(4, 17).poly)
     d = _sym(slopeline_d_poly(4, 5, 28))
     assert _normal(sp.gcd(p, d)) == _normal(p)
+
+
+def _printed_interval(capsys, *argv):
+    """(lo, hi) as the CLI prints it."""
+    assert main(list(argv)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    return sp.Rational(doc["lo"]), sp.Rational(doc["hi"])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_printed_root_intervals_match_sympy(m, capsys):
+    """For the algebraic-line lines k = 4m + 1 .. 4m + 12: sympy counts one
+    root of P on ``betastar``'s interval, and beta0(m), the root of
+    B^(m+1) - B^2 - B - 1 in (1, 2), lies above its upper end and inside
+    ``beta0``'s interval."""
+    threshold = sp.Poly(B ** (m + 1) - B**2 - B - 1, B)
+    lo0, hi0 = _printed_interval(capsys, "beta0", "--m", str(m))
+    assert threshold.count_roots(lo0, hi0) == 1
+    assert threshold.count_roots(1, 2) == 1
+    for k in range(4 * m + 1, 4 * m + 13):
+        p = sp.Poly(
+            (B ** (m + 1) - B**2 - B - 1) * B**k
+            + (B ** (m + 2) + B ** (m + 1) + B**m - B) * B ** (2 * m),
+            B,
+        )
+        lo, hi = _printed_interval(capsys, "betastar", "--m", str(m), "--k", str(k))
+        assert p.count_roots(lo, hi) == 1
+        # the one root of the threshold in (1, 2) lies in (hi, 2)
+        assert threshold.count_roots(hi, 2) == 1 and threshold(hi) < 0
 
 
 ORDERS = [(1, 3), (2, 3), (2, 5), (3, 4), (3, 6)]

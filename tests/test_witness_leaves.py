@@ -1,8 +1,11 @@
-"""Every leaf of six witness documents replaced by junk, through ``cli.main``.
+"""Every leaf of eleven witness documents replaced by junk, through ``cli.main``.
 
 A Q(sqrt(2)) two-point witness, a singleton, a cross on (1/2, 2, 7),
-an antidiagonal that carries its power sums ``y``, a lattice union and
-the algebraic slope line at m = 2, k = 9 each have every leaf (or key)
+an antidiagonal that carries its power sums ``y``, a lattice union, the
+algebraic slope line at m = 2, k = 9, an empty set on (-3, 1, 2), the
+full set on (0, 1, 2), a diagonal on (1, 2, 3), a column on the
+geometric support beta = 3/2 and the rational slope line at m = 2,
+beta = 2 each have every leaf (or key)
 swapped for each junk value of ``leaf_runs.JUNK`` and for a huge
 radicand that is not a square, then read by ``verify`` and
 ``enumerate`` (and the lattice union by ``classify`` too).  Each run
@@ -24,14 +27,19 @@ import pytest
 
 from leaf_runs import JUNK, cases, check_document, read_outcomes, write_outcomes
 from uncorrsets.constructions import (
+    MODE_AT_OR_ABOVE,
     MODE_BETA_STAR,
     SlopeLineParams,
     make_antidiagonal,
     make_cross,
+    make_diagonal,
+    make_empty,
+    make_full,
     make_lattice_union,
     make_singleton,
     make_slopeline,
     make_two_point,
+    make_vline,
 )
 from uncorrsets.model import BetaSupport, Support3
 
@@ -56,6 +64,13 @@ def _documents():
         "antidiagonal": make_antidiagonal(BetaSupport(1, Fraction(3, 2)), 5),
         "lattice-union": make_lattice_union(1, ["ee", "oo"]),
         "slopeline": make_slopeline(SlopeLineParams(2, MODE_BETA_STAR, k=9)),
+        "empty": make_empty(Support3.from_values(-3, 1, 2)),
+        "all": make_full(Support3.from_values(0, 1, 2)),
+        "diagonal": make_diagonal(s123),
+        "vline": make_vline(BetaSupport(1, Fraction(3, 2)), 2),
+        "rational-slopeline": make_slopeline(
+            SlopeLineParams(2, MODE_AT_OR_ABOVE, beta=Fraction(2))
+        ),
     }
     return {name: c.to_json() for name, c in built.items()}
 
