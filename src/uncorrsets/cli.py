@@ -3,9 +3,9 @@
 Every subcommand prints deterministic JSON (sorted keys) except
 ``enumerate --format csv``, which emits bare point rows.  Exit status
 is 0 for a positive verdict (match, identities equal, independent),
-1 for a negative verdict, 2 for unusable input and 3 for an internal
-error (an exception that is no fault of the input, such as
-``LatticeInconsistent``), so a crash never reads as a negative verdict.
+1 for a negative verdict, 2 for unusable input (a usage error too) and 3
+for an internal error (an exception that is no fault of the input, such
+as ``LatticeInconsistent``), so a crash never reads as a negative verdict.
 
 Each handler imports the modules it runs, so ``det`` loads no set
 machinery and a table document never loads ``constructions``.
@@ -46,25 +46,40 @@ def _rational(text: str) -> Fraction:
         raise ValueError(f"{text!r} has a zero denominator") from None
 
 
-def _load_doc(path: str) -> dict:
-    if path == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"document must be a JSON object, got {type(doc).__name__}")
-    return doc
-
-
 def _support_from_args(args):
-    """The Support3 or BetaSupport that the flags name."""
+    """The BetaSupport that --beta names with --alpha (default 1), or else
+    the Support3 of the points of --support (default 1,2,3)."""
     from .model import BetaSupport, Support3
 
-    if getattr(args, "beta", None) is not None:
-        return BetaSupport(_rational(args.alpha), _rational(args.beta))
-    a, b, c = (_rational(v) for v in args.support.split(","))
-    return Support3.from_values(a, b, c)
+    if args.beta is not None:
+        return BetaSupport(_alpha(args), _rational(args.beta))
+    if args.alpha is not None:
+        raise ValueError("--alpha scales a geometric support and needs --beta")
+    text = "1,2,3" if args.support is None else args.support
+    if text.count(",") != 2:
+        raise ValueError(f"--support must look like a,b,c, got {text!r}")
+    return Support3.from_values(*(_rational(v) for v in text.split(",")))
+
+
+def _alpha(args) -> Fraction:
+    return _rational("1" if args.alpha is None else args.alpha)
+
+
+def _width(args) -> dict:
+    # a root isolated without --width keeps constructions.DEFAULT_WIDTH
+    return {} if args.width is None else {"width": _rational(args.width)}
+
+
+def _slope_params(args):
+    """The slope line at the rational ratio --beta, or at the near-line
+    ratio beta*(m, k) isolated to --width."""
+    from . import constructions as c
+
+    if args.beta is None:
+        return c.SlopeLineParams(m=args.m, mode=c.MODE_BETA_STAR, k=args.k, **_width(args))
+    if args.width is not None:
+        raise ValueError("--width isolates beta*(m, k) and needs --k, not --beta")
+    return c.SlopeLineParams(m=args.m, mode=c.MODE_AT_OR_ABOVE, beta=_rational(args.beta))
 
 
 def _read_document(path: str):
@@ -73,7 +88,13 @@ def _read_document(path: str):
     anywhere in the document is unusable input."""
     from . import engine, model
 
-    doc = _load_doc(path)
+    if path == "-":
+        doc = json.load(sys.stdin)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"document must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")
     if schema != engine.WITNESS_SCHEMA and schema != model.TABLE_SCHEMA:
         raise ValueError("input is neither a witness nor a table document")
@@ -91,74 +112,79 @@ def _read_document(path: str):
 # subcommand handlers
 
 
+def _two_points(text: str) -> list[tuple[int, int]]:
+    points = _parse_points(text)
+    if len(points) != 2:
+        raise ValueError("--points needs exactly two j,k pairs")
+    return points
+
+
+# how a family takes its support: the reader of the builder's first argument,
+# the flags it needs and the flags it may take (an inner tuple's exclude each other)
+POINTS = (_support_from_args, (), (("--support", "--beta"), "--alpha"))
+GEOMETRIC = (_support_from_args, ("--beta",), ("--alpha",))
+SYMMETRIC = (_alpha, (), ("--alpha",))
+SLOPE = (_slope_params, ("--m", ("--beta", "--k")), ("--width",))
+
+# each construct family: its builder in ``constructions``, its support, and
+# the flags it needs and may take for the builder's further arguments
+FAMILIES = {
+    "empty": ("make_empty", POINTS, (), ()),
+    "all": ("make_full", POINTS, (), ()),
+    "diagonal": ("make_diagonal", POINTS, (), ()),
+    "singleton": ("make_singleton", POINTS, ("--point",), ()),
+    "two-point": ("make_two_point", POINTS, ("--points",), ()),
+    "vline": ("make_vline", POINTS, ("--j",), ()),
+    "hline": ("make_hline", POINTS, ("--k",), ()),
+    "cross": ("make_cross", POINTS, ("--j", "--k"), ()),
+    "antidiagonal": ("make_antidiagonal", GEOMETRIC, ("--m",), ()),
+    "slopeline": ("make_slopeline", SLOPE, (), ()),
+    "lattice-union": ("make_lattice_union", SYMMETRIC, (), ("--lattices",)),
+}
+
+# argparse keywords of each flag; a flag that is not given reads None
+_FLAGS = {
+    "--support": {"help": "a,b,c rational points (default 1,2,3); join a value "
+                  "that starts with '-' to the flag, as --support=-1,0,1"},
+    "--alpha": {"help": "scale of a geometric or symmetric support (default 1)"},
+    "--beta": {"help": "ratio of a geometric support"},
+    "--point": {"help": "j,k"},
+    "--points": {"help": "j1,k1;j2,k2"},
+    "--j": {"type": int},
+    "--k": {"type": int},
+    "--m": {"type": int},
+    "--lattices": {"help": "comma list from ee,eo,oe,oo"},
+    "--width": {"help": "isolation width (default 10^-12)"},
+}
+
+# the builder arguments that a flag's value gives, where it is not the value
+_ARGUMENTS = {
+    "--point": parse_point,
+    "--points": _two_points,
+    "--lattices": lambda text: [[n for n in (text or "").split(",") if n]],
+}
+
+
+def _add_flags(parser, needs, takes) -> None:
+    for flags, required in ((needs, True), (takes, False)):
+        for flag in flags:
+            if isinstance(flag, tuple):
+                group = parser.add_mutually_exclusive_group(required=required)
+                for one in flag:
+                    group.add_argument(one, **_FLAGS[one])
+            else:
+                parser.add_argument(flag, required=required, **_FLAGS[flag])
+
+
 def _cmd_construct(args) -> int:
     from . import constructions
 
-    family = args.family
-    if family == "antidiagonal" and args.beta is None:
-        raise ValueError("antidiagonal needs --beta (and --alpha)")
-    if family == "slopeline" and args.beta is None and args.k is None:
-        raise ValueError("slopeline needs --beta (and --alpha) or, for the "
-                         "near-line variant, --k")
-    if family == "empty":
-        built = constructions.make_empty(_support_from_args(args))
-    elif family == "all":
-        built = constructions.make_full(_support_from_args(args))
-    elif family == "diagonal":
-        built = constructions.make_diagonal(_support_from_args(args))
-    elif family == "singleton":
-        j, k = parse_point(_require(args.point, "--point"))
-        built = constructions.make_singleton(_support_from_args(args), j, k)
-    elif family == "two-point":
-        pts = _parse_points(_require(args.points, "--points"))
-        if len(pts) != 2:
-            raise ValueError("--points needs exactly two j,k pairs")
-        built = constructions.make_two_point(_support_from_args(args), *pts)
-    elif family == "vline":
-        built = constructions.make_vline(
-            _support_from_args(args), _require(args.j, "--j")
-        )
-    elif family == "hline":
-        built = constructions.make_hline(
-            _support_from_args(args), _require(args.k, "--k")
-        )
-    elif family == "cross":
-        built = constructions.make_cross(
-            _support_from_args(args), _require(args.j, "--j"), _require(args.k, "--k")
-        )
-    elif family == "antidiagonal":
-        built = constructions.make_antidiagonal(
-            _support_from_args(args), _require(args.m, "--m")
-        )
-    elif family == "slopeline":
-        m = _require(args.m, "--m")
-        if args.k is not None:
-            params = constructions.SlopeLineParams(
-                m=m,
-                mode=constructions.MODE_BETA_STAR,
-                k=args.k,
-                width=_rational(args.width),
-            )
-        else:
-            params = constructions.SlopeLineParams(
-                m=m,
-                mode=constructions.MODE_AT_OR_ABOVE,
-                beta=_rational(_require(args.beta, "--beta")),
-            )
-        built = constructions.make_slopeline(params)
-    elif family == "lattice-union":
-        names = [n for n in (args.lattices or "").split(",") if n]
-        built = constructions.make_lattice_union(_rational(args.alpha), names)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    _emit(built.to_json())
+    builder, (reader, _, _), needed, optional = FAMILIES[args.family]
+    values = []
+    for flag in needed + optional:
+        values += _ARGUMENTS.get(flag, lambda value: [value])(getattr(args, flag[2:]))
+    _emit(getattr(constructions, builder)(reader(args), *values).to_json())
     return 0
-
-
-def _require(value, flag):
-    if value is None:
-        raise ValueError(f"this construction needs {flag}")
-    return value
 
 
 def _cmd_enumerate(args) -> int:
@@ -220,37 +246,32 @@ def _emit_root(lo: Fraction, hi: Fraction, **orders: int) -> int:
 def _cmd_beta0(args) -> int:
     from . import constructions
 
-    lo, hi = constructions.beta0(args.m, _rational(args.width))
+    lo, hi = constructions.beta0(args.m, **_width(args))
     return _emit_root(lo, hi, m=args.m)
 
 
 def _cmd_betastar(args) -> int:
     from . import constructions
 
-    lo, hi = constructions.beta_star(args.m, args.k, _rational(args.width))
+    lo, hi = constructions.beta_star(args.m, args.k, **_width(args))
     return _emit_root(lo, hi, m=args.m, k=args.k)
 
 
 def _cmd_det(args) -> int:
     from . import determinants
 
-    if args.family == "f":
-        result = determinants.f_check(args.m, args.n)
-    elif args.family == "g":
-        result = determinants.g_check(args.m, args.n)
-    else:
-        result = determinants.det2_check(args.m, args.n)
+    checks = {"f": determinants.f_check, "g": determinants.g_check,
+              "det2": determinants.det2_check}
+    result = checks[args.family](args.m, args.n)
     _emit(result.to_json(summary=args.summary))
     return 0 if result.equal else 1
 
 
 def _cmd_indep_cert(args) -> int:
     from . import determinants
-    from .model import BetaSupport
 
     pts = _parse_points(args.points)
-    support = BetaSupport(_rational(args.alpha), _rational(args.beta))
-    cert = determinants.independence_certificate(pts, support)
+    cert = determinants.independence_certificate(pts, _support_from_args(args))
     _emit(cert.to_json())
     return 0 if cert.independent else 1
 
@@ -266,46 +287,26 @@ def _cmd_selftest(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, in sub-parsers too, as ValueError, so that
+    ``main`` reports it and returns 2 like any other unusable input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="uncorrsets",
-        description="exact uncorrelatedness sets of three-point uniform pairs",
-    )
+    parser = _Parser(prog="uncorrsets",
+                     description="exact uncorrelatedness sets of three-point uniform pairs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a witness for a set shape")
-    p.add_argument(
-        "family",
-        choices=[
-            "empty",
-            "all",
-            "diagonal",
-            "singleton",
-            "two-point",
-            "vline",
-            "hline",
-            "cross",
-            "antidiagonal",
-            "slopeline",
-            "lattice-union",
-        ],
-    )
-    p.add_argument(
-        "--support",
-        default="1,2,3",
-        help="a,b,c rational points; join a value that starts with '-' to "
-        "the flag, as --support=-1,0,1",
-    )
-    p.add_argument("--alpha", default="1", help="scale of a geometric or symmetric support")
-    p.add_argument("--beta", default=None, help="ratio of a geometric support")
-    p.add_argument("--point", default=None, help="j,k")
-    p.add_argument("--points", default=None, help="j1,k1;j2,k2")
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--lattices", default=None, help="comma list from ee,eo,oe,oo")
-    p.add_argument("--width", default="1/1000000000000", help="isolation width")
     p.set_defaults(func=_cmd_construct)
+    families = p.add_subparsers(dest="family", required=True)
+    for family, (_, (_, needs, takes), needed, optional) in FAMILIES.items():
+        # exact names only, or two-point would read --point as --points
+        f = families.add_parser(family, allow_abbrev=False)
+        _add_flags(f, needs + needed, takes + optional)
 
     p = sub.add_parser("enumerate", help="list the set of a witness in a box")
     p.add_argument("--witness", required=True, help="witness/table file or -")
@@ -324,14 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("beta0", help="isolate the threshold ratio for slope m")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--width", default="1/1000000000000")
+    _add_flags(p, ("--m",), ("--width",))
     p.set_defaults(func=_cmd_beta0)
 
     p = sub.add_parser("betastar", help="isolate the near-line ratio for (m, k)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--width", default="1/1000000000000")
+    _add_flags(p, ("--m", "--k"), ("--width",))
     p.set_defaults(func=_cmd_betastar)
 
     p = sub.add_parser("det", help="check a determinant identity")
@@ -343,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indep-cert", help="certify four collinear order pairs")
     p.add_argument("--points", required=True, help="j1,k1;j2,k2;j3,k3;j4,k4")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--beta", required=True)
+    _add_flags(p, ("--beta",), ("--alpha",))
     p.set_defaults(func=_cmd_indep_cert)
 
     p = sub.add_parser("selftest", help="run the seeded invariant audit")
@@ -356,9 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -378,8 +378,11 @@ def scalar_to_json(v: Scalar):
 
 def parse_point(text: str) -> Point:
     """A point in its text form j,k."""
-    j, k = text.split(",")
-    return int(j), int(k)
+    try:
+        j, k = text.split(",")
+        return int(j), int(k)
+    except ValueError:
+        raise ValueError(f"point must look like j,k, got {text!r}") from None
 
 
 def int_from_json(obj) -> int:

@@ -256,6 +256,81 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, names",
+    [
+        ([], "command"),
+        (["bogus"], "'bogus'"),
+        (["construct"], "family"),
+        (["construct", "bogus"], "'bogus'"),
+        (["construct", "vline", "--j", "x"], "--j"),
+        (["enumerate", "--witness", "-", "--format", "xml"], "--format"),
+        (["verify", "--box", "3x3"], "--witness"),
+        (["classify", "--table", "-", "--box", "3x3"], "--box"),
+        (["beta0", "--m", "x"], "--m"),
+        (["betastar", "--m", "2"], "--k"),
+        (["det", "q", "1", "2"], "'q'"),
+        (["det", "f", "1"], "n"),
+        (["indep-cert", "--points", "1,2;2,4;3,6;4,8", "--beta", "2",
+          "--support", "1,2,3"], "--support"),
+        (["selftest", "--seed", "x"], "--seed"),
+    ],
+)
+def test_usage_errors_return_two_from_main(capsys, argv, names):
+    # argparse's own refusals come back from main, not as SystemExit
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"],
+                                  ["construct", "slopeline", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: uncorrsets")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lattice-union", "--support", "1,2,3"], "--support"),
+        (["empty", "--support", "5,6,7", "--beta", "2"], "--beta"),
+        (["empty", "--alpha", "2"], "--alpha"),
+        (["empty", "--support", "1,2,3", "--alpha", "5"], "--alpha"),
+        (["slopeline", "--m", "2", "--beta", "2", "--alpha", "3"], "--alpha"),
+        (["slopeline", "--m", "2", "--beta", "2", "--width", "0"], "--width"),
+        (["antidiagonal", "--m", "3", "--beta", "2", "--k", "5"], "--k"),
+        (["empty", "--point", "9,9", "--j", "4", "--lattices", "zz"],
+         "--point 9,9 --j 4 --lattices zz"),
+        (["two-point", "--points", "1,2;2,3", "--point", "2,3"], "--point 2,3"),
+        (["empty", "--support", "1,2"], "--support"),
+    ],
+)
+def test_a_flag_the_family_does_not_read_is_refused(capsys, argv, flag):
+    code, out, err = _run(capsys, "construct", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["construct", "singleton", "--point", "2"], "2"),
+        (["construct", "singleton", "--point", "2,3,4"], "2,3,4"),
+        (["construct", "two-point", "--points", "1,2;x,3"], "x,3"),
+        (["indep-cert", "--points", "1,2;2,4;3,6;4", "--beta", "2"], "4"),
+        (["verify", "--witness", "-", "--descriptor", "finite:1,2;3"], "3"),
+    ],
+)
+def test_point_text_names_its_form(capsys, monkeypatch, argv, text):
+    doc = make_vline(Support3.from_values(1, 2, 3), 2).to_json()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: point must look like j,k, got {text!r}\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["beta0", "--m", "2", "--width", "0"], "width must be positive"),
@@ -567,11 +642,9 @@ def test_antidiagonal_without_beta_names_beta_even_with_k(capsys):
     # --k is the slope line's near-line flag; it makes no antidiagonal
     for extra in ((), ("--k", "5")):
         code, out, err = _run(capsys, "construct", "antidiagonal", "--m", "3", *extra)
-        assert (code, out, err) == (2, "", "error: antidiagonal needs --beta (and --alpha)\n")
+        assert (code, out, err) == (2, "", "error: the following arguments are required: --beta\n")
     code, out, err = _run(capsys, "construct", "slopeline", "--m", "3")
-    assert (code, out) == (2, "")
-    assert err == ("error: slopeline needs --beta (and --alpha) or, for the "
-                   "near-line variant, --k\n")
+    assert (code, out, err) == (2, "", "error: one of the arguments --beta --k is required\n")
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
-"""Golden outputs of about 400 in-process CLI runs, through ``cli.main``.
+"""Golden outputs of about 460 in-process CLI runs, through ``cli.main``.
 
 The runs are ``construct`` of all eleven families on seven supports
 (positive, one with a denominator, geometric, symmetric, general
 (-3, 1, 2), b = -c and a point at 0), lattice unions and slope lines of
-their own, refused inputs, ``beta0`` and ``betastar`` at three widths,
+their own, refused inputs (among them each family with each flag it does
+not read), ``beta0`` and ``betastar`` at three widths,
 and ``verify`` (of the document's claim and of ``empty``), ``enumerate``
 (as JSON and as CSV) and ``classify`` of every document that
 ``construct`` printed, at one box.  Each run must exit 0, 1 or 2, print
@@ -56,6 +57,7 @@ EXTRA = {
     "lattice-union:alpha-3/2-eo": ["lattice-union", "--alpha", "3/2", "--lattices", "eo"],
     "lattice-union:none": ["lattice-union", "--alpha", "2"],
     "lattice-union:every": ["lattice-union", "--lattices", "ee,eo,oe,oo"],
+    "lattice-union:alpha-1-ee-oo": ["lattice-union", "--alpha", "1", "--lattices", "ee,oo"],
     "slopeline:beta-2": ["slopeline", "--m", "2", "--beta", "2"],
     "slopeline:m3-beta-2": ["slopeline", "--m", "3", "--beta", "2"],
     "slopeline:k9": ["slopeline", "--m", "2", "--k", "9"],
@@ -98,7 +100,46 @@ REFUSED = {
     "support:exponent": ["empty", "--support", "1,2,1e3"],
     "support:beta-1": ["empty", "--beta", "1"],
     "support:alpha-0": ["empty", "--alpha", "0", "--beta", "2"],
+    "support:and-beta": ["empty", "--support", "5,6,7", "--beta", "2"],
+    "support:alpha-without-beta": ["empty", "--alpha", "2"],
+    "support:points-and-alpha": ["empty", "--support", "1,2,3", "--alpha", "5"],
+    "singleton:point-one-value": ["singleton", "--point", "2"],
+    "singleton:point-three-values": ["singleton", "--point", "2,3,4"],
+    "two-point:point-one-value": ["two-point", "--points", "1,2;3"],
+    "slopeline:beta-and-k": ["slopeline", "--m", "2", "--k", "9", "--beta", "5"],
+    "slopeline:beta-width": ["slopeline", "--m", "2", "--beta", "2", "--width", "0"],
+    "empty:three-unread": ["empty", "--point", "9,9", "--j", "4", "--lattices", "zz"],
 }
+
+# a value for every construct flag, and the flags each family reads; each
+# family is refused with each flag it does not read, added to a valid argv
+FLAG_VALUES = {
+    "--support": "1,2,3", "--alpha": "2", "--beta": "2", "--point": "2,3",
+    "--points": "1,2;2,3", "--j": "2", "--k": "9", "--m": "2",
+    "--lattices": "ee", "--width": "1/50",
+}
+SUPPORT_FLAGS = {"--support", "--alpha", "--beta"}
+READS = {
+    "empty": SUPPORT_FLAGS,
+    "all": SUPPORT_FLAGS,
+    "diagonal": SUPPORT_FLAGS,
+    "singleton": SUPPORT_FLAGS | {"--point"},
+    "two-point": SUPPORT_FLAGS | {"--points"},
+    "vline": SUPPORT_FLAGS | {"--j"},
+    "hline": SUPPORT_FLAGS | {"--k"},
+    "cross": SUPPORT_FLAGS | {"--j", "--k"},
+    "antidiagonal": {"--alpha", "--beta", "--m"},
+    "slopeline": {"--beta", "--k", "--m", "--width"},
+    "lattice-union": {"--alpha", "--lattices"},
+}
+VALID = {**FAMILIES, "antidiagonal": ["--m", "5", "--beta", "2"],
+         "slopeline": ["--m", "2", "--beta", "2"]}
+REFUSED.update(
+    (f"unread:{family}:{flag}", [family, *VALID[family], flag, value])
+    for family, reads in READS.items()
+    for flag, value in FLAG_VALUES.items()
+    if flag not in reads
+)
 
 WIDTHS = {"default": [], "1/50": ["--width", "1/50"], "3/7": ["--width", "3/7"]}
 
