@@ -31,6 +31,16 @@ _EXPORTS = {
     "enumerate_box_table": "engine",
     "from_y": "model",
     "is_uncorrelated": "engine",
+    "make_antidiagonal": "witnesses",
+    "make_cross": "witnesses",
+    "make_diagonal": "witnesses",
+    "make_empty": "witnesses",
+    "make_full": "witnesses",
+    "make_hline": "witnesses",
+    "make_lattice_union": "witnesses",
+    "make_singleton": "witnesses",
+    "make_two_point": "witnesses",
+    "make_vline": "witnesses",
     "moment": "engine",
     "rescale": "model",
     "table_from_offsets": "model",

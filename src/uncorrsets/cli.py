@@ -8,7 +8,9 @@ for an internal error (an exception that is no fault of the input, such
 as ``LatticeInconsistent``), so a crash never reads as a negative verdict.
 
 Each handler imports the modules it runs, so ``det`` loads no set
-machinery and a table document never loads ``constructions``.
+machinery, a table document loads no witness code, and only a slope line
+loads the polynomial code of ``constructions``, ``algebraic`` and
+``slopeline``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from importlib import import_module
 
-from .numeric import format_rational, parse_point, rational_from_json
+from .numeric import format_rational, parse_point, parse_points, rational_from_json
 
 
 def _emit(obj) -> None:
@@ -31,10 +34,6 @@ def _parse_box(text: str) -> tuple[int, int]:
         return int(j), int(k)
     except ValueError:
         raise ValueError(f"box must look like 12x12, got {text!r}") from None
-
-
-def _parse_points(text: str) -> list[tuple[int, int]]:
-    return [parse_point(chunk) for chunk in text.split(";") if chunk]
 
 
 def _rational(text: str) -> Fraction:
@@ -101,7 +100,7 @@ def _read_document(path: str):
     try:
         if schema == model.TABLE_SCHEMA:
             return model.JointTable.from_json(doc)
-        from .constructions import Construction
+        from .witnesses import Construction
 
         return Construction.from_json(doc)
     except (TypeError, AttributeError, ArithmeticError) as exc:
@@ -113,7 +112,7 @@ def _read_document(path: str):
 
 
 def _two_points(text: str) -> list[tuple[int, int]]:
-    points = _parse_points(text)
+    points = parse_points(text)
     if len(points) != 2:
         raise ValueError("--points needs exactly two j,k pairs")
     return points
@@ -126,20 +125,21 @@ GEOMETRIC = (_support_from_args, ("--beta",), ("--alpha",))
 SYMMETRIC = (_alpha, (), ("--alpha",))
 SLOPE = (_slope_params, ("--m", ("--beta", "--k")), ("--width",))
 
-# each construct family: its builder in ``constructions``, its support, and
-# the flags it needs and may take for the builder's further arguments
+# each construct family: its builder, named by module and attribute so that
+# only the family that runs is imported, its support, and the flags it needs
+# and may take for the builder's further arguments
 FAMILIES = {
-    "empty": ("make_empty", POINTS, (), ()),
-    "all": ("make_full", POINTS, (), ()),
-    "diagonal": ("make_diagonal", POINTS, (), ()),
-    "singleton": ("make_singleton", POINTS, ("--point",), ()),
-    "two-point": ("make_two_point", POINTS, ("--points",), ()),
-    "vline": ("make_vline", POINTS, ("--j",), ()),
-    "hline": ("make_hline", POINTS, ("--k",), ()),
-    "cross": ("make_cross", POINTS, ("--j", "--k"), ()),
-    "antidiagonal": ("make_antidiagonal", GEOMETRIC, ("--m",), ()),
-    "slopeline": ("make_slopeline", SLOPE, (), ()),
-    "lattice-union": ("make_lattice_union", SYMMETRIC, (), ("--lattices",)),
+    "empty": (("witnesses", "make_empty"), POINTS, (), ()),
+    "all": (("witnesses", "make_full"), POINTS, (), ()),
+    "diagonal": (("witnesses", "make_diagonal"), POINTS, (), ()),
+    "singleton": (("witnesses", "make_singleton"), POINTS, ("--point",), ()),
+    "two-point": (("witnesses", "make_two_point"), POINTS, ("--points",), ()),
+    "vline": (("witnesses", "make_vline"), POINTS, ("--j",), ()),
+    "hline": (("witnesses", "make_hline"), POINTS, ("--k",), ()),
+    "cross": (("witnesses", "make_cross"), POINTS, ("--j", "--k"), ()),
+    "antidiagonal": (("witnesses", "make_antidiagonal"), GEOMETRIC, ("--m",), ()),
+    "slopeline": (("constructions", "make_slopeline"), SLOPE, (), ()),
+    "lattice-union": (("witnesses", "make_lattice_union"), SYMMETRIC, (), ("--lattices",)),
 }
 
 # argparse keywords of each flag; a flag that is not given reads None
@@ -177,13 +177,12 @@ def _add_flags(parser, needs, takes) -> None:
 
 
 def _cmd_construct(args) -> int:
-    from . import constructions
-
-    builder, (reader, _, _), needed, optional = FAMILIES[args.family]
+    (module, builder), (reader, _, _), needed, optional = FAMILIES[args.family]
     values = []
     for flag in needed + optional:
         values += _ARGUMENTS.get(flag, lambda value: [value])(getattr(args, flag[2:]))
-    _emit(getattr(constructions, builder)(reader(args), *values).to_json())
+    make = getattr(import_module(f"{__package__}.{module}"), builder)
+    _emit(make(reader(args), *values).to_json())
     return 0
 
 
@@ -270,7 +269,7 @@ def _cmd_det(args) -> int:
 def _cmd_indep_cert(args) -> int:
     from . import determinants
 
-    pts = _parse_points(args.points)
+    pts = parse_points(args.points)
     cert = determinants.independence_certificate(pts, _support_from_args(args))
     _emit(cert.to_json())
     return 0 if cert.independent else 1

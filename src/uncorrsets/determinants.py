@@ -27,13 +27,19 @@ with m + n above ``MAX_ORDER_SUM`` are refused.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import lshift
 from typing import Sequence
 
 from . import linalg
-from .numeric import ExponentCapExceeded, Point, check_order, format_rational
+from .numeric import (
+    ExponentCapExceeded,
+    Frozen,
+    Point,
+    check_order,
+    format_rational,
+    setfield,
+)
 from .polynomials import MultiPoly
 
 # BetaSupport (model) is named in annotations only, which are never
@@ -151,16 +157,21 @@ def mp_det(mat: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     return out
 
 
-@dataclass(frozen=True)
-class DetResult:
+class DetResult(Frozen):
     """Both routes to one determinant, compared symbolically."""
 
-    kind: str
-    m: int
-    n: int
-    direct: MultiPoly
-    closed: MultiPoly
-    equal: bool
+    __slots__ = ("kind", "m", "n", "direct", "closed", "equal")
+
+    def __init__(
+        self, kind: str, m: int, n: int, direct: MultiPoly, closed: MultiPoly, equal: bool
+    ):
+        setfield(self, "kind", kind)
+        setfield(self, "m", m)
+        setfield(self, "n", n)
+        setfield(self, "direct", direct)
+        setfield(self, "closed", closed)
+        setfield(self, "equal", equal)
+        setfield(self, "_key", (kind, m, n, direct, closed, equal))
 
     def to_json(self, summary: bool = False) -> dict:
         out: dict = {"kind": self.kind, "m": self.m, "n": self.n, "equal": self.equal}
@@ -295,8 +306,7 @@ def g_check(m: int, n: int) -> DetResult:
 # independence of four collinear order pairs
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(Frozen):
     """Why four membership conditions admit only the zero offset.
 
     The matrix rows are (1, beta^j, beta^k, beta^(j+k)) for each order
@@ -309,14 +319,30 @@ class IndependenceCertificate:
     is the actual proof that the determinant cannot vanish.
     """
 
-    points: tuple[Point, ...]
-    slope: Fraction
-    det_value: Fraction
-    nullspace_dim: int
-    closed_value: Fraction
-    sign: int
-    cross_checked: bool
-    independent: bool
+    __slots__ = ("points", "slope", "det_value", "nullspace_dim", "closed_value",
+                 "sign", "cross_checked", "independent")
+
+    def __init__(
+        self,
+        points: tuple[Point, ...],
+        slope: Fraction,
+        det_value: Fraction,
+        nullspace_dim: int,
+        closed_value: Fraction,
+        sign: int,
+        cross_checked: bool,
+        independent: bool,
+    ):
+        setfield(self, "points", points)
+        setfield(self, "slope", slope)
+        setfield(self, "det_value", det_value)
+        setfield(self, "nullspace_dim", nullspace_dim)
+        setfield(self, "closed_value", closed_value)
+        setfield(self, "sign", sign)
+        setfield(self, "cross_checked", cross_checked)
+        setfield(self, "independent", independent)
+        setfield(self, "_key", (points, slope, det_value, nullspace_dim, closed_value,
+                                sign, cross_checked, independent))
 
     def to_json(self) -> dict:
         return {

@@ -39,7 +39,8 @@ four classes, so equal sets have equal forms.
 ``points_in_box`` clips the form to a box; the text form
 ``kind[:params][;points]`` and the JSON form are generic.
 ``shape_offsets`` holds the one pattern of each closed-form kind, and
-``constructions`` builds its witnesses from it:
+``witnesses`` (with ``constructions`` for the slope line) builds its
+witnesses from it:
 
     kind             offsets x, or power sums y = to_y(x)   support
     empty            x = (1, 0, 0, 0)                       any with b != -c
@@ -78,7 +79,7 @@ A_j; ``ASequence`` stays only as the per-cell oracle of ``condition_lhs``.
 points instead of trusting the claim.  ``compare_claim`` is the one
 verdict rule, also for sets enumerated elsewhere (the algebraic slope
 line).  ``witness_from_json`` is the one parser of offset witness
-documents, which ``constructions.Construction.from_json`` reads through
+documents, which ``witnesses.Construction.from_json`` reads through
 it.  The slope-line polynomials come from ``slopeline``, imported inside
 the two slope-line branches only, so a table route loads no polynomial
 code.
@@ -93,7 +94,6 @@ probes on the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -114,6 +114,7 @@ from .model import (
 )
 from .numeric import (
     ExponentCapExceeded,
+    Frozen,
     Point,
     Scalar,
     as_exact,
@@ -122,6 +123,8 @@ from .numeric import (
     max_exponent,
     over_one_denominator,
     parse_point,
+    parse_points,
+    setfield,
     sqrt_parts,
 )
 
@@ -421,17 +424,27 @@ def _on_line(m: int) -> tuple[Point, ...]:
     return ((1, m), (2, 2 * m), (3, 3 * m))
 
 
-@dataclass(frozen=True)
-class SetForm:
+class SetForm(Frozen):
     """A subset of N^2 as the union of whole columns j, whole rows k,
     lines q k = p j + d given as (q, p, d), parity classes and finite
     points (the normal form of the module docstring)."""
 
-    cols: frozenset[int] = frozenset()
-    rows: frozenset[int] = frozenset()
-    lines: frozenset[tuple[int, int, int]] = frozenset()
-    classes: frozenset[str] = frozenset()
-    points: frozenset[Point] = frozenset()
+    __slots__ = ("cols", "rows", "lines", "classes", "points")
+
+    def __init__(
+        self,
+        cols: frozenset[int] = frozenset(),
+        rows: frozenset[int] = frozenset(),
+        lines: frozenset[tuple[int, int, int]] = frozenset(),
+        classes: frozenset[str] = frozenset(),
+        points: frozenset[Point] = frozenset(),
+    ):
+        setfield(self, "cols", cols)
+        setfield(self, "rows", rows)
+        setfield(self, "lines", lines)
+        setfield(self, "classes", classes)
+        setfield(self, "points", points)
+        setfield(self, "_key", (cols, rows, lines, classes, points))
 
     def clip(self, jmax: int, kmax: int) -> set[Point]:
         """The set clipped to 1 <= j <= jmax, 1 <= k <= kmax."""
@@ -476,48 +489,59 @@ def _form(
     return SetForm()
 
 
-@dataclass(frozen=True)
-class SetDescriptor:
+def _params_refused(kind: str, given) -> ValueError:
+    """The error for parameters that are not the ones ``KINDS`` declares."""
+    return ValueError(f"{kind} takes the integer parameters "
+                      f"({', '.join(KINDS[kind])}), not {given!r}")
+
+
+class SetDescriptor(Frozen):
     """Shape claim about an uncorrelatedness set plus its certificate.
 
     ``params`` holds the kind's integer parameters in ``KINDS`` order;
-    ``form`` is the claimed set, built once from the other fields."""
+    ``form`` is the claimed set, built once from the other fields and
+    not compared."""
 
-    kind: str
-    certificate: str = BOX_VERIFIED
-    params: tuple[int, ...] = ()
-    points: tuple[Point, ...] = ()
-    lattices: tuple[str, ...] = ()
-    form: SetForm = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "certificate", "params", "points", "lattices", "form")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kind: str,
+        certificate: str = BOX_VERIFIED,
+        params: tuple[int, ...] = (),
+        points: tuple[Point, ...] = (),
+        lattices: tuple[str, ...] = (),
+    ):
         # a kind that is not a string could be unhashable
-        if not isinstance(self.kind, str) or self.kind not in KINDS:
-            raise ValueError(f"unknown descriptor kind {self.kind!r}")
-        if self.certificate not in (GLOBAL_ANALYTIC, BOX_VERIFIED):
-            raise ValueError(f"unknown certificate {self.certificate!r}")
-        least = KINDS[self.kind]
-        params = tuple(self.params)
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise ValueError(f"unknown descriptor kind {kind!r}")
+        if certificate not in (GLOBAL_ANALYTIC, BOX_VERIFIED):
+            raise ValueError(f"unknown certificate {certificate!r}")
+        least = KINDS[kind]
+        params = tuple(params)
         if len(params) != len(least):
-            raise ValueError(f"{self.kind} takes the integer parameters "
-                             f"({', '.join(least)}), not {params!r}")
+            raise _params_refused(kind, params)
         for (name, low), value in zip(least.items(), params):
             if type(value) is not int or value < low:
-                raise ValueError(f"{self.kind} needs an integer {name} >= {low}: {value!r}")
+                raise ValueError(f"{kind} needs an integer {name} >= {low}: {value!r}")
             check_order(value, terms=2 if name == "sum" else 1)
-        object.__setattr__(self, "params", params)
-        pts = tuple(sorted({(int(j), int(k)) for j, k in self.points}))
+        pts = tuple(sorted({(int(j), int(k)) for j, k in points}))
         if any(j < 1 or k < 1 for j, k in pts):
             raise ValueError("points must have positive coordinates")
-        if self.kind == "finite":
+        if kind == "finite":
             check_order(*(n for p in pts for n in p))
-        object.__setattr__(self, "points", pts)
         # names are checked before sorting, which would compare them
         if any(not isinstance(name, str) or name not in LATTICE_NAMES
-               for name in self.lattices):
-            raise ValueError(f"unknown lattice names in {self.lattices!r}")
-        object.__setattr__(self, "lattices", tuple(sorted(set(self.lattices))))
-        object.__setattr__(self, "form", _form(self.kind, params, pts, self.lattices))
+               for name in lattices):
+            raise ValueError(f"unknown lattice names in {lattices!r}")
+        lattices = tuple(sorted(set(lattices)))
+        setfield(self, "kind", kind)
+        setfield(self, "certificate", certificate)
+        setfield(self, "params", params)
+        setfield(self, "points", pts)
+        setfield(self, "lattices", lattices)
+        setfield(self, "form", _form(kind, params, pts, lattices))
+        setfield(self, "_key", (kind, certificate, params, pts, lattices))
 
     # constructors named after the shapes they describe
 
@@ -602,16 +626,23 @@ class SetDescriptor:
         """Parse ``kind[:params][;points]``, such as empty, vline:2,
         cross:2,3, finite:1,1;2,3 or slopeline:2;4,9, and a lattice union
         as lattices:ee,oo.  A kind with neither parameters nor points
-        ignores what follows the colon."""
+        ignores what follows the colon; empty point chunks are skipped."""
         head, _, rest = text.strip().partition(":")
         if head == "lattices":
             return cls.lattice_union(rest.split(","))
         if head not in KINDS or head == "lattice-union":
             raise ValueError(f"cannot parse descriptor {text!r}")
-        chunks = rest.split(";")
-        params = tuple(int(n) for n in chunks.pop(0).split(",")) if KINDS[head] else ()
-        points = [parse_point(c) for c in chunks] if head in _POINT_KINDS else []
-        if params and chunks and head not in _POINT_KINDS:
+        params, sep, tail = (), "", rest
+        if KINDS[head]:
+            given, sep, tail = rest.partition(";")
+            try:
+                params = tuple(int(n) for n in given.split(","))
+            except ValueError:
+                raise _params_refused(head, given) from None
+        points = parse_points(tail) if head in _POINT_KINDS else []
+        if head == "finite" and not points:
+            raise ValueError(f"finite needs at least one point j,k: {text!r}")
+        if sep and head not in _POINT_KINDS:
             raise ValueError(f"{head} takes no points: {text!r}")
         if head == "slopeline":
             points[:0] = _on_line(params[0])
@@ -781,17 +812,29 @@ MATCH = "match"
 MISMATCH = "mismatch"
 
 
-@dataclass(frozen=True)
-class UncorrReport:
+class UncorrReport(Frozen):
     """Outcome of re-deriving a claimed uncorrelatedness set."""
 
-    verdict: str
-    claimed: SetDescriptor
-    box: tuple[int, int]
-    found: tuple[Point, ...]
-    missing: tuple[Point, ...]
-    extra: tuple[Point, ...]
-    analytic_ok: bool | None
+    __slots__ = ("verdict", "claimed", "box", "found", "missing", "extra", "analytic_ok")
+
+    def __init__(
+        self,
+        verdict: str,
+        claimed: SetDescriptor,
+        box: tuple[int, int],
+        found: tuple[Point, ...],
+        missing: tuple[Point, ...],
+        extra: tuple[Point, ...],
+        analytic_ok: bool | None,
+    ):
+        setfield(self, "verdict", verdict)
+        setfield(self, "claimed", claimed)
+        setfield(self, "box", box)
+        setfield(self, "found", found)
+        setfield(self, "missing", missing)
+        setfield(self, "extra", extra)
+        setfield(self, "analytic_ok", analytic_ok)
+        setfield(self, "_key", (verdict, claimed, box, found, missing, extra, analytic_ok))
 
     def to_json(self) -> dict:
         return {

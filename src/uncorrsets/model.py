@@ -33,11 +33,11 @@ power sum; ``to_y`` and ``from_y`` convert between the two charts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .numeric import (
+    Frozen,
     MixedRadicand,
     QuadExt,
     Scalar,
@@ -49,6 +49,7 @@ from .numeric import (
     scalar_from_json,
     scalar_from_parts,
     scalar_to_json,
+    setfield,
     sqrt_parts,
 )
 
@@ -86,17 +87,16 @@ _CONTRADICTED = {
 }
 
 
-@dataclass(frozen=True)
-class Support3:
+class Support3(Frozen):
     """Three strictly increasing rational support points, and the kind
     they fix: (-v, 0, v) is symmetric, a first point above 0 is positive,
-    anything else is general."""
+    anything else is general.  The kind is read off the points, so only
+    they are compared."""
 
-    points: tuple[Fraction, Fraction, Fraction]
-    kind: SupportKind = field(init=False)
+    __slots__ = ("points", "kind")
 
-    def __post_init__(self):
-        pts = tuple(Fraction(p) for p in self.points)
+    def __init__(self, points: tuple[Fraction, Fraction, Fraction]):
+        pts = tuple(Fraction(p) for p in points)
         if len(pts) != 3:
             raise ValueError("support needs exactly three points")
         if not (pts[0] < pts[1] < pts[2]):
@@ -107,8 +107,9 @@ class Support3:
             kind = SupportKind.POSITIVE_ORDERED
         else:
             kind = SupportKind.GENERAL_ORDERED
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "kind", kind)
+        setfield(self, "points", pts)
+        setfield(self, "kind", kind)
+        setfield(self, "_key", (pts,))
 
     @classmethod
     def from_values(cls, a, b, c) -> "Support3":
@@ -143,20 +144,20 @@ class Support3:
         return support
 
 
-@dataclass(frozen=True)
-class BetaSupport:
+class BetaSupport(Frozen):
     """Geometric support (alpha, alpha*beta, alpha*beta^2) with beta > 1."""
 
-    alpha: Fraction
-    beta: Fraction
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.alpha <= 0:
+    def __init__(self, alpha: Fraction, beta: Fraction):
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        if alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.beta <= 1:
+        if beta <= 1:
             raise ValueError("beta must exceed 1")
+        setfield(self, "alpha", alpha)
+        setfield(self, "beta", beta)
+        setfield(self, "_key", (alpha, beta))
 
     def to_support3(self) -> Support3:
         a = self.alpha
@@ -196,14 +197,15 @@ def _four(values: Sequence) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     return vals
 
 
-@dataclass(frozen=True)
-class OffsetVector:
+class OffsetVector(Frozen):
     """The four free deviations (x1, x2, x3, x4) of a joint table."""
 
-    x: tuple[Scalar, Scalar, Scalar, Scalar]
+    __slots__ = ("x",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _four(self.x))
+    def __init__(self, x: tuple[Scalar, Scalar, Scalar, Scalar]):
+        x = _four(x)
+        setfield(self, "x", x)
+        setfield(self, "_key", (x,))
 
     @classmethod
     def of(cls, x1, x2, x3, x4) -> "OffsetVector":
@@ -233,14 +235,15 @@ class OffsetVector:
         return cls(tuple(scalar_from_json(v) for v in obj))
 
 
-@dataclass(frozen=True)
-class YVector:
+class YVector(Frozen):
     """Power-sum coordinates (y1, y2, y3, y4) of an offset vector."""
 
-    y: tuple[Scalar, Scalar, Scalar, Scalar]
+    __slots__ = ("y",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "y", _four(self.y))
+    def __init__(self, y: tuple[Scalar, Scalar, Scalar, Scalar]):
+        y = _four(y)
+        setfield(self, "y", y)
+        setfield(self, "_key", (y,))
 
     @classmethod
     def of(cls, y1, y2, y3, y4) -> "YVector":
@@ -349,8 +352,7 @@ def _check_mixed(cells: Sequence[Scalar]) -> None:
                 raise ValueError(f"{name} {k} does not sum to 1/3")
 
 
-@dataclass(frozen=True)
-class JointTable:
+class JointTable(Frozen):
     """Joint pmf of (X, Y), both uniform on three points.
 
     entries[r][c] is P(X = support_x.points[c], Y = support_y.points[r]).
@@ -360,16 +362,22 @@ class JointTable:
     3 sum R == L and sum I == 0.
     """
 
-    entries: tuple[tuple[Scalar, ...], ...]
-    support_x: Support3
-    support_y: Support3
+    __slots__ = ("entries", "support_x", "support_y")
 
-    def __post_init__(self):
-        rows = tuple(tuple(as_exact(v) for v in row) for row in self.entries)
+    def __init__(
+        self,
+        entries: tuple[tuple[Scalar, ...], ...],
+        support_x: Support3,
+        support_y: Support3,
+    ):
+        rows = tuple(tuple(as_exact(v) for v in row) for row in entries)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("joint table must be 3x3")
-        object.__setattr__(self, "entries", rows)
         _check_entries([v for row in rows for v in row])
+        setfield(self, "entries", rows)
+        setfield(self, "support_x", support_x)
+        setfield(self, "support_y", support_y)
+        setfield(self, "_key", (rows, support_x, support_y))
 
     @classmethod
     def independent(cls, support_x: Support3, support_y: Support3) -> "JointTable":

@@ -20,7 +20,9 @@ that only add, scale and compare a fixed vector work on R and I alone.
 The exponent cap lives here too, as the bottom module every other one
 imports: ``max_exponent`` reads it (``UNCORRSET_MAX_EXP``, default 64)
 and ``check_order`` refuses a moment order above it, so a determinant
-check needs no set machinery to be refused.
+check needs no set machinery to be refused.  So do ``Frozen``, the base
+of the package's immutable value classes, and the readers of the point
+text forms j,k and j1,k1;j2,k2.
 """
 
 from __future__ import annotations
@@ -69,6 +71,45 @@ def check_order(*orders: int, terms: int = 1) -> None:
     for n in orders:
         if n > limit:
             raise ExponentCapExceeded(f"order {n} exceeds the exponent cap {limit}")
+
+
+# sets a slot of a Frozen value, once, in its own __init__
+setfield = object.__setattr__
+
+
+class Frozen:
+    """An immutable value with slots.
+
+    A subclass declares ``__slots__`` and sets each slot once in its own
+    ``__init__`` through ``setfield``, and last the key ``_key``: the tuple
+    of its compared fields, in constructor order.  ``==``, ``hash``,
+    ``repr`` and copying read that one key, a stored tuple, so they cost
+    one tuple comparison or hash; assigning or deleting a field raises
+    AttributeError.  Nothing is generated when a class is made, so a
+    value class costs no more to import than any other class.
+    """
+
+    __slots__ = ("_key",)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map(repr, self._key))})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _is_squarefree(n: int) -> bool:
@@ -383,6 +424,11 @@ def parse_point(text: str) -> Point:
         return int(j), int(k)
     except ValueError:
         raise ValueError(f"point must look like j,k, got {text!r}") from None
+
+
+def parse_points(text: str) -> list[Point]:
+    """The points of the text form j1,k1;j2,k2; empty chunks are skipped."""
+    return [parse_point(chunk) for chunk in text.split(";") if chunk]
 
 
 def int_from_json(obj) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -25,18 +24,21 @@ from math import isqrt
 from . import constructions, determinants, engine, linalg, model
 from .engine import ASequence, SetDescriptor
 from .model import BetaSupport, OffsetVector, Support3, SupportKind
-from .numeric import QuadExt
+from .numeric import Frozen, QuadExt, setfield
 from .polynomials import IntPoly, root_count, sturm_root_count
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Frozen):
     """One audited guarantee: what was checked, on how many inputs, and
     a line per failed check."""
 
-    label: str
-    checked: int
-    problems: tuple[str, ...] = ()
+    __slots__ = ("label", "checked", "problems")
+
+    def __init__(self, label: str, checked: int, problems: tuple[str, ...] = ()):
+        setfield(self, "label", label)
+        setfield(self, "checked", checked)
+        setfield(self, "problems", problems)
+        setfield(self, "_key", (label, checked, problems))
 
     @property
     def ok(self) -> bool:

@@ -4,9 +4,9 @@ The threshold polynomial of beta0(m), the near-line polynomial P of
 beta_star(m, k), the witness power sums y(B) and D(j, k), with its split
 D = c0 + B^k c1, live here, each written from its few terms with like
 terms combined, not from products.  The module imports only
-``polynomials``, so ``engine`` (the global slope-line check) and
-``constructions`` (the witnesses) both use it without importing each
-other.
+``polynomials``, so ``engine`` (the global slope-line check),
+``algebraic`` (the line at beta_star) and ``constructions`` (its builders)
+all use it without importing each other.
 """
 
 from __future__ import annotations

@@ -15,7 +15,14 @@ import test_model
 import uncorrsets
 from uncorrsets import engine, numeric, selftest
 from uncorrsets.cli import main
-from uncorrsets.constructions import Construction, make_vline
+from uncorrsets.constructions import (
+    MODE_BETA_STAR,
+    Construction,
+    SlopeLineParams,
+    make_lattice_union,
+    make_slopeline,
+    make_vline,
+)
 from uncorrsets.model import (
     JointTable,
     OffsetVector,
@@ -790,13 +797,14 @@ _LOADED = (
     "from uncorrsets import cli\n"
     "with redirect_stdout(io.StringIO()):\n"
     "    code = cli.main(sys.argv[1:])\n"
-    "print(code, *(m for m in sys.modules if m.startswith('uncorrsets.')))\n"
+    "print(code, *sys.modules)\n"
 )
 
 
-def _loaded_modules(*argv) -> tuple[int, set[str]]:
-    """Exit status and the package modules of one CLI run, in a fresh
-    interpreter that compiles every module it imports."""
+def _loaded_modules(*argv) -> tuple[int, set[str], set[str]]:
+    """Exit status, the package modules and the standard-library modules
+    of one CLI run, in a fresh interpreter that compiles every module it
+    imports."""
     src = os.path.dirname(os.path.dirname(uncorrsets.__file__))
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
@@ -808,11 +816,15 @@ def _loaded_modules(*argv) -> tuple[int, set[str]]:
     )
     assert done.returncode == 0, done.stderr
     code, *names = done.stdout.split()
-    return int(code), {name.split(".")[1] for name in names}
+    package = {name.split(".")[1] for name in names if name.startswith("uncorrsets.")}
+    stdlib = {name for name in names if name.split(".")[0] in sys.stdlib_module_names}
+    return int(code), package, stdlib
 
 
-_SET_MACHINERY = {"engine", "constructions", "slopeline"}
-_POLYNOMIAL_CODE = {"constructions", "polynomials", "slopeline"}
+_SET_MACHINERY = {"engine", "witnesses", "constructions", "algebraic", "slopeline"}
+_POLYNOMIAL_CODE = {"constructions", "algebraic", "polynomials", "slopeline"}
+# what dataclasses costs at start-up: its own import, and inspect's
+_GENERATED_CODE = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
@@ -825,13 +837,21 @@ _POLYNOMIAL_CODE = {"constructions", "polynomials", "slopeline"}
             _SET_MACHINERY,
             {"determinants", "model"},
         ),
-        (["enumerate", "--witness", "{table}", "--box", "5x5"], _POLYNOMIAL_CODE, {"engine"}),
-        (["classify", "--table", "{table}"], _POLYNOMIAL_CODE, {"engine"}),
-        (["construct", "vline", "--j", "2"], set(), {"constructions"}),
-        (["verify", "--witness", "{witness}"], set(), {"constructions"}),
+        (["enumerate", "--witness", "{table}", "--box", "5x5"],
+         _POLYNOMIAL_CODE | {"witnesses"}, {"engine"}),
+        (["classify", "--table", "{table}"], _POLYNOMIAL_CODE | {"witnesses"}, {"engine"}),
+        (["construct", "vline", "--j", "2"], _POLYNOMIAL_CODE, {"witnesses"}),
+        (["verify", "--witness", "{witness}"], _POLYNOMIAL_CODE, {"witnesses"}),
+        (["enumerate", "--witness", "{witness}", "--box", "5x5"],
+         _POLYNOMIAL_CODE, {"witnesses"}),
+        (["classify", "--table", "{lattices}"], _POLYNOMIAL_CODE, {"witnesses"}),
+        (["construct", "slopeline", "--m", "2", "--k", "9"], set(), _POLYNOMIAL_CODE),
+        (["verify", "--witness", "{line}"], {"constructions"},
+         {"witnesses", "algebraic", "polynomials", "slopeline"}),
     ],
     ids=["det-f", "det-g", "indep-cert", "enumerate-table", "classify-table",
-         "construct", "verify"],
+         "construct", "verify", "enumerate-witness", "classify-witness",
+         "construct-slopeline", "verify-slopeline"],
 )
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, absent, present):
     sym = Support3.symmetric(1)
@@ -840,8 +860,13 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, absent, present
     files = {
         "table": _write(tmp_path, "table.json", table.to_json()),
         "witness": _write(tmp_path, "vline.json", witness.to_json()),
+        "lattices": _write(tmp_path, "lattices.json",
+                           make_lattice_union(1, ["ee", "oo"]).to_json()),
+        "line": _write(tmp_path, "line.json", make_slopeline(
+            SlopeLineParams(2, MODE_BETA_STAR, k=9)).to_json()),
     }
-    code, loaded = _loaded_modules(*(arg.format(**files) for arg in argv))
+    code, loaded, stdlib = _loaded_modules(*(arg.format(**files) for arg in argv))
     assert code == 0
     assert not loaded & absent, sorted(loaded & absent)
     assert present <= loaded, sorted(present - loaded)
+    assert not stdlib & _GENERATED_CODE, sorted(stdlib & _GENERATED_CODE)

@@ -4,8 +4,9 @@ The runs are ``construct`` of all eleven families on seven supports
 (positive, one with a denominator, geometric, symmetric, general
 (-3, 1, 2), b = -c and a point at 0), lattice unions and slope lines of
 their own, refused inputs (among them each family with each flag it does
-not read), ``beta0`` and ``betastar`` at three widths,
-and ``verify`` (of the document's claim and of ``empty``), ``enumerate``
+not read), ``beta0`` and ``betastar`` at three widths, ``verify``
+of one document against claims given as text, and ``verify`` (of the
+document's claim and of ``empty``), ``enumerate``
 (as JSON and as CSV) and ``classify`` of every document that
 ``construct`` printed, at one box.  Each run must exit 0, 1 or 2, print
 nothing on stdout when it exits 2, take under 2 s, and give exactly the
@@ -67,6 +68,7 @@ EXTRA = {
     "antidiagonal:beta-2": ["antidiagonal", "--m", "4", "--beta", "2"],
     "cross:far": ["cross", "--j", "4", "--k", "1", "--support", "1,3,4"],
     "two-point:far": ["two-point", "--points", "3,1;1,4", "--support", "1/3,1,2"],
+    "two-point:empty-chunk": ["two-point", "--points", "1,2;;2,3"],
 }
 
 # construct argvs that must be refused
@@ -177,7 +179,14 @@ READERS = {
     "classify": ["classify", "--table", "-"],
 }
 
-GROUPS = ("construct", "refused", "roots", *READERS)
+# claims that verify reads from --descriptor, on the document of vline:positive
+DESCRIPTORS = {
+    "vline-j-x": "vline:x",
+    "vline-no-j": "vline:",
+    "finite-empty-chunk": "finite:1,2;;2,3",
+}
+
+GROUPS = ("construct", "refused", "roots", "descriptor", *READERS)
 
 
 def _constructs():
@@ -207,6 +216,9 @@ def cases():
                 yield f"roots:{command}:{name}:{width}", "", [command, *flags, *width_flags]
     for name, argv in REFUSED_ROOTS.items():
         yield f"roots:refused:{name}", "", argv
+    _, doc, _ = run("", ["construct", "vline", *FAMILIES["vline"], *SUPPORTS["positive"]])
+    for name, text in DESCRIPTORS.items():
+        yield f"descriptor:{name}", doc, [*READERS["verify"], "--descriptor", text]
 
 
 @functools.cache

@@ -14,8 +14,6 @@ from uncorrsets.constructions import (
     MODE_AT_OR_ABOVE,
     MODE_BETA_STAR,
     SlopeLineParams,
-    _enclosure,
-    _scaled_powers,
     beta0,
     beta0_poly,
     beta_star,
@@ -33,8 +31,6 @@ from uncorrsets.constructions import (
     make_vline,
     slopeline_beta_star,
     slopeline_d_poly,
-    slopeline_d_terms,
-    slopeline_y_polys,
 )
 from uncorrsets.engine import (
     MATCH,
@@ -48,7 +44,14 @@ from uncorrsets.model import (
     rescale,
     table_from_offsets,
 )
-from uncorrsets.polynomials import IntPoly, isolate_root, sturm_root_count
+from uncorrsets.polynomials import (
+    IntPoly,
+    _enclosure,
+    _scaled_powers,
+    isolate_root,
+    sturm_root_count,
+)
+from uncorrsets.slopeline import slopeline_d_terms, slopeline_y_polys
 
 S123 = Support3.from_values(1, 2, 3)
 GEO = BetaSupport(1, 2)
