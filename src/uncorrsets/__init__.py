@@ -28,9 +28,9 @@ _EXPORTS = {
     "classify_symmetric": "engine",
     "condition_lhs": "engine",
     "enumerate_box_offsets": "engine",
-    "enumerate_box_table": "engine",
+    "enumerate_box_table": "moments",
     "from_y": "model",
-    "is_uncorrelated": "engine",
+    "is_uncorrelated": "moments",
     "make_antidiagonal": "witnesses",
     "make_cross": "witnesses",
     "make_diagonal": "witnesses",
@@ -41,7 +41,7 @@ _EXPORTS = {
     "make_singleton": "witnesses",
     "make_two_point": "witnesses",
     "make_vline": "witnesses",
-    "moment": "engine",
+    "moment": "moments",
     "rescale": "model",
     "table_from_offsets": "model",
     "to_y": "model",

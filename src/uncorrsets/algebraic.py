@@ -30,10 +30,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .engine import BOX_VERIFIED, SetDescriptor, _check_box
+from .engine import BOX_VERIFIED, SetDescriptor
 from .numeric import (
     Frozen,
     Point,
+    check_box,
     format_rational,
     int_from_json,
     rational_from_json,
@@ -103,7 +104,7 @@ class AlgebraicSlopeLine(Frozen):
         integer powers exactly.
         Raises ValueError unless 1 < lo < hi, which the enclosures need.
         """
-        _check_box(jmax, kmax)
+        check_box(jmax, kmax)
         lo, hi = self.interval
         if not 1 < lo < hi:
             raise ValueError(f"interval ({lo}, {hi}) must satisfy 1 < lo < hi")

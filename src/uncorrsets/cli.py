@@ -8,7 +8,8 @@ for an internal error (an exception that is no fault of the input, such
 as ``LatticeInconsistent``), so a crash never reads as a negative verdict.
 
 Each handler imports the modules it runs, so ``det`` loads no set
-machinery, a table document loads no witness code, and only a slope line
+machinery, a table document loads no condition route (``enumerate`` of a
+table runs ``moments`` alone) and no witness code, and only a slope line
 loads the polynomial code of ``constructions``, ``algebraic`` and
 ``slopeline``.
 """
@@ -84,8 +85,9 @@ def _slope_params(args):
 def _read_document(path: str):
     """The document at path as a Construction, whose ``from_json``
     re-certifies an algebraic line, or as a JointTable.  A wrong type
-    anywhere in the document is unusable input."""
-    from . import engine, model
+    anywhere in the document is unusable input.  The schema is read
+    first, so a table loads no condition route."""
+    from . import model
 
     if path == "-":
         doc = json.load(sys.stdin)
@@ -95,7 +97,7 @@ def _read_document(path: str):
     if not isinstance(doc, dict):
         raise ValueError(f"document must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")
-    if schema != engine.WITNESS_SCHEMA and schema != model.TABLE_SCHEMA:
+    if schema != model.WITNESS_SCHEMA and schema != model.TABLE_SCHEMA:
         raise ValueError("input is neither a witness nor a table document")
     try:
         if schema == model.TABLE_SCHEMA:
@@ -187,13 +189,14 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from . import engine
     from .model import JointTable
 
     jmax, kmax = _parse_box(args.box)
     doc = _read_document(args.witness)
     if isinstance(doc, JointTable):
-        points = engine.enumerate_box_table(doc, jmax, kmax)
+        from .moments import enumerate_box_table
+
+        points = enumerate_box_table(doc, jmax, kmax)
     else:
         points = doc.enumerate_box(jmax, kmax)
     if args.format == "csv":

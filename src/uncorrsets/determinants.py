@@ -40,7 +40,7 @@ from .numeric import (
     format_rational,
     setfield,
 )
-from .polynomials import MultiPoly
+from .multipoly import MultiPoly
 
 # BetaSupport (model) is named in annotations only, which are never
 # evaluated, so ``det`` loads neither model nor engine.

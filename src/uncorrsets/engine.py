@@ -1,9 +1,12 @@
 """Membership testing, enumeration and verification of uncorrelatedness sets.
 
-X and Y are uniform on a common support of three distinct points.  The
-moment route tests E[X^j Y^k] = E[X^j] E[Y^k] on the joint table itself,
-the condition route on the four offsets; they are kept independent so
-one can audit the other.
+X and Y are uniform on a common support of three distinct points.  This
+module is the condition route, which decides membership from the four
+offsets.  The moment route, which tests E[X^j Y^k] = E[X^j] E[Y^k] on
+the joint table itself, lives in ``moments``; the two are kept
+independent so one can audit the other.  ``enumerate_box_table``,
+``is_uncorrelated`` and ``moment`` are bound here too, and
+``classify_symmetric`` reads its moment probes through them.
 
 The condition route is one column law for every support.  With the
 support over one denominator as pa < pb < pc, set P_j = pc^j - pa^j and
@@ -106,27 +109,32 @@ from .model import (
     OffsetVector,
     Support3,
     SupportKind,
+    WITNESS_SCHEMA,
     YVector,
     from_y,
     offsets_of,
     support_from_json,
     to_y,
 )
+from .moments import enumerate_box_table, is_uncorrelated, moment
 from .numeric import (
     ExponentCapExceeded,
     Frozen,
     Point,
     Scalar,
     as_exact,
+    check_box,
     check_order,
     int_from_json,
     max_exponent,
     over_one_denominator,
-    parse_point,
     parse_points,
     setfield,
     sqrt_parts,
 )
+
+# engine's descriptors and boxes raise ExponentCapExceeded, so it stays an
+# engine name; max_exponent stays bound because perfbench reads the cap here
 
 SupportLike = Union[Support3, BetaSupport]
 
@@ -141,16 +149,6 @@ class LatticeInconsistent(RuntimeError):
 
 class DegenerateSystem(RuntimeError):
     """A membership system lost rank; valid supports cannot do that."""
-
-
-def _check_box(jmax: int, kmax: int) -> None:
-    if jmax < 1 or kmax < 1:
-        raise ValueError("box bounds must be at least 1")
-    cap = max_exponent()
-    if jmax > cap or kmax > cap:
-        raise ExponentCapExceeded(
-            f"box {jmax}x{kmax} exceeds the exponent cap {cap}"
-        )
 
 
 class ASequence:
@@ -189,73 +187,6 @@ class ASequence:
         return a
 
     __getitem__ = value
-
-
-# The moment route in integers.  Write the supports over one denominator
-# each, x_c = px_c / qx and y_r = py_r / qy, and every table entry as
-# (A_rc + B_rc sqrt(d)) / L, with L the least common denominator of all
-# rational and irrational parts.  Times the positive number
-# 9 L qx^j qy^k, the definition E[X^j Y^k] = E[X^j] E[Y^k] reads
-#
-#     9 sum_r Rint_r(j) py_r^k + 9 sqrt(d) sum_r Bint_r(j) py_r^k = L Sx(j) Sy(k)
-#
-# with the integers Rint_r(j) = sum_c A_rc px_c^j, Bint_r(j) = sum_c B_rc
-# px_c^j, Sx(j) = sum_c px_c^j and Sy(k) = sum_r py_r^k.  A table lives in
-# one Q(sqrt(d)) (its row and column sums could not mix radicands), and
-# sqrt(d) is irrational, so the equation holds exactly when its rational
-# part 9 sum_r Rint_r(j) py_r^k = L Sx(j) Sy(k) and its irrational part
-# sum_r Bint_r(j) py_r^k = 0 vanish separately.  The integer form is taken
-# once per table (``numeric.sqrt_parts``), Rint, Bint and Sx once per j,
-# py_r^k and Sy once per k; a cell is then two 3-term integer sums and no
-# Fraction or QuadExt.  The route reads only the table and its supports,
-# never offsets or A_j.
-
-
-def _moment_cells(
-    table: JointTable, js: Iterable[int], ks: Iterable[int]
-) -> list[Point]:
-    """The (j, k) in js x ks with E[X^j Y^k] == E[X^j] E[Y^k], exactly;
-    in the order of js, then ks.  Orders must be >= 0."""
-    px, _ = over_one_denominator(table.support_x.points)
-    py, _ = over_one_denominator(table.support_y.points)
-    nums, b, _, den = sqrt_parts([e for row in table.entries for e in row])
-    # 9 A_rc and B_rc at index 3r + c
-    a = [9 * n for n in nums]
-    by_k = []
-    for k in ks:
-        y0, y1, y2 = (p**k for p in py)
-        by_k.append((k, y0, y1, y2, y0 + y1 + y2))
-    out: list[Point] = []
-    for j in js:
-        x0, x1, x2 = (p**j for p in px)
-        r0, r1, r2 = (a[i] * x0 + a[i + 1] * x1 + a[i + 2] * x2 for i in (0, 3, 6))
-        b0, b1, b2 = (b[i] * x0 + b[i + 1] * x1 + b[i + 2] * x2 for i in (0, 3, 6))
-        lsx = den * (x0 + x1 + x2)
-        out.extend(
-            (j, k)
-            for k, y0, y1, y2, sy in by_k
-            if r0 * y0 + r1 * y1 + r2 * y2 == lsx * sy
-            and b0 * y0 + b1 * y1 + b2 * y2 == 0
-        )
-    return out
-
-
-def moment(table: JointTable, j: int, k: int) -> Scalar:
-    """E[X^j Y^k] straight from the joint table."""
-    sx, sy = table.support_x.points, table.support_y.points
-    terms = (
-        e * (sx[c] ** j * sy[r] ** k)
-        for r, row in enumerate(table.entries)
-        for c, e in enumerate(row)
-    )
-    return as_exact(sum(terms, Fraction(0)))
-
-
-def is_uncorrelated(table: JointTable, j: int, k: int) -> bool:
-    """Moment-route membership test: E[X^j Y^k] == E[X^j] E[Y^k], exactly."""
-    if j < 0 or k < 0:
-        raise ValueError("moment order must be >= 0")
-    return bool(_moment_cells(table, (j,), (k,)))
 
 
 def condition_lhs(x: OffsetVector, seq: ASequence, j: int, k: int) -> Scalar:
@@ -302,7 +233,7 @@ def enumerate_box_offsets(
     """All uncorrelated (j, k) with 1 <= j <= jmax, 1 <= k <= kmax, sorted
     by j, then k: one integer solve per column on every support, by the
     column law of the module docstring."""
-    _check_box(jmax, kmax)
+    check_box(jmax, kmax)
     terms = _ratio_terms(support.to_support3(), max(jmax, kmax))
     return _solve_columns(_offset_parts(x), terms[:jmax], terms[:kmax])
 
@@ -370,24 +301,6 @@ def _solve_columns(
             for k in whole if key is None else rows_of.get(key, ()):
                 out.append((j, k))
     return out
-
-
-def enumerate_box_table(table: JointTable, jmax: int, kmax: int) -> list[Point]:
-    """Moment-route enumeration; the assumption-free cross-check.
-
-    Each cell is tested on the definition E[X^j Y^k] = E[X^j] E[Y^k]
-    multiplied by 9 L qx^j qy^k, so that both sides are integers (the
-    integer form written out above ``_moment_cells``).  The integer form
-    of the table is taken once, the row sums Rint_r(j), Bint_r(j) and
-    Sx(j) once per j <= jmax, the powers py_r^k and Sy(k) once per
-    k <= kmax.  That is O(J + K) powers, after which each cell costs two
-    3-term integer sums: the rational and the irrational part of the
-    equation must vanish separately, because sqrt(d) is irrational.
-    Points come out sorted by j, then k; ``is_uncorrelated`` is the same
-    test for a single cell.
-    """
-    _check_box(jmax, kmax)
-    return _moment_cells(table, range(1, jmax + 1), range(1, kmax + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +437,10 @@ class SetDescriptor(Frozen):
         for (name, low), value in zip(least.items(), params):
             if type(value) is not int or value < low:
                 raise ValueError(f"{kind} needs an integer {name} >= {low}: {value!r}")
-            check_order(value, terms=2 if name == "sum" else 1)
+        # one read of the cap for every order of the descriptor; a finite
+        # set has no params, and its orders are its points
+        if params:
+            check_order(*params, terms=2 if "sum" in least else 1)
         pts = tuple(sorted({(int(j), int(k)) for j, k in points}))
         if any(j < 1 or k < 1 for j, k in pts):
             raise ValueError("points must have positive coordinates")
@@ -922,9 +838,6 @@ def classify_symmetric(table: JointTable) -> SetDescriptor:
 
 # ---------------------------------------------------------------------------
 # witness documents
-
-WITNESS_SCHEMA = "uncorrsets/witness"
-
 
 def witness_from_json(obj: dict) -> tuple[OffsetVector, SupportLike, SetDescriptor]:
     """Offsets, support and claim of an offset witness document.  The

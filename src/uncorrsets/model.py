@@ -55,7 +55,10 @@ from .numeric import (
 
 NINTH = Fraction(1, 9)
 
+# the schema names of the two documents, both here so that a reader can
+# tell a table from a witness before it loads either route
 TABLE_SCHEMA = "uncorrsets/table"
+WITNESS_SCHEMA = "uncorrsets/witness"
 
 
 class NegativeEntry(ValueError):

@@ -18,11 +18,12 @@ those integers, and ``scalar_from_parts`` builds a scalar back.  Kernels
 that only add, scale and compare a fixed vector work on R and I alone.
 
 The exponent cap lives here too, as the bottom module every other one
-imports: ``max_exponent`` reads it (``UNCORRSET_MAX_EXP``, default 64)
-and ``check_order`` refuses a moment order above it, so a determinant
-check needs no set machinery to be refused.  So do ``Frozen``, the base
-of the package's immutable value classes, and the readers of the point
-text forms j,k and j1,k1;j2,k2.
+imports: ``max_exponent`` reads it (``UNCORRSET_MAX_EXP``, default 64),
+``check_order`` refuses a moment order above it and ``check_box`` a box
+that reaches past it, so a determinant check needs no set machinery to
+be refused, and both routes and the algebraic line share one box check.
+So do ``Frozen``, the base of the package's immutable value classes, and
+the readers of the point text forms j,k and j1,k1;j2,k2.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def max_exponent() -> int:
     if cap < 1:
         raise ValueError(f"{ENV_MAX_EXP} must be a positive integer")
     return cap
+
+
+def check_box(jmax: int, kmax: int) -> None:
+    """Reject a box jmax x kmax that is empty or reaches past the cap."""
+    if jmax < 1 or kmax < 1:
+        raise ValueError("box bounds must be at least 1")
+    cap = max_exponent()
+    if jmax > cap or kmax > cap:
+        raise ExponentCapExceeded(
+            f"box {jmax}x{kmax} exceeds the exponent cap {cap}"
+        )
 
 
 def check_order(*orders: int, terms: int = 1) -> None:

@@ -39,7 +39,6 @@ from .engine import (
     SetDescriptor,
     SupportLike,
     UncorrReport,
-    WITNESS_SCHEMA,
     compare_claim,
     enumerate_box_offsets,
     finite_parts,
@@ -52,6 +51,7 @@ from .model import (
     JointTable,
     OffsetVector,
     Support3,
+    WITNESS_SCHEMA,
     YVector,
     rescale,
     table_from_offsets,

@@ -830,15 +830,17 @@ _GENERATED_CODE = {"dataclasses", "inspect"}
 @pytest.mark.parametrize(
     "argv, absent, present",
     [
-        (["det", "f", "2", "3"], _SET_MACHINERY | {"model"}, {"determinants"}),
-        (["det", "g", "3", "5"], _SET_MACHINERY | {"model"}, {"determinants"}),
+        (["det", "f", "2", "3"], _SET_MACHINERY | {"model", "polynomials"},
+         {"determinants", "multipoly"}),
+        (["det", "g", "3", "5"], _SET_MACHINERY | {"model", "polynomials"},
+         {"determinants", "multipoly"}),
         (
             ["indep-cert", "--points", "1,2;2,4;3,6;4,8", "--beta", "2"],
             _SET_MACHINERY,
             {"determinants", "model"},
         ),
         (["enumerate", "--witness", "{table}", "--box", "5x5"],
-         _POLYNOMIAL_CODE | {"witnesses"}, {"engine"}),
+         _POLYNOMIAL_CODE | {"witnesses", "engine", "linalg"}, {"moments"}),
         (["classify", "--table", "{table}"], _POLYNOMIAL_CODE | {"witnesses"}, {"engine"}),
         (["construct", "vline", "--j", "2"], _POLYNOMIAL_CODE, {"witnesses"}),
         (["verify", "--witness", "{witness}"], _POLYNOMIAL_CODE, {"witnesses"}),

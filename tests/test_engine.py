@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uncorrsets import engine, linalg, numeric
+from uncorrsets import engine, linalg, moments, numeric
 from uncorrsets.constructions import make_diagonal, make_singleton
 from uncorrsets.engine import (
     ASequence,
@@ -156,7 +156,7 @@ def test_condition_route_equals_moment_route():
 def test_moment_route_stays_independent_of_the_condition_route():
     # the moment route audits every enumeration only while it reads
     # nothing but the table and its supports
-    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    tree = ast.parse(Path(moments.__file__).read_text(encoding="utf-8"))
     condition_route = {
         "ASequence",
         "condition_lhs",

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import uncorrsets
-from uncorrsets import engine, numeric
+from uncorrsets import engine, moments, multipoly, numeric, polynomials
 
 PACKAGE = Path(uncorrsets.__file__).parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -90,8 +90,19 @@ def test_graph_sees_the_package():
     assert {"engine", "constructions", "slopeline", "cli"} <= set(graph)
     assert "slopeline" in graph["engine"] and "engine" in graph["constructions"]
     assert graph["slopeline"] == {"polynomials"}
-    # det and indep-cert load no set machinery
-    assert not graph["determinants"] & {"engine", "model"}
+    # det and indep-cert load no set machinery, and no IntPoly half
+    assert not graph["determinants"] & {"engine", "model", "polynomials"}
+    # the moment route reads the table alone, so it loads no condition route
+    assert graph["moments"] == {"numeric", "model"}
+
+
+def test_moved_names_stay_one_object():
+    # the old bindings are the same objects, so a tracer that patches every
+    # binding of a function patches each of these once
+    for name in ("enumerate_box_table", "is_uncorrelated", "moment"):
+        assert getattr(engine, name) is getattr(moments, name)
+    for name in ("MultiPoly", "ArityMismatch"):
+        assert getattr(polynomials, name) is getattr(multipoly, name)
 
 
 def test_no_import_cycle():
@@ -163,8 +174,9 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_engine_reads_the_exponent_cap_of_numeric():
-    for name in ("max_exponent", "check_order", "ExponentCapExceeded", "parse_point"):
+    for name in ("max_exponent", "check_order", "check_box", "ExponentCapExceeded"):
         assert getattr(engine, name) is getattr(numeric, name)
-    # the cap's constants are read from numeric only; engine re-exports none
-    for name in ("DEFAULT_MAX_EXP", "ENV_MAX_EXP"):
+    # the cap's constants and the point reader are read from numeric only;
+    # engine re-exports none
+    for name in ("DEFAULT_MAX_EXP", "ENV_MAX_EXP", "parse_point"):
         assert not hasattr(engine, name)
