@@ -1,11 +1,14 @@
-"""Golden outputs of about 460 in-process CLI runs, through ``cli.main``.
+"""Golden outputs of about 530 in-process CLI runs, through ``cli.main``.
 
 The runs are ``construct`` of all eleven families on seven supports
 (positive, one with a denominator, geometric, symmetric, general
 (-3, 1, 2), b = -c and a point at 0), lattice unions and slope lines of
 their own, refused inputs (among them each family with each flag it does
 not read), ``beta0`` and ``betastar`` at three widths, ``verify``
-of one document against claims given as text, and ``verify`` (of the
+of one document against claims given as text, ``det`` of the three
+families (full and ``--summary``, refused above the order bound),
+``indep-cert`` (slopes b/a and a/b up to the cap's b = 16, and each
+refused input), and ``verify`` (of the
 document's claim and of ``empty``), ``enumerate``
 (as JSON and as CSV) and ``classify`` of every document that
 ``construct`` printed, at one box.  Each run must exit 0, 1 or 2, print
@@ -186,7 +189,43 @@ DESCRIPTORS = {
     "finite-empty-chunk": "finite:1,2;;2,3",
 }
 
-GROUPS = ("construct", "refused", "roots", "descriptor", *READERS)
+# det identities, each run as full JSON and with --summary: both
+# degenerate n = m cases, j > m for det2, the largest G order sum an
+# independence certificate reaches, and an order sum above the bound
+DETS = {
+    "f": [(2, 3), (5, 9), (1, 5), (13, 3), (4, 4), (3, 29), (3, 30)],
+    "g": [(1, 2), (4, 9), (5, 5), (15, 16), (10, 22), (3, 30)],
+    "det2": [(0, 1), (2, 6), (6, 2), (4, 4), (0, 32), (1, 32)],
+}
+
+# indep-cert runs: points on k = (b/a) j and the support flags
+CERTS = {
+    "slope-2": ["1,2;2,4;3,6;4,8", "--beta", "2"],
+    "slope-1/2": ["2,1;4,2;6,3;8,4", "--beta", "2"],
+    "slope-2/3": ["3,2;6,4;9,6;12,8", "--beta", "3/2"],
+    "slope-3/2": ["2,3;4,6;6,9;8,12", "--beta", "5/3"],
+    "slope-3-gaps": ["1,3;2,6;4,12;6,18", "--beta", "7/4", "--alpha", "2"],
+    "slope-4/3-unsorted": ["12,16;3,4;9,12;6,8", "--beta", "4/3"],
+    "slope-16/9": ["9,16;18,32;27,48;36,64", "--beta", "2"],
+    "slope-9/16": ["16,9;32,18;48,27;64,36", "--beta", "3/2"],
+    "slope-16/15": ["15,16;30,32;45,48;60,64", "--beta", "5/4"],
+    "slope-15/16": ["16,15;32,30;48,45;64,60", "--beta", "2"],
+    "slope-16": ["1,16;2,32;3,48;4,64", "--beta", "9/7"],
+    "slope-1/16": ["16,1;32,2;48,3;64,4", "--beta", "2"],
+    "refused:three-points": ["1,2;2,4;3,6", "--beta", "2"],
+    "refused:repeated-point": ["1,2;1,2;2,4;3,6", "--beta", "2"],
+    "refused:slope-1": ["1,1;2,2;3,3;4,4", "--beta", "2"],
+    "refused:off-line": ["1,2;2,4;3,6;4,9", "--beta", "2"],
+    "refused:order-0": ["0,1;1,2;2,4;3,6", "--beta", "2"],
+    "refused:beta-1": ["1,2;2,4;3,6;4,8", "--beta", "1"],
+    "refused:beta-1/2": ["1,2;2,4;3,6;4,8", "--beta", "1/2"],
+    "refused:beta-0": ["1,2;2,4;3,6;4,8", "--beta", "0"],
+    "refused:beta-minus-2": ["1,2;2,4;3,6;4,8", "--beta=-2"],
+    "refused:above-cap": ["1,2;2,4;3,6;33,66", "--beta", "2"],
+    "refused:k-above-cap": ["1,16;2,32;3,48;5,80", "--beta", "2"],
+}
+
+GROUPS = ("construct", "refused", "roots", "descriptor", "det", "indep-cert", *READERS)
 
 
 def _constructs():
@@ -219,6 +258,13 @@ def cases():
     _, doc, _ = run("", ["construct", "vline", *FAMILIES["vline"], *SUPPORTS["positive"]])
     for name, text in DESCRIPTORS.items():
         yield f"descriptor:{name}", doc, [*READERS["verify"], "--descriptor", text]
+    for family, orders in DETS.items():
+        for m, n in orders:
+            argv = ["det", family, str(m), str(n)]
+            yield f"det:{family}:{m},{n}:full", "", argv
+            yield f"det:{family}:{m},{n}:summary", "", [*argv, "--summary"]
+    for name, (points, *flags) in CERTS.items():
+        yield f"indep-cert:{name}", "", ["indep-cert", "--points", points, *flags]
 
 
 @functools.cache

@@ -1,7 +1,9 @@
 import ast
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import gcd
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -180,6 +182,14 @@ def test_orders_above_the_bound_are_refused_before_either_route():
     assert det2_check(MAX_ORDER_SUM, 0).equal
 
 
+def test_certificates_above_the_order_bound_are_refused(monkeypatch):
+    # a raised exponent cap admits the points; G(17, 19) is past the bound
+    monkeypatch.setenv("UNCORRSET_MAX_EXP", "100")
+    points = [(17 * t, 19 * t) for t in (1, 2, 3, 4)]
+    with pytest.raises(ExponentCapExceeded, match="order sum 17 \\+ 19 exceeds"):
+        independence_certificate(points, BetaSupport(1, 2))
+
+
 def _closed_and_reference(monkeypatch, route, *orders):
     """route(*orders), and the product the closed routes used to make from
     the terms the route hands _sigma_sum: the MultiPoly product of its
@@ -244,15 +254,33 @@ def test_closed_routes_make_no_multipoly_product(monkeypatch):
     assert sigma_diff_identity(6)
 
 
+def _leibniz_det(mat):
+    """det of a square matrix of term dicts (x, y, z, t exponents ->
+    coefficient) as the permutation sum, multiplied out on plain dicts,
+    zero terms dropped."""
+    n = len(mat)
+    out = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        prod = {(0, 0, 0, 0): (-1) ** inversions}
+        for row, c in enumerate(perm):
+            step = {}
+            for e1, c1 in prod.items():
+                for e2, c2 in mat[row][c].items():
+                    key = tuple(map(add, e1, e2))
+                    step[key] = step.get(key, 0) + c1 * c2
+            prod = step
+        for key, c in prod.items():
+            out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def _leibniz(exponents):
     """det of the power matrix (v^e for e in exponents) at v = x, y, z, t as
-    the 24-term permutation sum, zero terms dropped."""
-    out = {}
-    for perm in permutations(range(4)):
-        inversions = sum(perm[a] > perm[b] for a in range(4) for b in range(a + 1, 4))
-        key = tuple(exponents[c] for c in perm)
-        out[key] = out.get(key, 0) + (-1) ** inversions
-    return {e: c for e, c in out.items() if c}
+    the 24-term permutation sum."""
+    return _leibniz_det([
+        [{tuple(e * (c == v) for c in range(4)): 1} for e in exponents] for v in range(4)
+    ])
 
 
 def test_direct_routes_equal_the_leibniz_sum(monkeypatch):
@@ -273,12 +301,53 @@ def test_direct_routes_equal_the_leibniz_sum(monkeypatch):
     assert sorted(set(calls)) == [1, 2, 3, 4]
 
 
+def _sparse_entry(rng, monomials):
+    """0 to 3 terms from a small monomial pool with coefficients +-1, +-2,
+    so that products collide and cancel; about a quarter are zero."""
+    return {
+        rng.choice(monomials): rng.choice((-2, -1, 1, 2))
+        for _ in range(rng.choice((0, 1, 2, 3)))
+    }
+
+
+def test_mp_det_equals_the_leibniz_sum_on_general_matrices():
+    rng = random.Random(39)
+    monomials = list(product(range(2), repeat=4))
+    mats = []
+    for n in (3, 4) * 30:
+        mats.append([[_sparse_entry(rng, monomials) for _ in range(n)] for _ in range(n)])
+    # a repeated row and a negated row: every term cancels; a zero first row
+    # skips every cofactor
+    for n in (3, 4):
+        rows = [[_sparse_entry(rng, monomials) for _ in range(n)] for _ in range(n - 1)]
+        mats.append(rows + [[dict(entry) for entry in rows[0]]])
+        mats.append(rows + [[{e: -c for e, c in entry.items()} for entry in rows[-1]]])
+        mats.append([[{} for _ in range(n)]] + rows)
+    zero_results = 0
+    for mat in mats:
+        got = mp_det([[MultiPoly(4, entry) for entry in row] for row in mat])
+        want = _leibniz_det(mat)
+        assert dict(got.sorted_terms()) == want, mat
+        assert 0 not in want.values()
+        zero_results += got.is_zero
+    assert zero_results >= 6
+    # an entry whose terms cancel is the zero polynomial that the skip sees
+    x, y = MultiPoly.variable(4, 0), MultiPoly.variable(4, 1)
+    assert mp_det([[x - x, y], [x, y]]) == -(x * y)
+
+
 def test_closed_and_direct_routes_stay_independent():
     tree = ast.parse(Path(determinants.__file__).read_text(encoding="utf-8"))
     for closed in ("f_closed", "g_closed", "det2_closed"):
         assert not {"mp_det", "_power_matrix"} & reachable(tree, closed), closed
     for direct in ("f_direct", "g_direct"):
         assert "_sigma_sum" not in reachable(tree, direct), direct
+    # the certificate's closed value is G(a, b) evaluated term by term at
+    # its points: no determinant, no power matrix and no polynomial ring
+    certificate = reachable(tree, "_g_closed_value")
+    assert not {"linalg", "mp_det", "_power_matrix", "MultiPoly"} & certificate
+    assert "_g_closed_value" in reachable(tree, "independence_certificate")
+    assert "g_closed" not in reachable(tree, "independence_certificate")
     # the guard sees a reference through a helper
     planted = ast.parse("def f_closed():\n    return h()\ndef h():\n    return mp_det\n")
     assert "mp_det" in reachable(planted, "f_closed")
@@ -330,6 +399,28 @@ def test_independence_certificate_rejections():
         independence_certificate([(1, 2), (1, 2), (2, 4), (3, 6)], s)
     with pytest.raises(ValueError):
         independence_certificate([(0, 1), (1, 2), (2, 4), (3, 6)], s)
+
+
+def test_certificates_at_the_cap_extremes():
+    # every coprime a != b with max(a, b) <= 16: each G(a, b) that a
+    # certificate reaches at the default cap of 64, the largest t on the cap
+    rng = random.Random(64)
+    betas = [Fraction(b) for b in ("3/2", "2", "5/3", "7/4", "9/7", "3")]
+    closed = {}
+    pairs = [(a, b) for a in range(1, 17) for b in range(1, 17) if a != b and gcd(a, b) == 1]
+    for a, b in pairs:
+        lo, hi = min(a, b), max(a, b)
+        if (lo, hi) not in closed:
+            closed[lo, hi] = g_closed(lo, hi)
+        top = 64 // hi
+        ts = sorted(rng.sample(range(1, top), 3)) + [top]
+        beta = rng.choice(betas)
+        cert = independence_certificate([(a * t, b * t) for t in ts], BetaSupport(1, beta))
+        assert cert.closed_value == closed[lo, hi].evaluate([beta**t for t in ts]), (a, b)
+        assert cert.sign == (1 if b > a else -1)
+        assert cert.det_value == cert.sign * cert.closed_value, (a, b)
+        assert cert.cross_checked and cert.independent, (a, b)
+    assert len(closed) == len(pairs) // 2 == 79
 
 
 def test_certificate_is_a_plain_record():
