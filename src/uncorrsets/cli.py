@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import import_module
@@ -25,8 +26,19 @@ from importlib import import_module
 from .numeric import format_rational, parse_point, parse_points, rational_from_json
 
 
+def _write(text: str) -> None:
+    """Print a line of the result and flush it.  A reader that left early
+    changes no verdict: the rest goes to the null device, exit's flush too."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    _write(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _parse_box(text: str) -> tuple[int, int]:
@@ -123,7 +135,6 @@ def _two_points(text: str) -> list[tuple[int, int]]:
 # how a family takes its support: the reader of the builder's first argument,
 # the flags it needs and the flags it may take (an inner tuple's exclude each other)
 POINTS = (_support_from_args, (), (("--support", "--beta"), "--alpha"))
-GEOMETRIC = (_support_from_args, ("--beta",), ("--alpha",))
 SYMMETRIC = (_alpha, (), ("--alpha",))
 SLOPE = (_slope_params, ("--m", ("--beta", "--k")), ("--width",))
 
@@ -139,7 +150,7 @@ FAMILIES = {
     "vline": (("witnesses", "make_vline"), POINTS, ("--j",), ()),
     "hline": (("witnesses", "make_hline"), POINTS, ("--k",), ()),
     "cross": (("witnesses", "make_cross"), POINTS, ("--j", "--k"), ()),
-    "antidiagonal": (("witnesses", "make_antidiagonal"), GEOMETRIC, ("--m",), ()),
+    "antidiagonal": (("witnesses", "make_antidiagonal"), POINTS, ("--m",), ()),
     "slopeline": (("constructions", "make_slopeline"), SLOPE, (), ()),
     "lattice-union": (("witnesses", "make_lattice_union"), SYMMETRIC, (), ("--lattices",)),
 }
@@ -200,9 +211,7 @@ def _cmd_enumerate(args) -> int:
     else:
         points = doc.enumerate_box(jmax, kmax)
     if args.format == "csv":
-        print("j,k")
-        for j, k in points:
-            print(f"{j},{k}")
+        _write("\n".join(["j,k", *(f"{j},{k}" for j, k in points)]))
     else:
         _emit({"box": [jmax, kmax], "points": [list(p) for p in points]})
     return 0
@@ -281,7 +290,7 @@ def _cmd_indep_cert(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selftest
 
-    failures = selftest.run(seed=args.seed, fast=args.fast)
+    failures = selftest.run(seed=args.seed, fast=args.fast, out=_write)
     return 0 if failures == 0 else 1
 
 
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indep-cert", help="certify four collinear order pairs")
     p.add_argument("--points", required=True, help="j1,k1;j2,k2;j3,k3;j4,k4")
-    _add_flags(p, ("--beta",), ("--alpha",))
+    _add_flags(p, *POINTS[1:])
     p.set_defaults(func=_cmd_indep_cert)
 
     p = sub.add_parser("selftest", help="run the seeded invariant audit")

@@ -43,7 +43,7 @@ from .numeric import (
 )
 from .multipoly import MultiPoly
 
-# BetaSupport (model) is named in annotations only, which are never
+# Support3 (model) is named in annotations only, which are never
 # evaluated, so ``det`` loads neither model nor engine.
 
 # variable order throughout: x, y, z, t
@@ -394,7 +394,7 @@ class IndependenceCertificate(Frozen):
 
 
 def independence_certificate(
-    points: Sequence[Point], support: BetaSupport
+    points: Sequence[Point], support: Support3
 ) -> IndependenceCertificate:
     """Certify that four collinear order pairs force independence.
 
@@ -404,6 +404,9 @@ def independence_certificate(
     points beta^(j_i/a), so its determinant is (up to a column swap)
     the manifestly positive closed form.
     """
+    if support.beta is None:
+        text = ", ".join(map(format_rational, support.points))
+        raise ValueError(f"the certificate needs a geometric support, not ({text})")
     pts = sorted({(int(j), int(k)) for j, k in points})
     if len(pts) != 4:
         raise ValueError(f"need four distinct order pairs, got {len(pts)}")

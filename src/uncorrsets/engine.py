@@ -100,11 +100,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from . import linalg
 from .model import (
-    BetaSupport,
     JointTable,
     OffsetVector,
     Support3,
@@ -136,8 +135,6 @@ from .numeric import (
 # engine's descriptors and boxes raise ExponentCapExceeded, so it stays an
 # engine name; max_exponent stays bound because perfbench reads the cap here
 
-SupportLike = Union[Support3, BetaSupport]
-
 
 class IncompatibleDescriptor(ValueError):
     """Descriptor kind and support type cannot be combined."""
@@ -160,11 +157,10 @@ class ASequence:
     out a non-injective sequence silently.
     """
 
-    def __init__(self, support: SupportLike):
-        s3 = support.to_support3()
-        if s3.kind is not SupportKind.POSITIVE_ORDERED:
+    def __init__(self, support: Support3):
+        if support.kind is not SupportKind.POSITIVE_ORDERED:
             raise ValueError("moment ratios need a positive ordered support")
-        self._points = s3.points
+        self._points = support.points
         self._cache: dict[int, Fraction] = {}
 
     def value(self, j: int) -> Fraction:
@@ -228,13 +224,13 @@ def offsets_delta(
 
 
 def enumerate_box_offsets(
-    x: OffsetVector, support: SupportLike, jmax: int, kmax: int
+    x: OffsetVector, support: Support3, jmax: int, kmax: int
 ) -> list[Point]:
     """All uncorrelated (j, k) with 1 <= j <= jmax, 1 <= k <= kmax, sorted
     by j, then k: one integer solve per column on every support, by the
     column law of the module docstring."""
     check_box(jmax, kmax)
-    terms = _ratio_terms(support.to_support3(), max(jmax, kmax))
+    terms = _ratio_terms(support, max(jmax, kmax))
     return _solve_columns(_offset_parts(x), terms[:jmax], terms[:kmax])
 
 
@@ -595,19 +591,18 @@ class SetDescriptor(Frozen):
 # closed-form shape patterns and the analytic check
 
 
-def _positive_terms(support: SupportLike, kind: str, n: int) -> list[tuple[int, int]]:
+def _positive_terms(support: Support3, kind: str, n: int) -> list[tuple[int, int]]:
     """(P_j, Q_j) for j = 1..n.  Lines, the diagonal and prescribed points
     rely on A_j being injective, which only the strictly decreasing
     sequence of a positive ordered support gives."""
-    s3 = support.to_support3()
-    if s3.kind is not SupportKind.POSITIVE_ORDERED:
+    if support.kind is not SupportKind.POSITIVE_ORDERED:
         raise IncompatibleDescriptor(
             f"a global {kind} claim needs a positive ordered support"
         )
-    return _ratio_terms(s3, n)
+    return _ratio_terms(support, n)
 
 
-def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | None:
+def shape_offsets(desc: SetDescriptor, support: Support3) -> OffsetVector | None:
     """The offsets whose zero set is exactly the claimed shape, from the
     table in the module docstring; None for the family kinds ``finite``
     and ``lattice-union``.  Raises IncompatibleDescriptor when the
@@ -616,7 +611,7 @@ def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | N
     if kind in ("finite", "lattice-union"):
         return None
     if kind == "empty":
-        _, b, c = support.to_support3().points
+        _, b, c = support.points
         if b == -c:
             # the condition (b^j - c^j)(b^k - c^k) vanishes at even orders
             raise IncompatibleDescriptor("an empty claim needs b != -c")
@@ -624,11 +619,11 @@ def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | N
     if kind == "all":
         return OffsetVector.of(0, 0, 0, 0)
     if kind in ("antidiagonal", "slopeline"):
-        if not isinstance(support, BetaSupport):
+        beta = support.beta
+        if beta is None:
             raise IncompatibleDescriptor(
                 f"a global {kind} claim needs a geometric support"
             )
-        beta = support.beta
         if kind == "antidiagonal":
             return from_y(YVector.of(beta ** desc.params[0], 0, 0, -1))
         from .slopeline import slopeline_y_polys
@@ -649,7 +644,7 @@ def shape_offsets(desc: SetDescriptor, support: SupportLike) -> OffsetVector | N
     raise AssertionError(f"unhandled kind {kind}")
 
 
-def finite_parts(support: SupportLike, points: Sequence[Point]) -> list[list[Fraction]]:
+def finite_parts(support: Support3, points: Sequence[Point]) -> list[list[Fraction]]:
     """n1 and n2, the first two vectors of the reduced nullspace basis of
     the membership rows of one or two points: the pattern space of a
     ``finite`` claim.  Raises IncompatibleDescriptor unless the support is
@@ -679,7 +674,7 @@ def finite_parts(support: SupportLike, points: Sequence[Point]) -> list[list[Fra
 
 
 def check_analytic(
-    x: OffsetVector, support: SupportLike, desc: SetDescriptor
+    x: OffsetVector, support: Support3, desc: SetDescriptor
 ) -> bool | None:
     """Does the witness prove the claim for every (j, k)?
 
@@ -694,10 +689,9 @@ def check_analytic(
         return None
     kind = desc.kind
     if kind == "lattice-union":
-        s3 = support.to_support3()
-        if s3.kind is not SupportKind.SYMMETRIC_ZERO:
+        if support.kind is not SupportKind.SYMMETRIC_ZERO:
             raise IncompatibleDescriptor("parity lattices need a symmetric support")
-        return set(desc.lattices) == set(_parity_classes(x, s3))
+        return set(desc.lattices) == set(_parity_classes(x, support))
     if kind == "finite":
         try:
             space = finite_parts(support, desc.points)
@@ -779,7 +773,7 @@ def compare_claim(
 
 def verify_claim(
     x: OffsetVector,
-    support: SupportLike,
+    support: Support3,
     desc: SetDescriptor,
     jmax: int,
     kmax: int,
@@ -839,7 +833,7 @@ def classify_symmetric(table: JointTable) -> SetDescriptor:
 # ---------------------------------------------------------------------------
 # witness documents
 
-def witness_from_json(obj: dict) -> tuple[OffsetVector, SupportLike, SetDescriptor]:
+def witness_from_json(obj: dict) -> tuple[OffsetVector, Support3, SetDescriptor]:
     """Offsets, support and claim of an offset witness document.  The
     power sums ``"y"`` are optional; when present they must be to_y(x)."""
     if obj.get("schema") != WITNESS_SCHEMA:

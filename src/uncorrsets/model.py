@@ -14,7 +14,7 @@ Offsets may be rational or quadratic irrationals; probabilities must be
 nonnegative, which ``rescale`` arranges by shrinking any offset vector
 to the canonical scale 1/(18M) where M is the largest absolute deviation.
 ``offsets_of`` reads the offsets back off a table.  A ``Support3`` reads
-its kind off its points; a document's kind label must agree with them.
+its kind and ratio off its points; a document's kind label must agree.
 
 Building and checking a table runs on integers.  The offsets are written
 once as (R + I sqrt(d)) / L (``numeric.sqrt_parts``), so each deviation
@@ -91,27 +91,29 @@ _CONTRADICTED = {
 
 
 class Support3(Frozen):
-    """Three strictly increasing rational support points, and the kind
-    they fix: (-v, 0, v) is symmetric, a first point above 0 is positive,
-    anything else is general.  The kind is read off the points, so only
-    they are compared."""
+    """Three strictly increasing rational support points, and what they
+    fix: the kind ((-v, 0, v) is symmetric, a first point above 0 positive,
+    anything else general) and the ratio ``beta`` = b/a of a geometric
+    support (a > 0, b^2 = ac), else None.  Only the points are compared."""
 
-    __slots__ = ("points", "kind")
+    __slots__ = ("points", "kind", "beta")
 
     def __init__(self, points: tuple[Fraction, Fraction, Fraction]):
         pts = tuple(Fraction(p) for p in points)
         if len(pts) != 3:
             raise ValueError("support needs exactly three points")
-        if not (pts[0] < pts[1] < pts[2]):
+        a, b, c = pts
+        if not (a < b < c):
             raise ValueError(f"support points must increase strictly: {pts}")
-        if pts[1] == 0 and pts[0] == -pts[2]:
+        if b == 0 and a == -c:
             kind = SupportKind.SYMMETRIC_ZERO
-        elif pts[0] > 0:
+        elif a > 0:
             kind = SupportKind.POSITIVE_ORDERED
         else:
             kind = SupportKind.GENERAL_ORDERED
         setfield(self, "points", pts)
         setfield(self, "kind", kind)
+        setfield(self, "beta", b / a if a > 0 and b * b == a * c else None)
         setfield(self, "_key", (pts,))
 
     @classmethod
@@ -124,10 +126,6 @@ class Support3(Frozen):
         if alpha <= 0:
             raise ValueError("symmetric support needs alpha > 0")
         return cls((-alpha, Fraction(0), alpha))
-
-    def to_support3(self) -> "Support3":
-        """Itself; lets code take a Support3 or a BetaSupport alike."""
-        return self
 
     def to_json(self) -> dict:
         return {
@@ -147,10 +145,10 @@ class Support3(Frozen):
         return support
 
 
-class BetaSupport(Frozen):
-    """Geometric support (alpha, alpha*beta, alpha*beta^2) with beta > 1."""
+class BetaSupport(Support3):
+    """A Support3 spelled by alpha and beta: (alpha, alpha*beta, alpha*beta^2), beta > 1."""
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = ()
 
     def __init__(self, alpha: Fraction, beta: Fraction):
         alpha, beta = Fraction(alpha), Fraction(beta)
@@ -158,13 +156,15 @@ class BetaSupport(Frozen):
             raise ValueError("alpha must be positive")
         if beta <= 1:
             raise ValueError("beta must exceed 1")
-        setfield(self, "alpha", alpha)
-        setfield(self, "beta", beta)
+        super().__init__((alpha, alpha * beta, alpha * beta**2))
         setfield(self, "_key", (alpha, beta))
 
+    @property
+    def alpha(self) -> Fraction:
+        return self.points[0]
+
     def to_support3(self) -> Support3:
-        a = self.alpha
-        return Support3((a, a * self.beta, a * self.beta**2))
+        return Support3(self.points)
 
     def to_json(self) -> dict:
         return {
@@ -177,7 +177,7 @@ class BetaSupport(Frozen):
         return cls(rational_from_json(obj["alpha"]), rational_from_json(obj["beta"]))
 
 
-def support_from_json(obj: dict):
+def support_from_json(obj: dict) -> Support3:
     if "alpha" in obj:
         return BetaSupport.from_json(obj)
     return Support3.from_json(obj)

@@ -58,19 +58,19 @@ def route_agreement(pairs: list, box: int) -> Section:
     route that drops a part."""
     problems = []
     cells = list(product(range(1, box + 1), repeat=2))
-    for support, x in pairs:
-        scaled, s3 = model.rescale(x), support.to_support3()
+    for s3, x in pairs:
+        scaled = model.rescale(x)
         table = model.table_from_offsets(scaled, s3, s3)
         rational = model.table_from_offsets(x.scaled(_rational_scale(x)), s3, s3)
         if s3.kind is SupportKind.POSITIVE_ORDERED:
-            seq = ASequence(support)
+            seq = ASequence(s3)
             per_cell = {p for p in cells if engine.condition_lhs(x, seq, *p) == 0}
         else:
             per_cell = {p for p in cells if engine.offsets_delta(x, s3, s3, *p) == 0}
         sides = (
             set(engine.enumerate_box_table(table, box, box)),
-            set(engine.enumerate_box_offsets(scaled, support, box, box)),
-            set(engine.enumerate_box_offsets(x, support, box, box)),
+            set(engine.enumerate_box_offsets(scaled, s3, box, box)),
+            set(engine.enumerate_box_offsets(x, s3, box, box)),
             per_cell,
             set(engine.enumerate_box_table(rational, box, box)),
         )
@@ -224,7 +224,7 @@ def slope_line_threshold(box: int, width: Fraction) -> Section:
     )
 
 
-def independence(orders, support: BetaSupport) -> Section:
+def independence(orders, support: Support3) -> Section:
     """The collinear-order certificate: nonzero determinant, trivial
     nullspace, and the two routes to it agree."""
     cert = determinants.independence_certificate(orders, support)
@@ -307,8 +307,7 @@ def structural_invariants(pairs: list, box: int) -> Section:
     problems = []
     lo, hi = Fraction(1, 18), Fraction(1, 6)
     for support, x in pairs:
-        s3 = support.to_support3()
-        table = model.table_from_offsets(model.rescale(x), s3, s3)
+        table = model.table_from_offsets(model.rescale(x), support, support)
         if not all(lo <= v <= hi for row in table.entries for v in row):
             problems.append(f"{x.x}: a rescaled entry left [1/18, 1/6]")
         pts = engine.enumerate_box_offsets(x, support, box, box)

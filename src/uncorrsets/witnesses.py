@@ -37,7 +37,6 @@ from .engine import (
     LATTICE_NAMES,
     Point,
     SetDescriptor,
-    SupportLike,
     UncorrReport,
     compare_claim,
     enumerate_box_offsets,
@@ -47,7 +46,6 @@ from .engine import (
     witness_from_json,
 )
 from .model import (
-    BetaSupport,
     JointTable,
     OffsetVector,
     Support3,
@@ -69,7 +67,7 @@ class Construction(Frozen):
         self,
         name: str,
         descriptor: SetDescriptor,
-        support: SupportLike | None = None,
+        support: Support3 | None = None,
         x: OffsetVector | None = None,
         y: YVector | None = None,
         algebraic: "AlgebraicSlopeLine | None" = None,
@@ -142,15 +140,15 @@ class Construction(Frozen):
 
     def table(self) -> JointTable:
         """The joint table of the offsets, rescaled into valid weights, on
-        the support taken for both coordinates."""
+        the support, spelled by its points, taken for both coordinates."""
         if self.algebraic is not None:
             raise ValueError("a line at an algebraic ratio has no rational table")
-        s3 = self.support.to_support3()
+        s3 = Support3(self.support.points)
         x = self.x if self.x.is_zero else rescale(self.x)
         return table_from_offsets(x, s3, s3)
 
 
-def _closed_form(desc: SetDescriptor, support: SupportLike) -> Construction:
+def _closed_form(desc: SetDescriptor, support: Support3) -> Construction:
     """The witness ``shape_offsets`` gives for the claim, named by its kind;
     the kinds whose pattern is written in power sums also carry y."""
     x = shape_offsets(desc, support)
@@ -158,32 +156,32 @@ def _closed_form(desc: SetDescriptor, support: SupportLike) -> Construction:
     return Construction(desc.kind, desc, support, x, y)
 
 
-def make_empty(support: SupportLike) -> Construction:
+def make_empty(support: Support3) -> Construction:
     return _closed_form(SetDescriptor.empty(), support)
 
 
-def make_full(support: SupportLike) -> Construction:
+def make_full(support: Support3) -> Construction:
     return _closed_form(SetDescriptor.all_points(), support)
 
 
-def make_diagonal(support: SupportLike) -> Construction:
+def make_diagonal(support: Support3) -> Construction:
     return _closed_form(SetDescriptor.diagonal(), support)
 
 
-def make_vline(support: SupportLike, j: int) -> Construction:
+def make_vline(support: Support3, j: int) -> Construction:
     return _closed_form(SetDescriptor.vline(j), support)
 
 
-def make_hline(support: SupportLike, k: int) -> Construction:
+def make_hline(support: Support3, k: int) -> Construction:
     return _closed_form(SetDescriptor.hline(k), support)
 
 
-def make_cross(support: SupportLike, j: int, k: int) -> Construction:
+def make_cross(support: Support3, j: int, k: int) -> Construction:
     return _closed_form(SetDescriptor.cross(j, k), support)
 
 
 def _prescribed(
-    name: str, support: SupportLike, points: tuple[Point, ...], sign: int
+    name: str, support: Support3, points: tuple[Point, ...], sign: int
 ) -> Construction:
     """sign (n1 + sqrt(2) n2) for the basis n1, n2 of ``finite_parts``;
     the points are checked by the descriptor before the rows are built."""
@@ -193,7 +191,7 @@ def _prescribed(
     return Construction(name, desc, support, x)
 
 
-def make_singleton(support: SupportLike, j0: int, k0: int) -> Construction:
+def make_singleton(support: Support3, j0: int, k0: int) -> Construction:
     """At -(n1 + sqrt(2) n2) the condition form x1 + A_j x2 + A_k x3 +
     A_j A_k x4 is (A_j0 - A_j) + sqrt(2) (A_k0 - A_k): both parts are
     rational, so it vanishes only when both do, which pins down (j0, k0)
@@ -201,7 +199,7 @@ def make_singleton(support: SupportLike, j0: int, k0: int) -> Construction:
     return _prescribed("singleton", support, ((j0, k0),), -1)
 
 
-def make_two_point(support: SupportLike, p1: Point, p2: Point) -> Construction:
+def make_two_point(support: Support3, p1: Point, p2: Point) -> Construction:
     """n1 + sqrt(2) n2 vanishes at (j, k) only if its row lies in the span
     of the rows of p1 and p2, which the bilinear pattern forbids except at
     the two points.  Needs distinct rows and distinct columns; a shared
@@ -209,7 +207,7 @@ def make_two_point(support: SupportLike, p1: Point, p2: Point) -> Construction:
     return _prescribed("two-point", support, (p1, p2), 1)
 
 
-def make_antidiagonal(support: BetaSupport, m: int) -> Construction:
+def make_antidiagonal(support: Support3, m: int) -> Construction:
     return _closed_form(SetDescriptor.antidiagonal(m), support)
 
 

@@ -84,6 +84,19 @@ def test_reading_a_construct_document_writes_it_back(capsys, argv):
     assert Construction.from_json(doc).to_json() == doc
 
 
+def test_a_geometric_support_written_as_points_carries_an_antidiagonal(capsys, tmp_path):
+    _, doc = _run_json(capsys, "construct", "antidiagonal", "--m", "4", "--beta", "2")
+    doc["support"] = {"points": ["1", "2", "4"], "kind": "positive-ordered"}
+    path = _write(tmp_path, "antidiagonal.json", doc)
+    for box in ("8x8", "64x64"):
+        code, report = _run_json(capsys, "verify", "--witness", path, "--box", box)
+        assert (code, report["verdict"], report["analytic"]) == (0, "match", True)
+    code, built = _run_json(
+        capsys, "construct", "antidiagonal", "--m", "4", "--support", "1,2,4"
+    )
+    assert code == 0 and built == doc
+
+
 def test_verify_mismatch_sets_exit_code(capsys, tmp_path):
     _, doc = _run_json(capsys, "construct", "diagonal")
     path = _write(tmp_path, "diag.json", doc)
@@ -513,6 +526,50 @@ def test_orders_above_the_cap_exit_two(argv):
     assert done.stdout == "" and "exceeds the exponent cap" in done.stderr
 
 
+def _run_into_closed_pipe(argv, stdin=""):
+    """Exit status and stderr of a CLI run whose stdout is a pipe that
+    nothing reads: its read end is closed before the child starts."""
+    src = os.path.dirname(os.path.dirname(uncorrsets.__file__))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "uncorrsets.cli", *argv],
+            input=stdin,
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["construct", "vline", "--j", "2"], 0),
+        (["det", "g", "1", "2"], 0),
+        (["indep-cert", "--points", "1,2;2,4;3,6;4,8", "--beta", "3/2"], 0),
+        (["enumerate", "--witness", "-", "--box", "4x4", "--format", "csv"], 0),
+        (["verify", "--witness", "-", "--box", "4x4"], 0),
+        (["verify", "--witness", "-", "--box", "4x4", "--descriptor", "empty"], 1),
+    ],
+)
+def test_a_closed_stdout_keeps_the_verdict(argv, code):
+    # a reader that left early is no fault of the input: the run exits as
+    # its verdict says, silently
+    vline = json.dumps(make_vline(Support3.from_values(1, 2, 3), 2).to_json())
+    assert _run_into_closed_pipe(argv, vline) == (code, "")
+
+
+def test_an_unreadable_witness_is_unusable_with_a_closed_stdout(tmp_path):
+    code, err = _run_into_closed_pipe(["verify", "--witness", str(tmp_path / "none.json")])
+    assert code == 2 and "No such file or directory" in err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -646,10 +703,14 @@ def test_each_contradicted_label_exits_two_with_its_message(
 
 
 def test_antidiagonal_without_beta_names_beta_even_with_k(capsys):
-    # --k is the slope line's near-line flag; it makes no antidiagonal
-    for extra in ((), ("--k", "5")):
+    # the default support (1, 2, 3) is not geometric; --k is the slope
+    # line's near-line flag, and it makes no antidiagonal
+    for extra, message in (
+        ((), "a global antidiagonal claim needs a geometric support"),
+        (("--k", "5"), "unrecognized arguments: --k 5"),
+    ):
         code, out, err = _run(capsys, "construct", "antidiagonal", "--m", "3", *extra)
-        assert (code, out, err) == (2, "", "error: the following arguments are required: --beta\n")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
     code, out, err = _run(capsys, "construct", "slopeline", "--m", "3")
     assert (code, out, err) == (2, "", "error: one of the arguments --beta --k is required\n")
 

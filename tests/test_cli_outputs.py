@@ -1,8 +1,9 @@
-"""Golden outputs of about 530 in-process CLI runs, through ``cli.main``.
+"""Golden outputs of about 590 in-process CLI runs, through ``cli.main``.
 
-The runs are ``construct`` of all eleven families on seven supports
-(positive, one with a denominator, geometric, symmetric, general
-(-3, 1, 2), b = -c and a point at 0), lattice unions and slope lines of
+The runs are ``construct`` of all eleven families on eight supports
+(positive, one with a denominator, geometric, the same geometric support
+written as points, symmetric, general (-3, 1, 2), b = -c and a point at
+0), lattice unions and slope lines of
 their own, refused inputs (among them each family with each flag it does
 not read), ``beta0`` and ``betastar`` at three widths, ``verify``
 of one document against claims given as text, ``det`` of the three
@@ -36,6 +37,7 @@ SUPPORTS = {
     "positive": ["--support", "1,2,3"],
     "denominator": ["--support", "1/2,2,7"],
     "geometric": ["--beta", "3/2"],
+    "geometric-points": ["--support", "1,3/2,9/4"],
     "symmetric": ["--support=-1,0,1"],
     "general": ["--support=-3,1,2"],
     "b=-c": ["--support=-2,-1,1"],
@@ -133,7 +135,7 @@ READS = {
     "vline": SUPPORT_FLAGS | {"--j"},
     "hline": SUPPORT_FLAGS | {"--k"},
     "cross": SUPPORT_FLAGS | {"--j", "--k"},
-    "antidiagonal": {"--alpha", "--beta", "--m"},
+    "antidiagonal": SUPPORT_FLAGS | {"--m"},
     "slopeline": {"--beta", "--k", "--m", "--width"},
     "lattice-union": {"--alpha", "--lattices"},
 }
@@ -212,6 +214,7 @@ CERTS = {
     "slope-15/16": ["16,15;32,30;48,45;64,60", "--beta", "2"],
     "slope-16": ["1,16;2,32;3,48;4,64", "--beta", "9/7"],
     "slope-1/16": ["16,1;32,2;48,3;64,4", "--beta", "2"],
+    "support-points": ["1,2;2,4;3,6;4,8", "--support", "1,2,4"],
     "refused:three-points": ["1,2;2,4;3,6", "--beta", "2"],
     "refused:repeated-point": ["1,2;1,2;2,4;3,6", "--beta", "2"],
     "refused:slope-1": ["1,1;2,2;3,3;4,4", "--beta", "2"],
@@ -223,6 +226,7 @@ CERTS = {
     "refused:beta-minus-2": ["1,2;2,4;3,6;4,8", "--beta=-2"],
     "refused:above-cap": ["1,2;2,4;3,6;33,66", "--beta", "2"],
     "refused:k-above-cap": ["1,16;2,32;3,48;5,80", "--beta", "2"],
+    "refused:not-geometric": ["1,2;2,4;3,6;4,8", "--support", "1,2,3"],
 }
 
 GROUPS = ("construct", "refused", "roots", "descriptor", "det", "indep-cert", *READERS)
@@ -284,6 +288,18 @@ def test_every_case_has_a_committed_outcome():
 @pytest.mark.parametrize("group", GROUPS)
 def test_runs_give_the_committed_output(group):
     check_document(all_cases(), expected(), group)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_geometric_support_reads_alike_in_either_spelling(family):
+    # the documents differ in how they spell the support; what every
+    # reader prints of them does not (a family that refuses the support,
+    # in either spelling, has no reader runs)
+    outcomes = expected()
+    for reader in READERS:
+        beta, points = (outcomes.get(f"{reader}:{family}:{spelling}", [])[:2]
+                        for spelling in ("geometric", "geometric-points"))
+        assert beta == points, reader
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ from itertools import combinations
 from math import ceil, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncorrsets import constructions, polynomials
 from uncorrsets.constructions import (
@@ -32,14 +34,18 @@ from uncorrsets.constructions import (
     slopeline_beta_star,
     slopeline_d_poly,
 )
+from uncorrsets.determinants import independence_certificate
 from uncorrsets.engine import (
     MATCH,
+    SetDescriptor,
     classify_symmetric,
     enumerate_box_offsets,
+    shape_offsets,
     verify_claim,
 )
 from uncorrsets.model import (
     BetaSupport,
+    JointTable,
     Support3,
     rescale,
     table_from_offsets,
@@ -544,3 +550,38 @@ def test_all_sixteen_parity_unions():
         if not c.x.is_zero:
             table = table_from_offsets(rescale(c.x), c.support, c.support)
             assert classify_symmetric(table) == c.descriptor
+
+
+# every builder that takes a support, with its further arguments; the
+# lattice union takes only symmetric supports, which are never geometric
+_ON_ANY_SUPPORT = [
+    (make_empty, ()), (make_full, ()), (make_diagonal, ()), (make_singleton, (2, 3)),
+    (make_two_point, ((1, 2), (2, 3))), (make_vline, (2,)), (make_hline, (3,)),
+    (make_cross, (2, 3)), (make_antidiagonal, (5,)),
+]
+_COLLINEAR = ([(1, 2), (2, 4), (3, 6), (4, 8)], [(3, 2), (6, 4), (9, 6), (12, 8)])
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)),
+    st.builds(lambda p, q: 1 + Fraction(p, q), st.integers(1, 6), st.integers(1, 4)),
+)
+def test_a_geometric_support_acts_alike_in_either_spelling(alpha, beta):
+    by_ratio = BetaSupport(alpha, beta)
+    by_points = Support3((alpha, alpha * beta, alpha * beta**2))
+    assert by_ratio.beta == by_points.beta == beta and by_ratio != by_points
+    slope = SetDescriptor.slopeline(2)
+    claims = (SetDescriptor.empty(), SetDescriptor.antidiagonal(4), slope)
+    for make, args in _ON_ANY_SUPPORT:
+        a, b = make(by_ratio, *args), make(by_points, *args)
+        assert a.x == b.x
+        assert a.enumerate_box(6, 6) == b.enumerate_box(6, 6)
+        for desc in (a.descriptor, *claims):
+            assert a.verify(desc, 6, 6) == b.verify(desc, 6, 6)
+        # a table spells its supports as points, whichever the witness took
+        assert JointTable.from_json(a.table().to_json()) == a.table() == b.table()
+    assert shape_offsets(slope, by_ratio) == shape_offsets(slope, by_points)
+    for orders in _COLLINEAR:
+        assert (independence_certificate(orders, by_ratio)
+                == independence_certificate(orders, by_points))

@@ -79,21 +79,19 @@ supports = st.one_of(positive_supports, general_supports, symmetric_supports)
 
 def _per_cell(x, support, jmax, kmax):
     """The per-cell oracle: condition form where A_j exists, else the delta."""
-    s3 = support.to_support3()
     cells = [(j, k) for j in range(1, jmax + 1) for k in range(1, kmax + 1)]
-    by_delta = [p for p in cells if offsets_delta(x, s3, s3, *p) == 0]
-    if s3.kind is SupportKind.POSITIVE_ORDERED:
+    by_delta = [p for p in cells if offsets_delta(x, support, support, *p) == 0]
+    if support.kind is SupportKind.POSITIVE_ORDERED:
         seq = ASequence(support)
         assert [p for p in cells if condition_lhs(x, seq, *p) == 0] == by_delta
     return by_delta
 
 
 def _by_moments(x, support, jmax, kmax):
-    s3 = support.to_support3()
     if x.is_zero:
-        table = JointTable.independent(s3, s3)
+        table = JointTable.independent(support, support)
     else:
-        table = table_from_offsets(rescale(x), s3, s3)
+        table = table_from_offsets(rescale(x), support, support)
     return enumerate_box_table(table, jmax, kmax)
 
 
@@ -106,13 +104,12 @@ def _three_routes(x, support, jmax, kmax):
 
 def _condition_row(support, j, k):
     """Coefficients of the membership condition at (j, k) in x1..x4."""
-    s3 = support.to_support3()
-    if s3.kind is SupportKind.POSITIVE_ORDERED:
+    if support.kind is SupportKind.POSITIVE_ORDERED:
         seq = ASequence(support)
         aj, ak = seq.value(j), seq.value(k)
         return [Fraction(1), aj, ak, aj * ak]
     units = [OffsetVector(tuple(int(i == n) for i in range(4))) for n in range(4)]
-    return [offsets_delta(e, s3, s3, j, k) for e in units]
+    return [offsets_delta(e, support, support, j, k) for e in units]
 
 
 @st.composite
@@ -122,7 +119,7 @@ def planted(draw):
     cell = st.tuples(st.integers(1, jmax), st.integers(1, kmax))
     targets = draw(st.lists(cell, min_size=1, max_size=3, unique=True))
     rows = [_condition_row(support, j, k) for j, k in targets]
-    if support.to_support3().kind is SupportKind.POSITIVE_ORDERED and draw(st.booleans()):
+    if support.kind is SupportKind.POSITIVE_ORDERED and draw(st.booleans()):
         # v = x3 + A_j x4 = 0 on one column: it is empty, or whole when it
         # also holds a target
         aj = ASequence(support).value(draw(st.integers(1, jmax)))
@@ -176,12 +173,11 @@ def test_moment_enumeration_is_the_definition(case, support_y):
     # the planted offsets give member cells when Y shares X's support; a
     # second support for Y covers tables with two supports
     x, support, jmax, kmax, _ = case
-    sx = support.to_support3()
-    sy = sx if support_y is None else support_y.to_support3()
+    sy = support if support_y is None else support_y
     if x.is_zero:
-        table = JointTable.independent(sx, sy)
+        table = JointTable.independent(support, sy)
     else:
-        table = table_from_offsets(rescale(x), sx, sy)
+        table = table_from_offsets(rescale(x), support, sy)
     assert enumerate_box_table(table, jmax, kmax) == _by_definition(table, jmax, kmax)
 
 

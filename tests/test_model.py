@@ -147,6 +147,23 @@ def test_beta_support():
         BetaSupport(0, 2)
 
 
+def test_beta_is_read_off_the_points():
+    # the six non-geometric supports of the CLI corpus, and a geometric
+    # progression below zero
+    for points in ((1, 2, 3), (Fraction(1, 2), 2, 7), (-1, 0, 1), (-3, 1, 2),
+                   (-2, -1, 1), (0, 1, 2), (-4, -2, -1)):
+        assert Support3(points).beta is None, points
+    assert Support3((1, 2, 4)).beta == 2
+    for alpha, beta in ((1, 2), (Fraction(1, 3), Fraction(5, 2)), (5, Fraction(7, 3))):
+        bs = BetaSupport(alpha, beta)
+        assert (bs.alpha, bs.beta) == (alpha, beta)
+        # one support in two spellings: the points and what they fix agree,
+        # and equality keeps the spelling that decides a document's bytes
+        same = bs.to_support3()
+        assert (same.points, same.kind, same.beta) == (bs.points, bs.kind, bs.beta)
+        assert type(same) is Support3 and same != bs
+
+
 def test_support_json_round_trip():
     s = Support3.from_values(Fraction(1, 2), 2, 3)
     assert support_from_json(s.to_json()) == s

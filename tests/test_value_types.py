@@ -74,8 +74,10 @@ class Spec:
 
 
 SPECS = [
-    Spec(Support3, [("points", (1, 2, 3))], {"points": (1, 2, 4)}, derived=("kind",)),
-    Spec(BetaSupport, [("alpha", 1), ("beta", 2)], {"alpha": 3, "beta": 3}),
+    Spec(Support3, [("points", (1, 2, 3))], {"points": (1, 2, 4)},
+         derived=("kind", "beta")),
+    Spec(BetaSupport, [("alpha", 1), ("beta", 2)], {"alpha": 3, "beta": 3},
+         derived=("points", "kind")),
     Spec(OffsetVector, [("x", (1, 0, 0, 0))], {"x": (0, 1, 0, 0)}),
     Spec(YVector, [("y", (1, 0, 0, 0))], {"y": (0, 0, 0, 1)}),
     Spec(
