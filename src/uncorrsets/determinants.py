@@ -15,21 +15,24 @@ collinear order pairs on k = (b/a) j with a != b an independent system:
 the membership matrix of such points is exactly a G(a, b) matrix at
 rational powers of the support ratio.
 
-Every identity is checked two independent ways: ``*_direct`` expands the
-determinant by cofactors, ``*_closed`` writes each term of the multisum,
-a monomial times one sigma, times the prefactor's first linear factor as
-two packed keys, (t - z) sigma_e(z, t) = t^(e+1) - z^(e+1), into one
-coefficient dict and multiplies by the other factors one at a time
-(``_sigma_sum``).  The two routes share only the polynomial ring and
-sigma; their results are compared coefficient by coefficient.  Orders
-with m + n above ``MAX_ORDER_SUM`` are refused.
+Every identity is checked two independent ways.  ``*_direct`` hands the
+column exponents to ``mp_det``, a cofactor recursion along the first row
+whose minors are again power matrices, so no matrix of polynomials is
+built.  ``*_closed`` writes each term of the multisum, a monomial times
+one sigma, and hands the terms and the prefactor's linear factors to
+``_sigma_sum``.  That runs on homogeneous packed polynomials: a key packs
+x and y, a value holds the coefficients along z as the digits of one
+int, and t's exponent is what the degree leaves; the first factor
+(t - z) telescopes each sigma run to two digits.  The two routes share
+only the polynomial type; their results are compared coefficient by
+coefficient.  Orders with m + n above ``MAX_ORDER_SUM`` are refused.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import lshift
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -51,8 +54,9 @@ X, Y, Z, T = range(4)
 
 # largest m + n of a determinant identity; admits every G(a, b) that an
 # independence certificate needs at the default exponent cap (a + b <= 31).
-# The slowest check under it, G(10, 22), takes about 0.06 s, most of it in
-# the closed route's _sigma_sum.
+# The slowest checks under it, G(10, 21) and G(10, 22), take about 0.05 s,
+# nearly all of it in counting the quintuple sum's terms (130,900 of them,
+# 7,600 distinct, at G(10, 22)).
 MAX_ORDER_SUM = 32
 
 
@@ -67,8 +71,8 @@ class SlopeOne(ValueError):
 # the Vandermonde product (y-x)(z-x)(t-x)(z-y)(t-y)(t-z) as pairs (a, b),
 # each the factor v_b - v_a, in the order the closed routes multiply: (t - z)
 # first telescopes the sigma_e(z, t) runs, and of the 120 orders of the rest,
-# (z - x), (t - x) next pass the fewest dict entries on the benchmark's F and
-# G orders (117,182, against 123,782 with (y - x) next)
+# this one is among the six that pass the fewest (x, y) keys on the
+# benchmark's F and G orders (14,940, against up to 19,288)
 VANDERMONDE = ((Z, T), (X, Z), (X, T), (X, Y), (Y, Z), (Y, T))
 
 
@@ -76,60 +80,97 @@ def _sigma_sum(arity: int, i: int, j: int, terms, factors=()) -> MultiPoly:
     """The product of (v_b - v_a) over the pairs (a, b) in factors, times
     the sum of v^exps * sigma_e(v_i, v_j) over the (exps, e) pairs in terms.
 
-    Runs on packed keys, as ``MultiPoly.__mul__`` does: variable v takes
-    bits [v*w, (v+1)*w) of one int, so with s_v = 2^(v*w) the terms of
-    v^exps * sigma_e are the arithmetic progression key(exps) + e*s_i +
-    r*(s_j - s_i), r = 0..e (a step of 0 when i == j), and multiplying by
-    v_b - v_a is the copy shifted by s_b minus the copy shifted by s_a.
-    A first factor on the sigma pair itself telescopes each run instead:
-    (v_b - v_a) sigma_e(v_a, v_b) = v_b^(e+1) - v_a^(e+1), two keys.
-    Equal (exps, e) pairs are counted first, so each distinct run is
-    written once, with its multiplicity as the increment.  No exponent of
-    the sum exceeds max(exps) + e and each factor adds at most one, so a
-    field of w bits for that bound plus one per factor never carries.
-    Keys are unpacked once, at the end.
+    Every term must have one degree D = sum(exps) + e (else ValueError),
+    so the product is homogeneous of degree D + len(factors); an empty sum
+    is the zero polynomial.  It runs on packed homogeneous polynomials: a
+    key packs the exponents of every variable but v_i and v_j, variable v
+    in bits [v*w, (v+1)*w); its value is one int whose balanced base-2^B
+    digits are the coefficients, digit d at v_i^d; and v_j's exponent is
+    what the degree leaves.  So v^exps * sigma_e is one
+    entry, the repunit 1 + 2^B + ... + 2^(eB) shifted by exps[i] digits,
+    a factor of v_j costs nothing, a factor of v_i is ``value << B``, and
+    any other variable shifts the key.  A first factor on the sigma pair
+    telescopes each run instead: (v_j - v_i) sigma_e(v_i, v_j) = v_j^(e+1)
+    - v_i^(e+1), two digits.  When i == j, sigma_e(v, v) = (e + 1) v^e and
+    the value is the plain coefficient.  P -> P(2^B) is a ring map, so
+    only the final coefficients need to fit a digit: B is a sign bit plus
+    the bit length of their l1 bound, sum mult * (e + 1) (2 * sum mult
+    when the first factor telescopes), doubled by each other factor.
+    Equal (exps, e) pairs are counted first.  Every exponent is at most
+    the degree, so fields of its bit length never carry.
     """
     counts = Counter(terms)
-    top = max((max(exps) + e for exps, e in counts), default=0) + len(factors)
+    if not counts:
+        return MultiPoly._of(arity, {})
+    exps, e = next(iter(counts))
+    degree = sum(exps) + e
+    top = degree + len(factors)
     w = top.bit_length() or 1
-    shifts = range(0, w * arity, w)
+    weights = [0 if v in (i, j) else 1 << v * w for v in range(arity)]
+    telescope = i != j and bool(factors) and {i, j} == set(factors[0])
+    if telescope:
+        (a, _), *factors = factors
+        bound = 2 * sum(counts.values())
+    else:
+        bound = sum(mult * (e + 1) for (_, e), mult in counts.items())
+    B = 1 + (bound << len(factors)).bit_length() if i != j else 0
+    # the run of sigma_e (times the telescoping factor) as digits from
+    # v_i^0 on, for each e in the terms
+    es = {e for _, e in counts}
+    if i == j:
+        runs = {e: e + 1 for e in es}
+    elif telescope:  # v_j^(e+1) - v_i^(e+1), negated for the factor v_i - v_j
+        sign = 1 if a == i else -1
+        runs = {e: sign - (sign << (e + 1) * B) for e in es}
+    else:
+        runs = {e: ((1 << (e + 1) * B) - 1) // ((1 << B) - 1) for e in es}
     out: dict[int, int] = {}
     get = out.get
-    if factors and {i, j} == set(factors[0]):
-        (a, b), *factors = factors
-        sa, sb = 1 << a * w, 1 << b * w
-        for (exps, e), mult in counts.items():
-            start = sum(map(lshift, exps, shifts))
-            hi, lo = start + (e + 1) * sb, start + (e + 1) * sa
-            out[hi] = get(hi, 0) + mult
-            out[lo] = get(lo, 0) - mult
-        out = {k: c for k, c in out.items() if c}
-    else:
-        si = 1 << i * w
-        step = (1 << j * w) - si
-        for (exps, e), mult in counts.items():
-            start = sum(map(lshift, exps, shifts)) + e * si
-            if step:
-                for k in range(start, start + (e + 1) * step, step):
-                    out[k] = get(k, 0) + mult
-            else:
-                out[start] = get(start, 0) + (e + 1) * mult
+    for (exps, e), mult in counts.items():
+        if sum(exps) + e != degree:
+            raise ValueError(f"term {exps}, {e} is not of degree {degree}")
+        key = sum(map(mul, exps, weights))
+        out[key] = get(key, 0) + (runs[e] * mult << exps[i] * B)
+    out = {k: c for k, c in out.items() if c}
     for a, b in factors:
-        sa, sb = 1 << a * w, 1 << b * w
-        shifted = {k + sb: c for k, c in out.items()}
+        # v_b P - v_a P: v_i shifts the value, v_j nothing, others the key
+        sa, sb = weights[a], weights[b]
+        da, db = B * (a == i), B * (b == i)
+        shifted = {k + sb: c << db for k, c in out.items()}
         get = shifted.get
         for k, c in out.items():
             k += sa
-            c = get(k, 0) - c
+            c = get(k, 0) - (c << da)
             if c:
                 shifted[k] = c
             else:  # only a key of the first copy can cancel
                 del shifted[k]
         out = shifted
     mask = (1 << w) - 1
-    return MultiPoly._of(
-        arity, {tuple([k >> s & mask for s in shifts]): c for k, c in out.items()}
-    )
+    digit, half = (1 << B) - 1, 1 << B >> 1
+    terms_out = {}
+    for k, c in out.items():
+        exps = [k >> s & mask for s in range(0, w * arity, w)]
+        left = top - sum(exps)
+        if i == j:
+            exps[i] = left
+            terms_out[tuple(exps)] = c
+            continue
+        d = 0
+        while c:
+            low = c & digit
+            if not low:  # a run of zero digits, skipped at once
+                run = ((c & -c).bit_length() - 1) // B
+                c >>= run * B
+                d += run
+                continue
+            if low >= half:
+                low -= 1 << B
+            exps[i], exps[j] = d, left - d
+            terms_out[tuple(exps)] = low
+            c = (c - low) >> B
+            d += 1
+    return MultiPoly._of(arity, terms_out)
 
 
 def sigma(k: int, arity: int = 2, i: int = 0, j: int = 1) -> MultiPoly:
@@ -150,25 +191,22 @@ def sigma_diff_identity(k: int) -> bool:
     return lhs == rhs
 
 
-def mp_det(mat: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Cofactor expansion of a small matrix of polynomials, the signed
-    cofactors summed term by term into one dict."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
+def mp_det(exponents: Sequence[int]) -> MultiPoly:
+    """det of the power matrix with rows (v^e for e in exponents), one row
+    per variable, by cofactors along the first row: the first variable's
+    exponent e_c goes in front of each key of the c-th minor, the power
+    matrix of the other variables on the other exponents."""
+    n = len(exponents)
     if n == 1:
-        return mat[0][0]
+        return MultiPoly._of(1, {(exponents[0],): 1})
     out: dict[tuple[int, ...], int] = {}
     get = out.get
-    for c in range(n):
-        entry = mat[0][c]
-        if entry.is_zero:
-            continue
-        minor = [row[:c] + row[c + 1:] for row in mat[1:]]
+    for c, e in enumerate(exponents):
         sign = -1 if c % 2 else 1
-        for exps, coef in (entry * mp_det(minor))._terms.items():
-            out[exps] = get(exps, 0) + sign * coef
-    return MultiPoly._of(mat[0][0].arity, {e: c for e, c in out.items() if c})
+        for exps, coef in mp_det(exponents[:c] + exponents[c + 1:])._terms.items():
+            key = (e, *exps)
+            out[key] = get(key, 0) + sign * coef
+    return MultiPoly._of(n, {e: c for e, c in out.items() if c})
 
 
 class DetResult(Frozen):
@@ -240,21 +278,10 @@ def vandermonde_factor() -> MultiPoly:
     return out
 
 
-def _power_matrix(exponents: Sequence[int]) -> list[list[MultiPoly]]:
-    """Rows (v^e for e in exponents) at v = x, y, z, t, each a monomial."""
-    return [
-        [
-            MultiPoly._of(4, {tuple(e * (c == v) for c in range(4)): 1})
-            for e in exponents
-        ]
-        for v in range(4)
-    ]
-
-
 def f_direct(m: int, n: int) -> MultiPoly:
     """det of the matrix with columns (1, v, v^m, v^n) at v = x, y, z, t."""
     _check_orders(m, n, lowest=1)
-    return mp_det(_power_matrix((0, 1, m, n)))
+    return mp_det((0, 1, m, n))
 
 
 def f_closed(m: int, n: int) -> MultiPoly:
@@ -276,7 +303,7 @@ def f_closed(m: int, n: int) -> MultiPoly:
 def g_direct(m: int, n: int) -> MultiPoly:
     """det of the matrix with columns (1, v^m, v^n, v^(m+n))."""
     _check_orders(m, n, lowest=1)
-    return mp_det(_power_matrix((0, m, n, m + n)))
+    return mp_det((0, m, n, m + n))
 
 
 def _g_terms(m: int, n: int):
@@ -344,8 +371,9 @@ class IndependenceCertificate(Frozen):
 
     The matrix rows are (1, beta^j, beta^k, beta^(j+k)) for each order
     pair; ``det_value`` is its exact determinant, ``nullspace_dim`` its
-    nullity, and ``closed_value`` the G(a, b) product formula evaluated
-    at u_i = beta^(j_i / a), equal up to the recorded column-swap sign.
+    nullity (0 when the determinant is nonzero, else 4 minus the rank),
+    and ``closed_value`` the G(a, b) product formula evaluated at
+    u_i = beta^(j_i / a), equal up to the recorded column-swap sign.
     All three are computed in integers, on rows and points scaled by
     powers of beta's denominator.  ``closed_value`` is V(U) times the sum
     of U^exps * sigma_e(U_z, U_t) over the multisum's terms at the scaled
@@ -424,7 +452,8 @@ def independence_certificate(
     p, q = support.beta.numerator, support.beta.denominator
     rows = [[q ** (j + k), p**j * q**k, p**k * q**j, p ** (j + k)] for j, k in pts]
     det_value = linalg.det(rows) / q ** sum(j + k for j, k in pts)
-    null_dim = 4 - linalg.rank(rows)
+    # a nonzero determinant is full rank; only a zero one needs elimination
+    null_dim = 4 - linalg.rank(rows) if det_value == 0 else 0
 
     a, b = slope.denominator, slope.numerator
     for j, _ in pts:

@@ -124,6 +124,7 @@ from .numeric import (
     as_exact,
     check_box,
     check_order,
+    format_rational,
     int_from_json,
     max_exponent,
     over_one_denominator,
@@ -621,8 +622,9 @@ def shape_offsets(desc: SetDescriptor, support: Support3) -> OffsetVector | None
     if kind in ("antidiagonal", "slopeline"):
         beta = support.beta
         if beta is None:
+            text = ", ".join(map(format_rational, support.points))
             raise IncompatibleDescriptor(
-                f"a global {kind} claim needs a geometric support"
+                f"a global {kind} claim needs a geometric support, not ({text})"
             )
         if kind == "antidiagonal":
             return from_y(YVector.of(beta ** desc.params[0], 0, 0, -1))

@@ -706,7 +706,7 @@ def test_antidiagonal_without_beta_names_beta_even_with_k(capsys):
     # the default support (1, 2, 3) is not geometric; --k is the slope
     # line's near-line flag, and it makes no antidiagonal
     for extra, message in (
-        ((), "a global antidiagonal claim needs a geometric support"),
+        ((), "a global antidiagonal claim needs a geometric support, not (1, 2, 3)"),
         (("--k", "5"), "unrecognized arguments: --k 5"),
     ):
         code, out, err = _run(capsys, "construct", "antidiagonal", "--m", "3", *extra)

@@ -1,14 +1,15 @@
 import ast
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product, repeat
 from math import gcd
-from operator import add
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from uncorrsets import determinants
+from uncorrsets import determinants, linalg
 from uncorrsets.determinants import (
     MAX_ORDER_SUM,
     IndependenceCertificate,
@@ -69,14 +70,6 @@ def test_sigma_difference_identity():
         assert sigma_diff_identity(k)
     with pytest.raises(ValueError):
         sigma_diff_identity(0)
-
-
-def test_mp_det_small_cases():
-    x, y, z, t = (MultiPoly.variable(4, i) for i in range(4))
-    assert mp_det([[x]]) == x
-    assert mp_det([[x, y], [z, t]]) == x * t - y * z
-    with pytest.raises(ValueError):
-        mp_det([[x, y], [z]])
 
 
 def test_det2_smallest_case_is_z_minus_y():
@@ -193,8 +186,7 @@ def test_certificates_above_the_order_bound_are_refused(monkeypatch):
 def _closed_and_reference(monkeypatch, route, *orders):
     """route(*orders), and the product the closed routes used to make from
     the terms the route hands _sigma_sum: the MultiPoly product of its
-    linear factors times the bare sum.  Also the field bound's base and
-    the number of factors."""
+    linear factors times the bare sum.  Also the product's degree."""
     real = determinants._sigma_sum
     calls = []
 
@@ -212,18 +204,19 @@ def _closed_and_reference(monkeypatch, route, *orders):
     else:
         ((a, b),) = factors
         prefactor = MultiPoly.variable(arity, b) - MultiPoly.variable(arity, a)
-    top = max((max(exps) + e for exps, e in terms), default=0)
-    return got, prefactor * real(arity, i, j, terms), top, len(factors)
+    degree = max((sum(exps) + e for exps, e in terms), default=0) + len(factors)
+    return got, prefactor * real(arity, i, j, terms), degree
 
 
 # every F and G order with m + n <= 14, the degenerate n = m included
 SMALL_ORDERS = [(m, n) for m in range(1, 8) for n in range(m, 15 - m)]
 
-# orders past the exhaustive ranges below where the one-bit-per-factor
-# margin of _sigma_sum's field width changes the width
+# orders past the exhaustive ranges below whose product has a power of two
+# as its degree, where _sigma_sum's key fields (the degree's bit length)
+# are one bit wider than one degree lower
 MARGIN_ORDERS = {
-    f_closed: [(2, 17), (2, 18), (3, 17), (2, 29)],
-    g_closed: [(1, 17), (2, 15), (2, 17), (1, 31)],
+    f_closed: [(2, 13), (7, 8), (2, 29)],
+    g_closed: [(1, 15), (5, 11), (1, 31)],
     det2_closed: [(7, 9), (0, 16), (15, 17)],
 }
 
@@ -237,10 +230,65 @@ def test_closed_routes_equal_the_vandermonde_product(monkeypatch):
     }
     for route, orders in cases.items():
         for mn in orders:
-            got, want, top, nfactors = _closed_and_reference(monkeypatch, route, *mn)
+            got, want, degree = _closed_and_reference(monkeypatch, route, *mn)
             assert got == want, (route.__name__, mn)
             if mn in MARGIN_ORDERS[route]:
-                assert top.bit_length() != (top + nfactors).bit_length(), mn
+                assert degree & (degree - 1) == 0, mn
+
+
+def _reference_sum(arity, i, j, counted, factors):
+    """The MultiPoly product of the linear factors v_b - v_a times the sum
+    of mult * v^exps * sigma_e(v_i, v_j), each term a MultiPoly of its own."""
+    total = MultiPoly.zero(arity)
+    for (exps, e), mult in counted:
+        run = {}
+        for r in range(e + 1):
+            key = list(exps)
+            key[i] += r
+            key[j] += e - r
+            run[tuple(key)] = run.get(tuple(key), 0) + mult
+        total = total + MultiPoly(arity, run)
+    for a, b in factors:
+        total = total * (MultiPoly.variable(arity, b) - MultiPoly.variable(arity, a))
+    return total
+
+
+@st.composite
+def _sigma_sum_cases(draw):
+    """A homogeneous term list with multiplicities (small, or up to 10^6 so
+    that the digit width B changes its bit length), and a factor list that
+    may start on the sigma pair in either orientation."""
+    arity = draw(st.integers(2, 4))
+    var = st.integers(0, arity - 1)
+    i, j = draw(var), draw(var)
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * arity), max_size=4))
+    degree = max(map(sum, exps), default=0) + draw(st.integers(0, 3))
+    mults = st.one_of(st.integers(1, 3), st.integers(1, 10**6))
+    counted = [((x, degree - sum(x)), draw(mults)) for x in exps]
+    first = draw(st.sampled_from([(), ((i, j),), ((j, i),)]))
+    rest = draw(st.lists(st.tuples(var, var), max_size=4))
+    return arity, i, j, counted, first + tuple(rest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sigma_sum_cases())
+# a lone coefficient 2^20 - 1 equals its bound and fills all bits of a
+# digit but the sign bit; a telescoped run in each orientation
+@example((3, 1, 2, [(((2, 0, 0), 0), 2**20 - 1)], ()))
+@example((3, 1, 2, [(((2, 0, 0), 1), 2**19)], ((1, 2), (0, 2))))
+@example((3, 1, 2, [(((2, 0, 0), 1), 2**19)], ((2, 1), (0, 1))))
+def test_sigma_sum_equals_the_product_built_term_by_term(case):
+    arity, i, j, counted, factors = case
+    sigma_sum = determinants._sigma_sum
+    terms = chain.from_iterable(repeat(term, mult) for term, mult in counted)
+    assert sigma_sum(arity, i, j, terms, factors) == _reference_sum(
+        arity, i, j, counted, factors
+    )
+    assert sigma_sum(arity, i, j, [], factors) == MultiPoly.zero(arity)
+    exps, e = counted[0][0] if counted else ((0,) * arity, 0)
+    mixed = [term for term, _ in counted] + [(exps, e), (exps, e + 1)]
+    with pytest.raises(ValueError, match="is not of degree"):
+        sigma_sum(arity, i, j, mixed, factors)
 
 
 def test_closed_routes_make_no_multipoly_product(monkeypatch):
@@ -254,33 +302,18 @@ def test_closed_routes_make_no_multipoly_product(monkeypatch):
     assert sigma_diff_identity(6)
 
 
-def _leibniz_det(mat):
-    """det of a square matrix of term dicts (x, y, z, t exponents ->
-    coefficient) as the permutation sum, multiplied out on plain dicts,
-    zero terms dropped."""
-    n = len(mat)
+def _leibniz(exponents):
+    """det of the power matrix (v^e for e in exponents), one row per
+    variable, as the permutation sum: the permutation p gives the monomial
+    with exponent e_p(v) at variable v and the sign of p.  Zero terms are
+    dropped."""
+    n = len(exponents)
     out = {}
     for perm in permutations(range(n)):
         inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-        prod = {(0, 0, 0, 0): (-1) ** inversions}
-        for row, c in enumerate(perm):
-            step = {}
-            for e1, c1 in prod.items():
-                for e2, c2 in mat[row][c].items():
-                    key = tuple(map(add, e1, e2))
-                    step[key] = step.get(key, 0) + c1 * c2
-            prod = step
-        for key, c in prod.items():
-            out[key] = out.get(key, 0) + c
+        key = tuple(exponents[c] for c in perm)
+        out[key] = out.get(key, 0) + (-1) ** inversions
     return {e: c for e, c in out.items() if c}
-
-
-def _leibniz(exponents):
-    """det of the power matrix (v^e for e in exponents) at v = x, y, z, t as
-    the 24-term permutation sum."""
-    return _leibniz_det([
-        [{tuple(e * (c == v) for c in range(4)): 1} for e in exponents] for v in range(4)
-    ])
 
 
 def test_direct_routes_equal_the_leibniz_sum(monkeypatch):
@@ -301,39 +334,15 @@ def test_direct_routes_equal_the_leibniz_sum(monkeypatch):
     assert sorted(set(calls)) == [1, 2, 3, 4]
 
 
-def _sparse_entry(rng, monomials):
-    """0 to 3 terms from a small monomial pool with coefficients +-1, +-2,
-    so that products collide and cancel; about a quarter are zero."""
-    return {
-        rng.choice(monomials): rng.choice((-2, -1, 1, 2))
-        for _ in range(rng.choice((0, 1, 2, 3)))
-    }
-
-
-def test_mp_det_equals_the_leibniz_sum_on_general_matrices():
-    rng = random.Random(39)
-    monomials = list(product(range(2), repeat=4))
-    mats = []
-    for n in (3, 4) * 30:
-        mats.append([[_sparse_entry(rng, monomials) for _ in range(n)] for _ in range(n)])
-    # a repeated row and a negated row: every term cancels; a zero first row
-    # skips every cofactor
-    for n in (3, 4):
-        rows = [[_sparse_entry(rng, monomials) for _ in range(n)] for _ in range(n - 1)]
-        mats.append(rows + [[dict(entry) for entry in rows[0]]])
-        mats.append(rows + [[{e: -c for e, c in entry.items()} for entry in rows[-1]]])
-        mats.append([[{} for _ in range(n)]] + rows)
-    zero_results = 0
-    for mat in mats:
-        got = mp_det([[MultiPoly(4, entry) for entry in row] for row in mat])
-        want = _leibniz_det(mat)
-        assert dict(got.sorted_terms()) == want, mat
-        assert 0 not in want.values()
-        zero_results += got.is_zero
-    assert zero_results >= 6
-    # an entry whose terms cancel is the zero polynomial that the skip sees
-    x, y = MultiPoly.variable(4, 0), MultiPoly.variable(4, 1)
-    assert mp_det([[x - x, y], [x, y]]) == -(x * y)
+def test_mp_det_equals_the_leibniz_sum_on_every_small_power_matrix():
+    # every exponent tuple in {0..5}^n, n = 1..4: 1,554 matrices, among
+    # them every repeated exponent, whose power matrix has two equal columns
+    for n in range(1, 5):
+        for exponents in product(range(6), repeat=n):
+            got = mp_det(exponents)
+            assert got.arity == n
+            assert dict(got.sorted_terms()) == _leibniz(exponents), exponents
+            assert got.is_zero == (len(set(exponents)) < n), exponents
 
 
 def test_closed_and_direct_routes_stay_independent():
@@ -387,6 +396,31 @@ def test_independence_certificate_fractional_slope():
     assert cert.slope == Fraction(2, 3)
     assert cert.cross_checked
     assert cert.independent
+
+
+def test_an_independent_certificate_runs_no_elimination_for_the_rank(monkeypatch):
+    ranks = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: ranks.append(rows) or real(rows))
+    for points, beta in (
+        ([(1, 2), (2, 4), (3, 6), (4, 8)], 2),
+        ([(2, 1), (4, 2), (6, 3), (8, 4)], Fraction(3, 2)),
+    ):
+        cert = independence_certificate(points, BetaSupport(1, beta))
+        assert cert.independent and cert.nullspace_dim == 0
+    assert ranks == []
+
+
+def test_a_zero_determinant_takes_the_nullity_from_the_rank(monkeypatch):
+    ranks = []
+    monkeypatch.setattr(linalg, "det", lambda rows: Fraction(0))
+    monkeypatch.setattr(linalg, "rank", lambda rows: ranks.append(rows) or 3)
+    cert = independence_certificate([(1, 2), (2, 4), (3, 6), (4, 8)], BetaSupport(1, 2))
+    assert len(ranks) == 1
+    assert cert.det_value == 0
+    assert cert.nullspace_dim == 1
+    assert not cert.cross_checked
+    assert not cert.independent
 
 
 def test_independence_certificate_rejections():

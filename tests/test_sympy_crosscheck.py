@@ -37,6 +37,7 @@ from uncorrsets.determinants import (  # noqa: E402
     g_closed,
     g_direct,
     independence_certificate,
+    mp_det,
     vandermonde_factor,
 )
 from uncorrsets.engine import (  # noqa: E402
@@ -240,6 +241,17 @@ def test_f_and_g_match_sympy_determinants(mn, point):
 
 
 V = sp.symbols("x y z t")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 32), min_size=4, max_size=4))
+def test_mp_det_matches_sympy_determinants(exponents):
+    # repeated exponents among the draws give the zero polynomial
+    want = sp.Matrix([[v**e for e in exponents] for v in V]).det(method="berkowitz")
+    want = sp.Poly(sp.expand(want), *V).as_dict()
+    assert dict(mp_det(exponents).sorted_terms()) == {
+        e: int(c) for e, c in want.items() if c
+    }
 
 
 def _complete(k):
