@@ -26,7 +26,8 @@ is larger than 1 and strictly decreasing; a parity class on (-v, 0, v),
 where the ratio is 0 : 1 for even k and 2 : 1 for odd k; every even k,
 where Q_k = 0, when b = -c.  ``offsets_delta`` (the deviation form) and,
 on positive ordered supports, ``condition_lhs`` (x1 + A_j x2 + A_k x3 +
-A_j A_k x4, the form over Q_j Q_k) stay as the per-cell oracles.
+A_j A_k x4, the form over Q_j Q_k) stay as the per-cell oracles; both are
+rational linear forms, taken on R and I through ``numeric.map_parts``.
 
 An uncorrelatedness set is claimed by a ``SetDescriptor``: a kind, the
 integer ``params`` that ``KINDS`` declares for it (JSON keys and least
@@ -100,6 +101,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -121,11 +123,11 @@ from .numeric import (
     Frozen,
     Point,
     Scalar,
-    as_exact,
     check_box,
     check_order,
     format_rational,
     int_from_json,
+    map_parts,
     max_exponent,
     over_one_denominator,
     parse_points,
@@ -188,9 +190,11 @@ class ASequence:
 
 def condition_lhs(x: OffsetVector, seq: ASequence, j: int, k: int) -> Scalar:
     """x1 + A_j x2 + A_k x3 + A_j A_k x4; zero exactly at uncorrelated (j, k)."""
-    x1, x2, x3, x4 = x.x
     aj, ak = seq.value(j), seq.value(k)
-    return as_exact(x1 + aj * x2 + ak * x3 + aj * ak * x4)
+    (lhs,) = map_parts(
+        x.x, lambda x1, x2, x3, x4: (x1 + aj * x2 + ak * x3 + aj * ak * x4,)
+    )
+    return lhs
 
 
 def membership_rows(
@@ -215,13 +219,12 @@ def offsets_delta(
     because the uniform 1/9 part cancels from the difference.
     """
     sx, sy = support_x.points, support_y.points
-    dev = x.deviations()
-    acc: Scalar = Fraction(0)
-    for r in range(3):
-        yk = sy[r] ** k
-        for c in range(3):
-            acc = acc + dev[r][c] * (sx[c] ** j * yk)
-    return as_exact(acc)
+    weights = [sy[r] ** k * sx[c] ** j for r in range(3) for c in range(3)]
+    (delta,) = map_parts(
+        [dev for row in x.deviations() for dev in row],
+        lambda *dev: (sum(map(mul, weights, dev)),),
+    )
+    return delta
 
 
 def enumerate_box_offsets(

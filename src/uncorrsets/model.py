@@ -23,7 +23,9 @@ is an integer combination of R and I over the same L, entry rc is
 pass exactly when every entry has ``quad_sign`` >= 0 and every row and
 column has 3 sum R == L and sum I == 0.  ``Fraction`` and ``QuadExt``
 objects are built only for the results; every table is still checked in
-full when it is made.
+full when it is made.  The linear maps (``deviations``, ``to_y``,
+``from_y`` and ``offsets_of``) go through ``numeric.map_parts`` the same
+way, and ``scaled`` takes the product rule on parts.
 
 The y-coordinates y1 = x4, y2 = x3+x4, y3 = x2+x4, y4 = x1+x2+x3+x4 turn
 the uncorrelatedness condition on geometric supports into a four-term
@@ -38,12 +40,11 @@ from typing import Sequence
 
 from .numeric import (
     Frozen,
-    MixedRadicand,
-    QuadExt,
     Scalar,
     as_exact,
     exact_sign,
     format_rational,
+    map_parts,
     quad_sign,
     rational_from_json,
     scalar_from_json,
@@ -185,7 +186,7 @@ def support_from_json(obj: dict) -> Support3:
 
 def _deviation_table(x1, x2, x3, x4) -> tuple[tuple, ...]:
     """The deviation layout of the module docstring, for offsets of any
-    ring: exact scalars, or the integer numerators R or I."""
+    ring, such as the integer parts R and I of ``sqrt_parts``."""
     return (
         (x4, x3, -x3 - x4),
         (x2, x1, -x1 - x2),
@@ -220,7 +221,8 @@ class OffsetVector(Frozen):
 
     def deviations(self) -> tuple[tuple[Scalar, ...], ...]:
         """Full 3x3 deviation table, rows Y = a,b,c and columns X = a,b,c."""
-        return _deviation_table(*self.x)
+        flat = map_parts(self.x, lambda *x: sum(_deviation_table(*x), ()))
+        return tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])
 
     def transpose(self) -> "OffsetVector":
         """Offsets of the swapped pair (Y, X): x2 and x3 trade places."""
@@ -228,7 +230,16 @@ class OffsetVector(Frozen):
         return OffsetVector((x1, x3, x2, x4))
 
     def scaled(self, factor) -> "OffsetVector":
-        return OffsetVector(tuple(as_exact(factor * v) for v in self.x))
+        """The offsets times a rational or Q(sqrt(d)) factor f, by the
+        product rule on parts: (fr + fi sqrt(d)) (r + i sqrt(d)) is
+        (fr r + d fi i) + (fi r + fr i) sqrt(d)."""
+        (fr, *rat), (fi, *irr), d, den = sqrt_parts((as_exact(factor), *self.x))
+        return OffsetVector(
+            tuple(
+                scalar_from_parts(fr * r + d * fi * i, fi * r + fr * i, d, den * den)
+                for r, i in zip(rat, irr)
+            )
+        )
 
     def to_json(self) -> list:
         return [scalar_to_json(v) for v in self.x]
@@ -261,24 +272,15 @@ class YVector(Frozen):
 
 
 def to_y(x: OffsetVector) -> YVector:
-    x1, x2, x3, x4 = x.x
-    return YVector((x4, x3 + x4, x2 + x4, x1 + x2 + x3 + x4))
+    return YVector(
+        map_parts(x.x, lambda x1, x2, x3, x4: (x4, x3 + x4, x2 + x4, x1 + x2 + x3 + x4))
+    )
 
 
 def from_y(y: YVector) -> OffsetVector:
-    y1, y2, y3, y4 = y.y
-    return OffsetVector((y4 - y2 - y3 + y1, y3 - y1, y2 - y1, y1))
-
-
-def _integer_offsets(x: OffsetVector) -> tuple[list[int], list[int], int, int]:
-    """(R, I, d, L) with x = (R + I sqrt(d)) / L."""
-    try:
-        return sqrt_parts(x.x)
-    except MixedRadicand:
-        # the deviation sums combine every pair of offsets, so they refuse
-        # mixed radicands too, naming the pair they meet first
-        x.deviations()
-        raise
+    return OffsetVector(
+        map_parts(y.y, lambda y1, y2, y3, y4: (y4 - y2 - y3 + y1, y3 - y1, y2 - y1, y1))
+    )
 
 
 def rescale(x: OffsetVector) -> OffsetVector:
@@ -292,7 +294,7 @@ def rescale(x: OffsetVector) -> OffsetVector:
     (R + I sqrt(d)) (mr - mi sqrt(d)) / (18 (mr^2 - d mi^2)), whose
     integer parts are written straight into the result.
     """
-    rat, irr, d, _ = _integer_offsets(x)
+    rat, irr, d, _ = sqrt_parts(x.x)
     if not any(rat) and not any(irr):
         raise ZeroVector("cannot rescale the zero offset vector")
     mr = mi = 0
@@ -322,36 +324,15 @@ def _check_entries(cells: Sequence[Scalar]) -> None:
     """Raise unless the nine entries (row by row) are nonnegative and
     every row and column sums to 1/3; the entries are checked first, then
     the rows, then the columns, each in order.  One split of all nine
-    entries serves every table from one field; ``_check_mixed`` gives the
-    same checks, slower, for the rest."""
-    try:
-        rat, irr, d, den = sqrt_parts(cells)
-    except MixedRadicand:
-        _check_mixed(cells)
-        # not reached: some row or column of a two-field table either
-        # mixes the fields or leaves an irrational part over
-        raise
+    entries serves every check; entries from two quadratic fields raise
+    ``sqrt_parts``'s MixedRadicand before any of them."""
+    rat, irr, d, den = sqrt_parts(cells)
     for n in range(9):
         if quad_sign(rat[n], irr[n], d) < 0:
             raise NegativeEntry(n // 3, n % 3, cells[n])
     for name, lines in _LINES:
         for k, (p, q, s) in enumerate(lines):
             if 3 * (rat[p] + rat[q] + rat[s]) != den or irr[p] + irr[q] + irr[s] != 0:
-                raise ValueError(f"{name} {k} does not sum to 1/3")
-
-
-def _check_mixed(cells: Sequence[Scalar]) -> None:
-    """The checks of ``_check_entries`` for entries from two quadratic
-    fields, each entry and each line split alone, so that the error raised
-    is the first that entry signs and running line sums would meet."""
-    for n, v in enumerate(cells):
-        (r,), (i,), d, _ = sqrt_parts([v])
-        if quad_sign(r, i, d) < 0:
-            raise NegativeEntry(n // 3, n % 3, v)
-    for name, lines in _LINES:
-        for k, line in enumerate(lines):
-            rat, irr, _, den = sqrt_parts([cells[n] for n in line])
-            if 3 * sum(rat) != den or sum(irr) != 0:
                 raise ValueError(f"{name} {k} does not sum to 1/3")
 
 
@@ -414,7 +395,7 @@ def table_from_offsets(
     With x = (R + I sqrt(d)) / L, entry rc is (L + 9 r + 9 i sqrt(d)) / (9L)
     for the integer deviation parts r and i; the JointTable checks it.
     """
-    rat, irr, d, den = _integer_offsets(x)
+    rat, irr, d, den = sqrt_parts(x.x)
     entries = tuple(
         tuple(
             scalar_from_parts(den + 9 * r, 9 * i, d, 9 * den)
@@ -429,4 +410,9 @@ def offsets_of(table: JointTable) -> OffsetVector:
     """The inverse of ``table_from_offsets``: the offsets at their places in
     the deviation layout, for any object with 3x3 ``entries``."""
     (x4, x3, _), (x2, x1, _), _ = table.entries
-    return OffsetVector((x1 - NINTH, x2 - NINTH, x3 - NINTH, x4 - NINTH))
+    return OffsetVector(
+        map_parts(
+            (x1, x2, x3, x4, NINTH),
+            lambda x1, x2, x3, x4, ninth: (x1 - ninth, x2 - ninth, x3 - ninth, x4 - ninth),
+        )
+    )

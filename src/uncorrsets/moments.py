@@ -11,11 +11,18 @@ no condition route.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .model import JointTable
-from .numeric import Point, Scalar, as_exact, check_box, over_one_denominator, sqrt_parts
+from .numeric import (
+    Point,
+    Scalar,
+    check_box,
+    map_parts,
+    over_one_denominator,
+    sqrt_parts,
+)
 
 
 # The moment route in integers.  Write the supports over one denominator
@@ -68,14 +75,15 @@ def _moment_cells(
 
 
 def moment(table: JointTable, j: int, k: int) -> Scalar:
-    """E[X^j Y^k] straight from the joint table."""
+    """E[X^j Y^k] straight from the joint table, a rational linear form
+    in its entries taken on their integer parts (``numeric.map_parts``)."""
     sx, sy = table.support_x.points, table.support_y.points
-    terms = (
-        e * (sx[c] ** j * sy[r] ** k)
-        for r, row in enumerate(table.entries)
-        for c, e in enumerate(row)
+    weights = [sx[c] ** j * sy[r] ** k for r in range(3) for c in range(3)]
+    (value,) = map_parts(
+        [e for row in table.entries for e in row],
+        lambda *e: (sum(map(mul, weights, e)),),
     )
-    return as_exact(sum(terms, Fraction(0)))
+    return value
 
 
 def is_uncorrelated(table: JointTable, j: int, k: int) -> bool:

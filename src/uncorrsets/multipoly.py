@@ -204,7 +204,7 @@ class MultiPoly:
         return hash((self._arity, frozenset(self._terms.items())))
 
     def evaluate(self, point: Sequence) -> Scalar:
-        """Exact value at a point of ints, Fractions or QuadExt scalars.
+        """Exact value at a point of ints or Fractions.
 
         The sum starts from int coefficients and the int power 1, so at a
         point of ints the value is an int.

@@ -1,21 +1,23 @@
-"""Exact scalar arithmetic for the package.
+"""Exact scalars for the package.
 
 Rational numbers are plain ``fractions.Fraction``.  On top of those this
 module provides ``QuadExt``, a number a + b*sqrt(d) in a real quadratic
-extension of the rationals, with exact arithmetic and exact sign
-determination.  That is the full extent of irrationality the probability
-tables ever need: a witness either has rational offsets or lives in a
-single fixed Q(sqrt(d)), so no general algebraic-number tower is built.
+extension of the rationals: a validated value with its parts, its exact
+sign, equality, hashing and text, and no arithmetic.  That is the full
+extent of irrationality the probability tables ever need: a witness
+either has rational offsets or lives in a single fixed Q(sqrt(d)), so no
+general algebraic-number tower is built.
 
-Signs are decided without any floating point.  For a + b*sqrt(d) with a
-and b of opposite sign the comparison reduces to a^2 versus d*b^2, which
-can never be a tie because d is square-free and at least 2.
-
-A vector of such scalars is written once in integers as (R + I*sqrt(d)) / L,
-with one radicand d and L the least common denominator of every rational
-and irrational part (``sqrt_parts``); ``quad_sign`` is the sign rule on
-those integers, and ``scalar_from_parts`` builds a scalar back.  Kernels
-that only add, scale and compare a fixed vector work on R and I alone.
+Every computation in Q(sqrt(d)) runs on integers.  A vector of scalars
+is written once as (R + I*sqrt(d)) / L, with one radicand d and L the
+least common denominator of every rational and irrational part
+(``sqrt_parts``, the one place that refuses two radicands);
+``quad_sign`` is the sign rule on those integers, ``scalar_from_parts``
+builds a scalar back, and ``map_parts`` applies a map with rational
+coefficients to R and I alike.  Signs are decided without any floating
+point: for r + i*sqrt(d) with r and i of opposite sign the comparison
+reduces to r^2 versus d*i^2, which can never be a tie because d is
+square-free and at least 2.
 
 The exponent cap lives here too, as the bottom module every other one
 imports: ``max_exponent`` reads it (``UNCORRSET_MAX_EXP``, default 64),
@@ -31,7 +33,6 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from functools import total_ordering
 from math import isqrt, lcm
 from typing import Sequence, Union
 
@@ -47,7 +48,8 @@ MAX_RADICAND = 10**12
 
 
 class MixedRadicand(ValueError):
-    """Arithmetic mixed two quadratic extensions with different radicands."""
+    """Two values lie in quadratic fields of different radicands; only
+    ``sqrt_parts`` raises it."""
 
 
 class ExponentCapExceeded(ValueError):
@@ -140,16 +142,17 @@ def _is_squarefree(n: int) -> bool:
 
 _new = object.__new__
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _fraction(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
 
 
-@total_ordering
 class QuadExt:
-    """a + b*sqrt(d) with a, b rational and d a square-free integer >= 2."""
+    """a + b*sqrt(d) with a, b rational and d a square-free integer >= 2.
+
+    A parsed value: it does no arithmetic.  Compute on its integer parts
+    (``sqrt_parts``, ``map_parts``, ``scalar_from_parts``) instead."""
 
     __slots__ = ("_a", "_b", "_d")
 
@@ -170,9 +173,9 @@ class QuadExt:
     @classmethod
     def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
         """a + b*sqrt(d) from parts already known good: a and b are
-        Fractions and d is the radicand of an existing QuadExt.  Results
-        of arithmetic in one field are made this way; ``__init__`` checks
-        everything that comes from outside."""
+        Fractions and d is the radicand of an existing QuadExt.
+        ``scalar_from_parts`` makes its results this way; ``__init__``
+        checks everything that comes from outside."""
         q = _new(cls)
         q._a = a
         q._b = b
@@ -195,94 +198,6 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self._b == 0
 
-    # -- coercion -----------------------------------------------------
-
-    def _lift(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            if other._d != self._d:
-                raise MixedRadicand(
-                    f"cannot combine sqrt({self._d}) with sqrt({other._d})"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt._of(_fraction(other), _ZERO, self._d)
-        return NotImplemented
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt._of(self._a + o._a, self._b + o._b, self._d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt._of(self._a - o._a, self._b - o._b, self._d)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt._of(o._a - self._a, o._b - self._b, self._d)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt._of(
-            self._a * o._a + self._d * self._b * o._b,
-            self._a * o._b + self._b * o._a,
-            self._d,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QuadExt._of(-self._a, -self._b, self._d)
-
-    def __pos__(self):
-        return self
-
-    def inverse(self) -> "QuadExt":
-        # norm a^2 - d b^2 vanishes only at 0 since sqrt(d) is irrational
-        n = self._a * self._a - self._d * self._b * self._b
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return QuadExt._of(self._a / n, -self._b / n, self._d)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QuadExt._of(_ONE, _ZERO, self._d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    # -- comparisons ----------------------------------------------------
-
     def sign(self) -> int:
         a, b = self._a, self._b
         # times the positive a.denominator * b.denominator
@@ -302,19 +217,10 @@ class QuadExt:
             return self._b == 0 and self._a == other
         return NotImplemented
 
-    def __lt__(self, other) -> bool:
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
-
     def __hash__(self):
         if self._b == 0:
             return hash(self._a)
         return hash((self._a, self._b, self._d))
-
-    def __abs__(self) -> "QuadExt":
-        return -self if self.sign() < 0 else self
 
     def __repr__(self) -> str:
         return f"QuadExt({self._a}, {self._b}, {self._d})"
@@ -384,6 +290,19 @@ def scalar_from_parts(r: int, i: int, d: int, den: int) -> Scalar:
     return QuadExt._of(Fraction(r, den), Fraction(i, den), d)
 
 
+def map_parts(values: Sequence[Scalar], fn) -> list[Scalar]:
+    """fn applied to the vector values, through its integer parts.
+
+    fn takes the vector's entries as arguments and returns a sequence;
+    it must be linear with rational coefficients and no constant term,
+    written for any ring (as ``model._deviation_table`` is).  With values = (R + I*sqrt(d)) / L
+    from one ``sqrt_parts`` call, the result is (fn(R) + fn(I)*sqrt(d)) / L,
+    each entry rebuilt by ``scalar_from_parts``.
+    """
+    rat, irr, d, den = sqrt_parts(values)
+    return [scalar_from_parts(r, i, d, den) for r, i in zip(fn(*rat), fn(*irr))]
+
+
 def exact_sign(v: Scalar) -> int:
     """Sign of an exact scalar as -1, 0 or 1, decided without floats."""
     if isinstance(v, QuadExt):
@@ -396,6 +315,7 @@ def as_exact(v) -> Scalar:
 
     A QuadExt with zero irrational part collapses to its rational value,
     so equality and serialization never depend on how a number was made.
+    Text is read by ``rational_from_json``, the one text rule.
     """
     if type(v) is Fraction:
         return v
@@ -404,7 +324,7 @@ def as_exact(v) -> Scalar:
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        return rational_from_json(v)
     raise TypeError(f"not an exact scalar: {v!r}")
 
 

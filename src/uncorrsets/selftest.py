@@ -24,7 +24,7 @@ from math import isqrt
 from . import constructions, determinants, engine, linalg, model
 from .engine import ASequence, SetDescriptor
 from .model import BetaSupport, OffsetVector, Support3, SupportKind
-from .numeric import Frozen, QuadExt, setfield
+from .numeric import Frozen, QuadExt, quad_sign, setfield, sqrt_parts
 from .polynomials import IntPoly, root_count, sturm_root_count
 
 
@@ -305,10 +305,15 @@ def structural_invariants(pairs: list, box: int) -> Section:
     entry in [1/18, 1/6], transposing the offsets transposes the set, and
     the set in the box obeys the shape law."""
     problems = []
-    lo, hi = Fraction(1, 18), Fraction(1, 6)
     for support, x in pairs:
         table = model.table_from_offsets(model.rescale(x), support, support)
-        if not all(lo <= v <= hi for row in table.entries for v in row):
+        # entry (r + i sqrt(d)) / L minus 1/18, and 1/6 minus it, times 18 L
+        rat, irr, d, den = sqrt_parts([v for row in table.entries for v in row])
+        if not all(
+            quad_sign(18 * r - den, 18 * i, d) >= 0
+            and quad_sign(3 * den - 18 * r, -18 * i, d) >= 0
+            for r, i in zip(rat, irr)
+        ):
             problems.append(f"{x.x}: a rescaled entry left [1/18, 1/6]")
         pts = engine.enumerate_box_offsets(x, support, box, box)
         flipped = engine.enumerate_box_offsets(x.transpose(), support, box, box)

@@ -821,9 +821,13 @@ def test_selftest_fast(capsys):
 
 def test_selftest_reports_a_planted_fault(monkeypatch):
     real = engine.condition_lhs
-    monkeypatch.setattr(
-        engine, "condition_lhs", lambda x, seq, j, k: real(x, seq, j, k) + 1
-    )
+
+    def shifted(x, seq, j, k):
+        # the true value plus 1, built with the QuadExt constructor
+        v = real(x, seq, j, k)
+        return numeric.QuadExt(v.a + 1, v.b, v.d) if isinstance(v, numeric.QuadExt) else v + 1
+
+    monkeypatch.setattr(engine, "condition_lhs", shifted)
     lines = []
     assert selftest.run(fast=True, out=lines.append) > 0
     assert any(line.startswith("FAIL moment route") for line in lines)

@@ -580,10 +580,18 @@ _SQRT2 = QuadExt(0, 1, 2)
 _FINITE_SUPPORTS = [S123, BetaSupport(1, Fraction(3, 2)), Support3.from_values(Fraction(1, 2), 2, 7)]
 
 
+def _parts(c):
+    """(a, b) of c = a + b sqrt(2), for c rational or in Q(sqrt(2))."""
+    return (c.a, c.b) if isinstance(c, QuadExt) else (Fraction(c), Fraction(0))
+
+
 def _combination(vectors, coefficients):
-    """sum c_i v_i over Q(sqrt(2))."""
+    """sum c_i v_i over Q(sqrt(2)) for rational v_i: the a and b parts of
+    the c_i sum separately."""
+    parts = [_parts(c) for c in coefficients]
     return OffsetVector(tuple(
-        sum((c * v[i] for c, v in zip(coefficients, vectors)), Fraction(0))
+        QuadExt(sum(a * v[i] for (a, _), v in zip(parts, vectors)),
+                sum(b * v[i] for (_, b), v in zip(parts, vectors)), 2)
         for i in range(4)
     ))
 
@@ -611,7 +619,7 @@ def test_span_rule_refuses_witnesses_that_do_not_span_the_pattern_space():
         # a rational ratio c1 / c2: the parts span one line of the plane,
         # and when c1, c2 are both rational (or both in sqrt(2) Q) the
         # irrational (or rational) part is zero
-        for c in ((1, 2), (_SQRT2, 3 * _SQRT2), (QuadExt(1, 1, 2), QuadExt(-2, -2, 2))):
+        for c in ((1, 2), (_SQRT2, QuadExt(0, 3, 2)), (QuadExt(1, 1, 2), QuadExt(-2, -2, 2))):
             assert check_analytic(_combination(basis, c), S123, desc) is False
         assert check_analytic(zero, S123, desc) is False
     # n3 of the singleton's rows has x4 = 1, outside the pattern space
@@ -719,8 +727,14 @@ def _planted_parity_offsets(rng):
         return QuadExt(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
                        Fraction(rng.randint(-6, 6), rng.randint(1, 4)), 2)
 
-    ee, eo, oe, oo = (Fraction(0) if rng.random() < 0.5 else scalar() for _ in range(4))
-    return OffsetVector.of(ee, (oe - ee) / 2, (eo - ee) / 2, (oo - oe - eo + ee) / 4)
+    def inverse(ee, eo, oe, oo):
+        return ee, (oe - ee) / 2, (eo - ee) / 2, (oo - oe - eo + ee) / 4
+
+    values = [_parts(Fraction(0) if rng.random() < 0.5 else scalar()) for _ in range(4)]
+    # the map is rational, so the a and b parts go through it separately
+    rat = inverse(*(a for a, _ in values))
+    irr = inverse(*(b for _, b in values))
+    return OffsetVector(tuple(QuadExt(a, b, 2) for a, b in zip(rat, irr)))
 
 
 @pytest.mark.parametrize("v", [1, 2, Fraction(1, 3), Fraction(7, 2)])

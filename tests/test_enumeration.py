@@ -152,17 +152,23 @@ def test_planted_zeros_three_routes_agree(case):
 
 def _by_definition(table, jmax, kmax):
     """The moment route written out per cell: the 9-term E[X^j Y^k]
-    against the product of the marginals."""
-    xs, ys, e = table.support_x.points, table.support_y.points, table.entries
+    against the product of the marginals.  E[X^j Y^k] is a rational
+    linear form in the entries a + b sqrt(d), so its a and b parts are
+    summed separately, and the b part must vanish."""
+    xs, ys = table.support_x.points, table.support_y.points
+    parts = [
+        [(v.a, v.b) if isinstance(v, QuadExt) else (v, 0) for v in row]
+        for row in table.entries
+    ]
     out = []
     for j in range(1, jmax + 1):
         for k in range(1, kmax + 1):
-            joint = sum(
-                e[r][c] * xs[c] ** j * ys[r] ** k for r in range(3) for c in range(3)
-            )
+            weights = [(r, c, xs[c] ** j * ys[r] ** k) for r in range(3) for c in range(3)]
+            joint_a = sum(parts[r][c][0] * w for r, c, w in weights)
+            joint_b = sum(parts[r][c][1] * w for r, c, w in weights)
             ex = sum(p**j for p in xs) / 3
             ey = sum(p**k for p in ys) / 3
-            if joint == ex * ey:
+            if joint_a == ex * ey and joint_b == 0:
                 out.append((j, k))
     return out
 
@@ -198,8 +204,7 @@ def test_moment_enumeration_tests_the_irrational_part():
     # the diagonal.  An unscaled table keeps the two parts apart (rescale
     # multiplies by a factor in Q(sqrt(2)), which mixes them).
     s = Support3.from_values(1, 2, 3)
-    r2 = QuadExt(0, 1, 2)
-    x = OffsetVector.of(0, 1, -1 - Fraction(8, 5) * r2, r2)
+    x = OffsetVector.of(0, 1, QuadExt(-1, Fraction(-8, 5), 2), QuadExt(0, 1, 2))
     table = table_from_offsets(x.scaled(Fraction(1, 200)), s, s)
     by_offsets = enumerate_box_offsets(x, s, 6, 6)
     assert enumerate_box_table(table, 6, 6) == [(2, 2)] == by_offsets

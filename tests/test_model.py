@@ -21,7 +21,7 @@ from uncorrsets.model import (
     table_from_offsets,
     to_y,
 )
-from uncorrsets.numeric import MixedRadicand, QuadExt, as_exact, exact_sign
+from uncorrsets.numeric import MixedRadicand, QuadExt, as_exact, sqrt_parts
 
 
 def _labelled(points, kind):
@@ -231,7 +231,7 @@ def test_rescale_quadext_offsets():
     table = table_from_offsets(scaled, s, s)
     for row in table.entries:
         for v in row:
-            assert v >= Fraction(1, 18)
+            assert _sym(v) >= _sym(Fraction(1, 18))
 
 
 def test_table_validation():
@@ -269,29 +269,79 @@ def test_offsets_json_round_trip():
 
 
 # The definitions that rescale and table_from_offsets compute in integers,
-# written in Fraction and QuadExt arithmetic as the oracle.
+# written in sympy's exact arithmetic as the oracle.  Each helper imports
+# sympy itself, so a missing sympy fails these tests instead of skipping.
+
+
+def _sym(v):
+    """An exact scalar as a sympy number."""
+    import sympy
+
+    if isinstance(v, QuadExt):
+        return sympy.Rational(v.a) + sympy.Rational(v.b) * sympy.sqrt(v.d)
+    return sympy.Rational(v)
+
+
+def _sym_parts(e, d):
+    """The sympy rationals a and b of a sympy number a + b sqrt(d) with no
+    sqrt(d) in a denominator; d is 0 for a rational e."""
+    import sympy
+
+    e = sympy.expand(e)
+    b = e.coeff(sympy.sqrt(d)) if d else sympy.Integer(0)
+    a = sympy.expand(e - b * sympy.sqrt(d))
+    assert a.is_Rational and b.is_Rational
+    return a, b
+
+
+def _from_sym(e, d):
+    """The exact scalar of a sympy number a + b sqrt(d)."""
+    a, b = (Fraction(int(n.p), int(n.q)) for n in _sym_parts(e, d))
+    return as_exact(QuadExt(a, b, d)) if b else a
+
+
+def _radicand(x):
+    return next((v.d for v in x.x if isinstance(v, QuadExt)), 0)
+
+
+def _sym_deviations(x):
+    """The deviation layout of the model docstring, in sympy."""
+    x1, x2, x3, x4 = map(_sym, x.x)
+    return (
+        (x4, x3, -x3 - x4),
+        (x2, x1, -x1 - x2),
+        (-x2 - x4, -x1 - x3, x1 + x2 + x3 + x4),
+    )
+
+
+def _largest_deviation(x):
+    """M, the largest |deviation| of x, in sympy."""
+    devs = [dev for row in _sym_deviations(x) for dev in row]
+    return max(max(devs), -min(devs))
 
 
 def _rescale_by_definition(x):
-    m = Fraction(0)
-    for row in x.deviations():
-        for dev in row:
-            if m < abs(dev):
-                m = abs(dev)
-    factor = Fraction(1, 9) / (2 * m)
-    return OffsetVector(tuple(as_exact(factor * v) for v in x.x))
+    import sympy
+
+    m = _largest_deviation(x)
+    d = _radicand(x)
+    # 1 / m as (a - b sqrt(d)) / (a^2 - d b^2), so that the quotients
+    # expand to a + b sqrt(d)
+    a, b = _sym_parts(m, d)
+    inverse = (a - b * sympy.sqrt(d)) / (a * a - d * b * b)
+    return OffsetVector(tuple(_from_sym(v * inverse / 18, d) for v in map(_sym, x.x)))
 
 
 def _entries_by_definition(x):
     """The entries 1/9 + dev, or the first negative one as (row, col)."""
-    entries = tuple(
-        tuple(as_exact(Fraction(1, 9) + dev) for dev in row) for row in x.deviations()
-    )
+    ninth = _sym(Fraction(1, 9))
+    entries = [[ninth + dev for dev in row] for row in _sym_deviations(x)]
     for r in range(3):
         for c in range(3):
-            if exact_sign(entries[r][c]) < 0:
+            if entries[r][c] < 0:
                 return (r, c)
-    return entries
+    d = _radicand(x)
+    return tuple(tuple(_from_sym(e, d) for e in row) for row in entries)
 
 
 def _entries_or_negative(x, s):
@@ -314,8 +364,8 @@ def _offsets(draw):
     return OffsetVector(tuple(parts))
 
 
-# the largest |deviation| tied between a Fraction cell and a cell of
-# QuadExt sums whose sqrt(2) parts cancel, in both orders
+# the largest |deviation| tied between a cell of rational offsets and a
+# cell of Q(sqrt(2)) offsets whose sqrt(2) parts cancel, in both orders
 _TIES = [
     OffsetVector.of(-2, -2, QuadExt(0, 1, 2), QuadExt(0, -1, 2)),
     OffsetVector.of(-2, -2, QuadExt(2, -1, 2), QuadExt(2, 1, 2)),
@@ -333,11 +383,10 @@ def _check_builders(x):
     entries = [v for row in table_from_offsets(scaled, s, s).entries for v in row]
     assert entries == [v for row in _entries_by_definition(scaled) for v in row]
     low, high = Fraction(1, 18), Fraction(1, 6)
-    assert all(exact_sign(v - low) >= 0 and exact_sign(high - v) >= 0 for v in entries)
+    assert all(_sym(low) <= _sym(v) <= _sym(high) for v in entries)
     # the most extreme entries sit exactly on the bounds
     assert any(v == low or v == high for v in entries)
-    devs = [abs(d) for row in scaled.deviations() for d in row]
-    assert max(devs) == Fraction(1, 18)
+    assert _largest_deviation(scaled) == _sym(low)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -348,14 +397,24 @@ def test_builders_match_their_definition(x):
 
 @pytest.mark.parametrize("x", _TIES)
 def test_builders_match_their_definition_on_a_tie(x):
-    devs = [d for row in x.deviations() for d in row]
-    tied = [d for d in devs if abs(d) == max(abs(v) for v in devs)]
-    assert len(tied) == 2 and {type(d) for d in tied} == {Fraction, QuadExt}
+    devs = [dev for row in _sym_deviations(x) for dev in row]
+    tied = [dev for dev in devs if abs(dev) == max(abs(v) for v in devs)]
+    # both tied cells are rational: one sums rational offsets, the other
+    # irrational ones whose sqrt(2) parts cancel
+    assert len(tied) == 2 and all(dev.is_Rational for dev in tied)
     _check_builders(x)
 
 
 def _plus_ninth(devs):
-    return tuple(tuple(Fraction(1, 9) + d for d in row) for row in devs)
+    """1/9 plus each deviation, built with the QuadExt constructor."""
+    ninth = Fraction(1, 9)
+    return tuple(
+        tuple(
+            QuadExt(ninth + d.a, d.b, d.d) if isinstance(d, QuadExt) else ninth + d
+            for d in row
+        )
+        for row in devs
+    )
 
 
 def test_negative_irrational_entry_with_a_positive_rational_part():
@@ -374,38 +433,39 @@ def test_negative_irrational_entry_with_a_positive_rational_part():
 
 def test_line_sums_read_the_irrational_parts():
     s = Support3.from_values(1, 2, 3)
-    r2 = QuadExt(0, Fraction(1, 18), 2)
+    r2, m2 = QuadExt(0, Fraction(1, 18), 2), QuadExt(0, Fraction(-1, 18), 2)
     # row 0's rational parts sum to 1/3, its sqrt(2) parts do not
-    devs = ((r2, 0, 0), (0, 0, 0), (-r2, 0, 0))
+    devs = ((r2, 0, 0), (0, 0, 0), (m2, 0, 0))
     with pytest.raises(ValueError, match="^row 0 does not sum to 1/3$"):
         JointTable(_plus_ninth(devs), s, s)
     # every row sums to 1/3, so the failing columns come in pairs
     q = Fraction(1, 18)
-    for devs in (((q, -q, 0), (0, 0, 0), (0, 0, 0)), ((r2, -r2, 0), (0, 0, 0), (0, 0, 0))):
+    for devs in (((q, -q, 0), (0, 0, 0), (0, 0, 0)), ((r2, m2, 0), (0, 0, 0), (0, 0, 0))):
         with pytest.raises(ValueError, match="^column 0 does not sum to 1/3$"):
             JointTable(_plus_ninth(devs), s, s)
 
 
 def test_mixed_radicand_tables_keep_their_message():
+    # sqrt_parts's one message, the first radicand met row by row and the
+    # first that differs from it, before any entry sign or line sum
     s = Support3.from_values(1, 2, 3)
     r2, r3 = QuadExt(0, Fraction(1, 18), 2), QuadExt(0, Fraction(1, 18), 3)
-    # rows pass; column 0 meets sqrt(2) before sqrt(3)
-    devs = ((r2, -r2, 0), (r3, 0, -r3), (0, 0, 0))
+    m2, m3 = QuadExt(0, Fraction(-1, 18), 2), QuadExt(0, Fraction(-1, 18), 3)
+    devs = ((r2, m2, 0), (r3, 0, m3), (0, 0, 0))
     with pytest.raises(MixedRadicand, match=r"^cannot combine sqrt\(2\) with sqrt\(3\)$"):
         JointTable(_plus_ninth(devs), s, s)
-    # row 0 meets sqrt(3) first
     devs = ((r3, r2, 0), (0, 0, 0), (0, 0, 0))
     with pytest.raises(MixedRadicand, match=r"^cannot combine sqrt\(3\) with sqrt\(2\)$"):
         JointTable(_plus_ninth(devs), s, s)
-    # a negative entry is found before any sum
+    # entry (0, 2) is negative, but the radicands are refused first
     devs = ((r3, r2, -1), (0, 0, 0), (0, 0, 0))
-    with pytest.raises(NegativeEntry):
+    with pytest.raises(MixedRadicand, match=r"^cannot combine sqrt\(3\) with sqrt\(2\)$"):
         JointTable(_plus_ninth(devs), s, s)
 
 
 def test_mixed_radicand_offsets_keep_the_message_of_their_sums():
-    # rescale and table_from_offsets name the pair that the deviation
-    # sums meet first, whatever the radicands of the four offsets
+    # rescale and table_from_offsets refuse mixed radicands with
+    # sqrt_parts's message for the four offsets, whatever their radicands
     s = Support3.from_values(1, 2, 3)
     field = {0: Fraction(1, 3), 2: QuadExt(1, 1, 2), 3: QuadExt(-1, 1, 3), 5: QuadExt(0, 2, 5)}
     mixed = 0
@@ -413,7 +473,7 @@ def test_mixed_radicand_offsets_keep_the_message_of_their_sums():
         ds = [(0, 2, 3, 5)[(code >> (2 * n)) & 3] for n in range(4)]
         x = OffsetVector(tuple(field[d] for d in ds))
         try:
-            x.deviations()
+            sqrt_parts(x.x)
             continue
         except MixedRadicand as exc:
             want = str(exc)

@@ -6,9 +6,10 @@ and membership on the near-line slope line, the F and G determinants at
 rational points, a third route to their closed forms through Schur
 polynomials and the degree of G's, sparse products the size of the
 closed forms' old last step, the determinant, rank and nullspace of
-rational matrices, the values of independence certificates, and the moment
+rational matrices, the values of independence certificates, the moment
 route's box enumeration against E[X^j Y^k] - E[X^j] E[Y^k] in sympy's
-exact arithmetic."""
+exact arithmetic, and every map that runs on the integer parts of
+Q(sqrt(d)) vectors against the same formula in sympy."""
 
 import json
 import random
@@ -16,6 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,6 +44,7 @@ from uncorrsets.determinants import (  # noqa: E402
 )
 from uncorrsets.engine import (  # noqa: E402
     ASequence,
+    condition_lhs,
     enumerate_box_table,
     finite_parts,
     offsets_delta,
@@ -51,10 +54,14 @@ from uncorrsets.model import (  # noqa: E402
     JointTable,
     OffsetVector,
     Support3,
+    YVector,
+    from_y,
+    offsets_of,
     rescale,
     table_from_offsets,
+    to_y,
 )
-from uncorrsets.numeric import QuadExt  # noqa: E402
+from uncorrsets.numeric import MixedRadicand, QuadExt, sqrt_parts  # noqa: E402
 from uncorrsets.polynomials import (  # noqa: E402
     IntPoly,
     MultiPoly,
@@ -468,8 +475,7 @@ def _planted_general():
 
 def _sqrt2_column():
     # the diagonal plus sqrt(2) times the column j = 2, unscaled by rescale
-    r2 = QuadExt(0, 1, 2)
-    x = OffsetVector.of(0, 1, -1 - Fraction(8, 5) * r2, r2)
+    x = OffsetVector.of(0, 1, QuadExt(-1, Fraction(-8, 5), 2), QuadExt(0, 1, 2))
     return table_from_offsets(x.scaled(Fraction(1, 200)), S123, S123)
 
 
@@ -493,3 +499,118 @@ TABLES = {
 def test_moment_enumeration_matches_sympy(name):
     table = TABLES[name]()
     assert enumerate_box_table(table, 5, 5) == _members_by_sympy(table, 5, 5)
+
+
+# ---------------------------------------------------------------------------
+# the maps on integer parts against sympy
+
+
+def _canonical(v):
+    """A rational is a Fraction; an irrational a QuadExt that the checking
+    constructor would build, with Fraction parts and b != 0."""
+    if isinstance(v, QuadExt):
+        return (type(v.a) is type(v.b) is Fraction and v.b != 0
+                and repr(v) == repr(QuadExt(v.a, v.b, v.d)))
+    return type(v) is Fraction
+
+
+def _same(got, want):
+    """got, exact scalars from the package, equal the sympy numbers want."""
+    got = list(got)
+    assert len(got) == len(want)
+    for v, w in zip(got, want):
+        assert _canonical(v), v
+        assert sp.expand(_sym_scalar(v) - w) == 0, (v, w)
+
+
+@st.composite
+def _field_vectors(draw, n=4):
+    """n rationals, or n values of Q(sqrt(2)) or Q(sqrt(3)), and the radicand."""
+    d = draw(st.sampled_from([0, 2, 3]))
+    if d == 0:
+        return [draw(rationals) for _ in range(n)], 0
+    return [QuadExt(draw(rationals), draw(rationals), d) for _ in range(n)], d
+
+
+_positive_points = st.lists(
+    st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6),
+    min_size=3, max_size=3, unique=True,
+).map(sorted)
+_points = st.lists(rationals, min_size=3, max_size=3, unique=True).map(sorted)
+_orders = st.integers(1, 6)
+
+
+def _sym_deviations(x):
+    """The deviation layout of the model docstring, row by row."""
+    x1, x2, x3, x4 = x
+    return [x4, x3, -x3 - x4, x2, x1, -x1 - x2, -x2 - x4, -x1 - x3, x1 + x2 + x3 + x4]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_field_vectors(), _field_vectors(n=1), _field_vectors(n=9), rationals)
+def test_maps_on_integer_parts_match_sympy(xd, factor, entries, q):
+    values, d = xd
+    x = OffsetVector(tuple(values))
+    x1, x2, x3, x4 = sx = [_sym_scalar(v) for v in x.x]
+    _same(to_y(x).y, [x4, x3 + x4, x2 + x4, x1 + x2 + x3 + x4])
+    y1, y2, y3, y4 = sx
+    _same(from_y(YVector(tuple(values))).x, [y4 - y2 - y3 + y1, y3 - y1, y2 - y1, y1])
+    _same([v for row in x.deviations() for v in row], _sym_deviations(sx))
+    _same(x.scaled(q).x, [_rat(q) * v for v in sx])
+    # a Q(sqrt(d)) factor: in x's field, or any field when x is rational
+    (f,), fd = factor
+    if fd and d:
+        f = QuadExt(f.a, f.b, d)
+    _same(x.scaled(f).x, [_sym_scalar(f) * v for v in sx])
+    rows = [tuple(entries[0][i:i + 3]) for i in (0, 3, 6)]
+    ninth = sp.Rational(1, 9)
+    e = [_sym_scalar(v) for v in entries[0]]
+    _same(offsets_of(SimpleNamespace(entries=rows)).x,
+          [e[4] - ninth, e[3] - ninth, e[1] - ninth, e[0] - ninth])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_field_vectors(), _positive_points, _points, _points, _orders, _orders)
+def test_per_cell_oracles_on_integer_parts_match_sympy(xd, positive, px, py, j, k):
+    x = OffsetVector(tuple(xd[0]))
+    sx = [_sym_scalar(v) for v in x.x]
+    pa, pb, pc = (_rat(p) for p in positive)
+    aj, ak = ((pc**n - pa**n) / (pc**n - pb**n) for n in (j, k))
+    lhs = condition_lhs(x, ASequence(Support3(tuple(positive))), j, k)
+    _same([lhs], [sx[0] + aj * sx[1] + ak * sx[2] + aj * ak * sx[3]])
+    support_x, support_y = Support3(tuple(px)), Support3(tuple(py))
+    dev = _sym_deviations(sx)
+    want = sum(
+        dev[3 * r + c] * _rat(px[c]) ** j * _rat(py[r]) ** k
+        for r in range(3) for c in range(3)
+    )
+    _same([offsets_delta(x, support_x, support_y, j, k)], [want])
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.permutations([2, 3]), st.lists(st.integers(0, 3), min_size=2, max_size=2,
+                                         unique=True), _field_vectors())
+def test_two_field_vectors_raise_the_message_of_sqrt_parts(radicands, at, xd):
+    values = [v.a if isinstance(v, QuadExt) else v for v in xd[0]]
+    for i, d in zip(at, radicands):
+        values[i] = QuadExt(values[i], 1, d)
+    x = OffsetVector(tuple(values))
+    with pytest.raises(MixedRadicand) as parts:
+        sqrt_parts(x.x)
+    first, second = (radicands if at[0] < at[1] else radicands[::-1])
+    assert str(parts.value) == f"cannot combine sqrt({first}) with sqrt({second})"
+    x1, x2, x3, x4 = x.x
+    s3 = Support3.from_values(1, 2, 3)
+    calls = [
+        lambda: to_y(x),
+        lambda: from_y(YVector(x.x)),
+        x.deviations,
+        lambda: x.scaled(2),
+        lambda: offsets_of(SimpleNamespace(entries=((x4, x3, 0), (x2, x1, 0), (0, 0, 0)))),
+        lambda: condition_lhs(x, ASequence(s3), 1, 2),
+        lambda: offsets_delta(x, s3, s3, 1, 2),
+    ]
+    for call in calls:
+        with pytest.raises(MixedRadicand) as info:
+            call()
+        assert str(info.value) == str(parts.value)
